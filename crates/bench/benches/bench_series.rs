@@ -104,6 +104,17 @@ fn bench_rolling(c: &mut Criterion) {
     group.bench_function("max_w96_28d", |b| {
         b.iter(|| flextract_series::rolling::rolling_max(black_box(&values), 96))
     });
+    // The cleaning stage's default anomaly window: one day at 1-min
+    // resolution, where a per-step O(w) median would dominate.
+    let cfg = flextract_sim::HouseholdConfig::new(
+        4,
+        flextract_sim::HouseholdArchetype::FamilyWithChildren,
+    );
+    let week_1min = flextract_sim::simulate_household(&cfg, flextract_bench::horizon(7)).series;
+    group.throughput(Throughput::Elements(week_1min.len() as u64));
+    group.bench_function("median_w1440_7d_1min", |b| {
+        b.iter(|| flextract_series::rolling::rolling_median(black_box(week_1min.values()), 1440))
+    });
     group.finish();
 }
 

@@ -18,9 +18,9 @@
 //! Cleaning is **chunk-windowed**: its input is a scan window
 //! (typically the scenario horizon materialized through
 //! [`crate::Dataset::consumer_in`], which assembles only the chunks
-//! overlapping the window), never the whole stored series — so
-//! gap-fill and the rolling-z screen cost `O(window)`, not `O(file)`,
-//! when a scenario reads one day of a month-long feed.
+//! overlapping the window), never the whole stored series. For `n`
+//! scanned intervals gap-fill costs `O(n)` and the rolling-z screen
+//! `O(n·log w)` (`w` = `anomaly_window`), whatever the file's length.
 
 use crate::{DatasetError, MeasuredSeries};
 use flextract_series::{anomaly, missing, FillStrategy, TimeSeries};

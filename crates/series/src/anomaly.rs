@@ -152,10 +152,9 @@ fn collect_runs(series: &TimeSeries, expected: &[f64], band: &[f64]) -> Vec<Anom
         };
         match (&mut run, status) {
             (None, Some((dir, diff, z))) => run = Some((i, dir, diff, z)),
-            (Some((start, dir, dev, max_z)), Some((d2, diff, z))) if *dir == d2 => {
+            (Some((_, dir, dev, max_z)), Some((d2, diff, z))) if *dir == d2 => {
                 *dev += diff;
                 *max_z = max_z.max(z);
-                let _ = start;
             }
             (Some((start, dir, dev, max_z)), next) => {
                 out.push(Anomaly {

@@ -1,7 +1,8 @@
 //! Property tests for the series engine.
 
+use flextract_series::anomaly::{self, Anomaly, AnomalyDirection};
 use flextract_series::{
-    codec, decompose, missing, peaks, resample, stats, PeakThreshold, TimeSeries,
+    codec, decompose, missing, peaks, resample, rolling, stats, PeakThreshold, TimeSeries,
 };
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
 use proptest::prelude::*;
@@ -152,6 +153,176 @@ proptest! {
     fn autocorrelation_is_bounded(values in arb_values(128), lag in 0_usize..32) {
         if let Some(r) = stats::autocorrelation(&values, lag) {
             prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
+        }
+    }
+}
+
+/// The sorted insert/remove buffer `rolling_median` used before the
+/// heap kernel — O(n·w), kept here as the bit-exact oracle.
+fn sorted_buffer_median(xs: &[f64], window: usize) -> Vec<f64> {
+    let mut out = Vec::with_capacity(xs.len());
+    let mut sorted: Vec<f64> = Vec::with_capacity(window);
+    for i in 0..xs.len() {
+        let pos = sorted
+            .binary_search_by(|v| v.total_cmp(&xs[i]))
+            .unwrap_or_else(|p| p);
+        sorted.insert(pos, xs[i]);
+        if i >= window {
+            let old = xs[i - window];
+            let pos = sorted
+                .binary_search_by(|v| v.total_cmp(&old))
+                .unwrap_or_else(|p| p);
+            sorted.remove(pos);
+        }
+        let n = sorted.len();
+        out.push(if n % 2 == 1 {
+            sorted[n / 2]
+        } else {
+            0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+        });
+    }
+    out
+}
+
+/// Median of each trailing window by sorting it from scratch.
+fn brute_force_median(xs: &[f64], window: usize) -> Vec<f64> {
+    (0..xs.len())
+        .map(|i| {
+            let mut w = xs[(i + 1).saturating_sub(window)..=i].to_vec();
+            w.sort_by(f64::total_cmp);
+            let n = w.len();
+            if n % 2 == 1 {
+                w[n / 2]
+            } else {
+                0.5 * (w[n / 2 - 1] + w[n / 2])
+            }
+        })
+        .collect()
+}
+
+/// Samples that stress a median's ordering: heavy ties on a 0.001 grid,
+/// signed zeros, subnormals of both signs and plain reals.
+fn arb_median_sample() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        4 => (0_i64..50).prop_map(|k| k as f64 * 0.001),
+        1 => Just(0.0),
+        1 => Just(-0.0),
+        1 => (1_u64..1 << 52).prop_map(f64::from_bits),
+        1 => (1_u64..1 << 52).prop_map(|m| -f64::from_bits(m)),
+        2 => -5.0_f64..5.0,
+    ]
+}
+
+/// A sample vector and a window: 1..=64 (odd and even), or at least
+/// the vector's length so the window never fills.
+fn arb_median_case() -> impl Strategy<Value = (Vec<f64>, usize)> {
+    (
+        prop::collection::vec(arb_median_sample(), 0..300),
+        1_usize..=64,
+        0_usize..3,
+        any::<bool>(),
+    )
+        .prop_map(|(xs, window, extra, beyond)| {
+            let window = if beyond {
+                xs.len().max(1) + extra
+            } else {
+                window
+            };
+            (xs, window)
+        })
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `rolling_anomalies` rebuilt on top of the oracle median: baseline and
+/// band from the previous window, runs split where the direction changes.
+fn oracle_rolling_anomalies(
+    series: &TimeSeries,
+    window: usize,
+    z_threshold: f64,
+    noise_floor_kwh: f64,
+) -> Vec<Anomaly> {
+    let xs = series.values();
+    if xs.len() <= window {
+        return Vec::new();
+    }
+    let med = sorted_buffer_median(xs, window);
+    let std = rolling::rolling_std(xs, window);
+    let mut runs: Vec<Anomaly> = Vec::new();
+    let mut open = false;
+    for i in window..xs.len() {
+        let band = (z_threshold * std[i - 1]).max(noise_floor_kwh);
+        let diff = xs[i] - med[i - 1];
+        let status = if diff > band {
+            Some((AnomalyDirection::High, diff / band.max(1e-12)))
+        } else if diff < -band {
+            Some((AnomalyDirection::Low, -diff / band.max(1e-12)))
+        } else {
+            None
+        };
+        match (runs.last_mut(), status) {
+            (Some(run), Some((direction, z))) if open && run.direction == direction => {
+                run.intervals += 1;
+                run.deviation_kwh += diff;
+                run.max_z = run.max_z.max(z);
+            }
+            (_, Some((direction, z))) => runs.push(Anomaly {
+                start: series.timestamp_of(i),
+                intervals: 1,
+                direction,
+                deviation_kwh: diff,
+                max_z: z,
+            }),
+            (_, None) => {}
+        }
+        open = status.is_some();
+    }
+    runs
+}
+
+proptest! {
+    #[test]
+    fn rolling_median_is_bit_exact((xs, window) in arb_median_case()) {
+        let med = rolling::rolling_median(&xs, window);
+        prop_assert_eq!(
+            bits(&med),
+            bits(&sorted_buffer_median(&xs, window)),
+            "window {} over {:?}", window, xs
+        );
+        prop_assert_eq!(
+            bits(&med),
+            bits(&brute_force_median(&xs, window)),
+            "window {} over {:?}", window, xs
+        );
+    }
+
+    #[test]
+    fn rolling_anomalies_match_oracle_median_runs(
+        start in arb_start(),
+        xs in prop::collection::vec(
+            prop_oneof![
+                3 => (0_i64..400).prop_map(|k| k as f64 * 0.001),
+                1 => 0.0_f64..3.0,
+            ],
+            2..300,
+        ),
+        window in 1_usize..=64,
+        z in 0.5_f64..6.0,
+        floor in prop_oneof![Just(0.0), 0.0_f64..0.2],
+    ) {
+        prop_assume!(xs.len() > window);
+        let s = TimeSeries::new(start, Resolution::MIN_15, xs).unwrap();
+        let got = anomaly::rolling_anomalies(&s, window, z, floor);
+        let want = oracle_rolling_anomalies(&s, window, z, floor);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g.start, w.start);
+            prop_assert_eq!(g.intervals, w.intervals);
+            prop_assert_eq!(g.direction, w.direction);
+            prop_assert_eq!(g.deviation_kwh.to_bits(), w.deviation_kwh.to_bits());
+            prop_assert_eq!(g.max_z.to_bits(), w.max_z.to_bits());
         }
     }
 }

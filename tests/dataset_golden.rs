@@ -13,6 +13,12 @@ use flextract::dataset::{Dataset, MANIFEST_FILE, ROOT_FILE};
 use flextract::scenario::{export_dataset, load_file, ExportOptions};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+/// Held by every test that touches `datasets/`: under `UPDATE_GOLDEN=1`
+/// the regeneration rewrites the committed directories in place, so a
+/// concurrent reader could otherwise find one half-written.
+static DATASETS: Mutex<()> = Mutex::new(());
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -44,6 +50,7 @@ fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 
 #[test]
 fn committed_datasets_regenerate_byte_identically() {
+    let _guard = DATASETS.lock().unwrap_or_else(|e| e.into_inner());
     let root = repo_root();
     let datasets_dir = root.join("datasets");
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
@@ -124,6 +131,7 @@ fn committed_datasets_regenerate_byte_identically() {
 
 #[test]
 fn committed_manifests_are_internally_consistent() {
+    let _guard = DATASETS.lock().unwrap_or_else(|e| e.into_inner());
     let root = repo_root();
     for entry in std::fs::read_dir(root.join("datasets")).expect("datasets/ exists") {
         let path = entry.expect("entry").path();
