@@ -269,48 +269,19 @@ fn query_benches(records: &mut Vec<Record>) {
     }
 }
 
-/// Cold-open a frame file the pre-read-ahead way: header, tail, footer
-/// and every 32-byte chunk stat header through individual seek+read
-/// pairs. This is the counterfactual `fxm::open_file` replaces — the
-/// same stats-ready outcome, but 3 + chunk-count IO round-trips per
-/// file instead of one sequential read.
-fn cold_open_seek_per_chunk(path: &Path) -> (usize, u64) {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = std::fs::File::open(path).expect("bench frame opens");
-    let mut header = [0u8; 28];
-    f.read_exact(&mut header).expect("frame header");
-    let len = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes")) as usize;
-    let chunk_len = u32::from_le_bytes(header[24..28].try_into().expect("4 bytes")) as usize;
-    let chunks = len.div_ceil(chunk_len);
-    let file_len = f.metadata().expect("metadata").len();
-    let mut tail = [0u8; 12];
-    f.seek(SeekFrom::Start(file_len - 12)).expect("seek tail");
-    f.read_exact(&mut tail).expect("frame tail");
-    let footer_off = u64::from_le_bytes(tail[0..8].try_into().expect("8 bytes"));
-    let mut offsets = vec![0u8; chunks * 8];
-    f.seek(SeekFrom::Start(footer_off)).expect("seek footer");
-    f.read_exact(&mut offsets).expect("footer offsets");
-    let mut count_sum = 0_u64;
-    let mut stat = [0u8; 32];
-    for c in 0..chunks {
-        let off = u64::from_le_bytes(offsets[c * 8..c * 8 + 8].try_into().expect("8 bytes"));
-        f.seek(SeekFrom::Start(off)).expect("seek chunk");
-        f.read_exact(&mut stat).expect("chunk stat header");
-        count_sum += u64::from(u32::from_le_bytes(stat[0..4].try_into().expect("4 bytes")));
-    }
-    (chunks, count_sum)
-}
-
-/// The cold-open stages: opening a month of 1-min FXM3 files up to
-/// stats-ready state via the single-read read-ahead path vs a seek per
-/// chunk header. What's measured is IO round-trips, not decode work —
-/// neither path touches a compressed payload byte.
+/// The cold-open stage: opening a month of 1-min FXM3 files up to
+/// stats-ready state through the single-read read-ahead path. What's
+/// measured is IO, not decode work — no compressed payload byte is
+/// touched.
 fn cold_open_benches(records: &mut Vec<Record>) {
     let dir = query_dataset(SeriesCodec::BinaryV3, "cold_open");
     let files: Vec<PathBuf> = (0..4)
         .map(|c| dir.join(format!("consumer_{c}.fxm")))
         .collect();
-    let chunks = cold_open_seek_per_chunk(&files[0]).0;
+    let chunks = flextract_frame::fxm::open_file(&files[0])
+        .expect("read-ahead open")
+        .chunks()
+        .len();
     let disk = series_disk_bytes(&dir);
     let iters = 30;
 
@@ -327,21 +298,6 @@ fn cold_open_benches(records: &mut Vec<Record>) {
         mean_us: mean,
         note: Some(format!(
             "4 files, {chunks} chunks each, {disk} B total — one buffered read per file"
-        )),
-    });
-
-    let mean = measure_fn(3, iters, || {
-        for f in &files {
-            std::hint::black_box(cold_open_seek_per_chunk(f));
-        }
-    });
-    records.push(Record {
-        name: "cold_open/seek_per_chunk/fxm3".into(),
-        consumer_threads: 1,
-        iters,
-        mean_us: mean,
-        note: Some(format!(
-            "4 files, 3 + {chunks} seek+read round-trips per file"
         )),
     });
     std::fs::remove_dir_all(&dir).ok();

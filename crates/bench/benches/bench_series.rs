@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flextract_bench::family_market_series;
-use flextract_series::{codec, decompose, peaks, resample, stats, PeakThreshold};
+use flextract_series::{codec, decompose, peaks, resample, stats, PeakThreshold, TimeSeries};
 use flextract_time::Resolution;
 use std::hint::black_box;
 
@@ -58,13 +58,7 @@ fn bench_peaks(c: &mut Criterion) {
 
 fn bench_resample(c: &mut Criterion) {
     let mut group = c.benchmark_group("series/resample");
-    let week_1min = {
-        let cfg = flextract_sim::HouseholdConfig::new(
-            4,
-            flextract_sim::HouseholdArchetype::FamilyWithChildren,
-        );
-        flextract_sim::simulate_household(&cfg, flextract_bench::horizon(7)).series
-    };
+    let week_1min = family_week_1min();
     group.throughput(Throughput::Elements(week_1min.len() as u64));
     group.bench_function("downsample_1min_to_15min_week", |b| {
         b.iter(|| resample::downsample(black_box(&week_1min), Resolution::MIN_15).unwrap())
@@ -106,14 +100,20 @@ fn bench_rolling(c: &mut Criterion) {
     });
     // The cleaning stage's default anomaly window: one day at 1-min
     // resolution, where a per-step O(w) median would dominate.
-    let cfg = flextract_sim::HouseholdConfig::new(
-        4,
-        flextract_sim::HouseholdArchetype::FamilyWithChildren,
-    );
-    let week_1min = flextract_sim::simulate_household(&cfg, flextract_bench::horizon(7)).series;
+    let week_1min = family_week_1min();
     group.throughput(Throughput::Elements(week_1min.len() as u64));
     group.bench_function("median_w1440_7d_1min", |b| {
         b.iter(|| flextract_series::rolling::rolling_median(black_box(week_1min.values()), 1440))
+    });
+    // The same week on a 0.001 kWh register grid, as metered exports
+    // store it: few distinct values per window, so ties dominate.
+    let quantized: Vec<f64> = week_1min
+        .values()
+        .iter()
+        .map(|v| (v / 0.001).round() * 0.001)
+        .collect();
+    group.bench_function("median_w1440_7d_1min_q001", |b| {
+        b.iter(|| flextract_series::rolling::rolling_median(black_box(&quantized), 1440))
     });
     group.finish();
 }
@@ -140,7 +140,25 @@ fn bench_forecast_and_anomaly(c: &mut Criterion) {
     group.bench_function("rolling_anomalies_28d", |b| {
         b.iter(|| flextract_series::anomaly::rolling_anomalies(black_box(&series), 96, 3.0, 0.02))
     });
+    // The cleaning stage's screen at its defaults: a one-day window at
+    // 1-min resolution, z = 4, 0.05 kWh noise floor.
+    let week_1min = family_week_1min();
+    group.throughput(Throughput::Elements(week_1min.len() as u64));
+    group.bench_function("rolling_anomalies_w1440_7d_1min", |b| {
+        b.iter(|| {
+            flextract_series::anomaly::rolling_anomalies(black_box(&week_1min), 1440, 4.0, 0.05)
+        })
+    });
     group.finish();
+}
+
+/// One simulated family household week at 1-min resolution.
+fn family_week_1min() -> TimeSeries {
+    let cfg = flextract_sim::HouseholdConfig::new(
+        4,
+        flextract_sim::HouseholdArchetype::FamilyWithChildren,
+    );
+    flextract_sim::simulate_household(&cfg, flextract_bench::horizon(7)).series
 }
 
 criterion_group!(

@@ -20,7 +20,7 @@
 //! [`crate::Dataset::consumer_in`], which assembles only the chunks
 //! overlapping the window), never the whole stored series. For `n`
 //! scanned intervals gap-fill costs `O(n)` and the rolling-z screen
-//! `O(n·log w)` (`w` = `anomaly_window`), whatever the file's length.
+//! `O(n·log w)` (`w` = `anomaly_window`; each `w`-block is sorted once).
 
 use crate::{DatasetError, MeasuredSeries};
 use flextract_series::{anomaly, missing, FillStrategy, TimeSeries};

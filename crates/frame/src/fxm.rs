@@ -1340,7 +1340,7 @@ pub fn decode(buf: &[u8], file: &str) -> Result<MeasuredSeries, FrameError> {
 /// round-trip instead of a seek per chunk header (the footer index
 /// then resolves chunk placement from memory). This is the read-ahead
 /// path every store-level open funnels through; `BENCH_pipeline.json`'s
-/// `cold_open` stages measure it against a seek-per-chunk reader.
+/// `cold_open/readahead_single_read` stage times it.
 pub fn open_file(path: &std::path::Path) -> Result<Frame, FrameError> {
     use std::io::Read as _;
     let display = path.display().to_string();

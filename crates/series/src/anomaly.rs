@@ -63,9 +63,7 @@ pub fn seasonal_anomalies(
     let (week_t, week_s) = per_kind(DayKind::Weekend);
     let per_day = series.resolution().intervals_per_day();
 
-    let mut expected = Vec::with_capacity(series.len());
-    let mut band = Vec::with_capacity(series.len());
-    for i in 0..series.len() {
+    let baseline = (0..series.len()).map(|i| {
         let t = series.timestamp_of(i);
         let (typ, sig) = if t.day_of_week().is_weekend() {
             (&week_t, &week_s)
@@ -73,10 +71,9 @@ pub fn seasonal_anomalies(
             (&work_t, &work_s)
         };
         let idx = (t.minute_of_day() as i64 / series.resolution().minutes()) as usize % per_day;
-        expected.push(typ[idx]);
-        band.push((z_threshold * sig[idx]).max(noise_floor_kwh));
-    }
-    Ok(collect_runs(series, &expected, &band))
+        (typ[idx], (z_threshold * sig[idx]).max(noise_floor_kwh))
+    });
+    Ok(collect_runs(series, 0, baseline))
 }
 
 /// Detect runs deviating from a *rolling* baseline: trailing median ±
@@ -94,15 +91,14 @@ pub fn rolling_anomalies(
     }
     let med = rolling::rolling_median(series.values(), window);
     let std = rolling::rolling_std(series.values(), window);
-    let mut expected = vec![f64::NAN; series.len()];
-    let mut band = vec![f64::INFINITY; series.len()];
-    for i in window..series.len() {
-        // Baseline from the *previous* window, so a step is judged
-        // against history that excludes itself.
-        expected[i] = med[i - 1];
-        band[i] = (z_threshold * std[i - 1]).max(noise_floor_kwh);
-    }
-    collect_runs(series, &expected, &band)
+    // Interval `i` is judged against the baseline of the *previous*
+    // window, so a step is measured against history that excludes it.
+    let baseline = med
+        .iter()
+        .zip(&std)
+        .skip(window - 1)
+        .map(|(&m, &s)| (m, (z_threshold * s).max(noise_floor_kwh)));
+    collect_runs(series, window, baseline)
 }
 
 /// Replace every interval covered by `anomalies` with `NaN` in a copy
@@ -134,21 +130,33 @@ pub fn mask_anomalies(series: &TimeSeries, anomalies: &[Anomaly]) -> Vec<f64> {
     values
 }
 
-fn collect_runs(series: &TimeSeries, expected: &[f64], band: &[f64]) -> Vec<Anomaly> {
+/// Fold intervals `first..` of `series`, each paired with its
+/// `(expected, band)` baseline, into runs of one direction. An interval
+/// without a finite expectation is never anomalous.
+fn collect_runs(
+    series: &TimeSeries,
+    first: usize,
+    baseline: impl Iterator<Item = (f64, f64)>,
+) -> Vec<Anomaly> {
     let mut out = Vec::new();
     let mut run: Option<(usize, AnomalyDirection, f64, f64)> = None;
-    for i in 0..=series.len() {
-        let status = if i < series.len() && expected[i].is_finite() {
-            let diff = series.values()[i] - expected[i];
-            if diff > band[i] {
-                Some((AnomalyDirection::High, diff, diff / band[i].max(1e-12)))
-            } else if diff < -band[i] {
-                Some((AnomalyDirection::Low, diff, -diff / band[i].max(1e-12)))
-            } else {
-                None
+    let judged = series.values().iter().enumerate().skip(first).zip(baseline);
+    // The trailing `None` closes the last run at the end of the series.
+    for step in judged.map(Some).chain([None]) {
+        let (i, status) = match step {
+            Some(((i, &x), (expected, band))) if expected.is_finite() => {
+                let diff = x - expected;
+                let status = if diff > band {
+                    Some((AnomalyDirection::High, diff, diff / band.max(1e-12)))
+                } else if diff < -band {
+                    Some((AnomalyDirection::Low, diff, -diff / band.max(1e-12)))
+                } else {
+                    None
+                };
+                (i, status)
             }
-        } else {
-            None
+            Some(((i, _), _)) => (i, None),
+            None => (series.len(), None),
         };
         match (&mut run, status) {
             (None, Some((dir, diff, z))) => run = Some((i, dir, diff, z)),

@@ -87,26 +87,73 @@ fn rolling_extreme(xs: &[f64], window: usize, keep: impl Fn(f64, f64) -> bool) -
 
 /// Trailing-window median, exact under [`f64::total_cmp`]: the middle
 /// sample of the window, or `0.5 * (lower + upper)` of the two middle
-/// samples when the window holds an even count. O(n·log w) in total.
+/// samples when the window holds an even count. Each sample is sorted
+/// once, in a block of `window` samples, and each step then costs
+/// amortized O(1): O(n·log w) in total, with the log only in the sorts.
 ///
-/// The window lives in two indexed binary heaps over its ring slots
-/// (sample `i` occupies slot `i % window`): a max-heap holding the lower
-/// half and a min-heap holding the upper half, the lower half one larger
-/// when the count is odd. Once the window is full, each step overwrites
-/// the outgoing sample's slot in place with the incoming one, sifts it
-/// within its heap, and — if it crossed the halves' boundary — swaps the
-/// two heap tops once.
+/// Every trailing window is a suffix of one block plus a prefix of the
+/// next, so each pair of adjacent sorted blocks is merged into one rank
+/// space of at most `2 * window` ranks and the window is the set of its
+/// live ranks, a bitset. A step clears the rank of the sample leaving
+/// and sets the rank of the sample entering; a cursor on the lower
+/// median's rank, holding the count of live ranks below it, then moves
+/// to its new place by trailing/leading-zero scans of the bitset words.
+/// During warm-up the first block is paired with an empty one and the
+/// window grows from zero. The block scheme is Suomela's ("Median
+/// filtering is equivalent to sorting", arXiv 1406.1717).
 pub fn rolling_median(xs: &[f64], window: usize) -> Vec<f64> {
     assert!(window > 0, "window must be positive");
-    let mut halves = MedianHeaps::with_slots(window.min(xs.len()));
+    let block_len = window.min(xs.len());
     let mut out = Vec::with_capacity(xs.len());
-    for (i, &x) in xs.iter().enumerate() {
-        if i < window {
-            halves.push(i, order_key(x));
-        } else {
-            halves.replace(i % window, order_key(x));
+    // `(key, offset in block)` of the previous and the current block,
+    // sorted by key.
+    let mut older: Vec<(i64, usize)> = Vec::with_capacity(block_len);
+    let mut newer: Vec<(i64, usize)> = Vec::with_capacity(block_len);
+    // The pair's rank space: `value[r]` is the sample of rank `r`, and
+    // `rank[j]` the rank of the pair's `j`-th sample, the older block's
+    // samples first.
+    let mut value: Vec<f64> = Vec::with_capacity(2 * block_len);
+    let mut rank: Vec<usize> = Vec::with_capacity(2 * block_len);
+    let mut live: Vec<u64> = Vec::with_capacity((2 * block_len).div_ceil(64));
+    for block in xs.chunks(window) {
+        newer.clear();
+        newer.extend(block.iter().enumerate().map(|(j, &x)| (order_key(x), j)));
+        newer.sort_unstable_by_key(|&(key, _)| key);
+        merge_ranks(&older, &newer, &mut value, &mut rank);
+
+        // Before this block's first step the window is the whole older
+        // block (empty during warm-up), and the cursor sits on the
+        // older block's own lower median.
+        let held = older.len();
+        live.clear();
+        live.resize(value.len().div_ceil(64), 0);
+        for &r in rank.iter().take(held) {
+            toggle_live(&mut live, r);
         }
-        out.push(halves.median());
+        let mut count = held;
+        let mut below = held.saturating_sub(1) / 2;
+        let mut cursor = older
+            .get(below)
+            .and_then(|&(_, j)| rank.get(j).copied())
+            .unwrap_or(0);
+
+        for t in 0..block.len() {
+            if t < held {
+                if let Some(&gone) = rank.get(t) {
+                    toggle_live(&mut live, gone);
+                    below -= usize::from(gone < cursor);
+                }
+            } else {
+                count += 1;
+            }
+            if let Some(&came) = rank.get(held + t) {
+                toggle_live(&mut live, came);
+                below += usize::from(came < cursor);
+            }
+            (cursor, below) = settle(&live, cursor, below, (count - 1) / 2);
+            out.push(median_at(&live, &value, cursor, count));
+        }
+        std::mem::swap(&mut older, &mut newer);
     }
     out
 }
@@ -127,144 +174,111 @@ fn flip_negatives(bits: i64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// Tag bit on a slot's heap position marking the upper-half heap.
-const UPPER: usize = 1 << (usize::BITS - 1);
-
-/// The two halves of a median window, as min-heaps of `(key, slot)`.
-///
-/// `lower` stores bitwise-negated keys (`!k` reverses the order of
-/// `i64`), so its root is the largest sample of the lower half; `upper`
-/// stores keys as they are. Invariants between steps:
-/// - every key in `lower` is ≤ every key in `upper`;
-/// - `lower.len()` is `upper.len()` or `upper.len() + 1`;
-/// - `at[slot]` is the index of `slot`'s entry in its heap, tagged with
-///   [`UPPER`] when that heap is `upper`.
-struct MedianHeaps {
-    lower: Vec<(i64, usize)>,
-    upper: Vec<(i64, usize)>,
-    at: Vec<usize>,
-}
-
-impl MedianHeaps {
-    fn with_slots(slots: usize) -> Self {
-        MedianHeaps {
-            lower: Vec::with_capacity(slots / 2 + 1),
-            upper: Vec::with_capacity(slots / 2),
-            at: vec![0; slots],
-        }
-    }
-
-    /// Warm-up: add `slot` with `key`, growing the window by one.
-    fn push(&mut self, slot: usize, key: i64) {
-        if self.lower.first().is_some_and(|&(top, _)| key > !top) {
-            push_entry(&mut self.upper, &mut self.at, UPPER, (key, slot));
+/// Merge two key-sorted blocks into one rank space: `value[r]` gets the
+/// sample of rank `r` and `rank[j]` the rank of the pair's `j`-th
+/// sample, `older`'s offsets first and `newer`'s after them. Equal keys
+/// are equal bits, so which of two tied samples ranks first is free.
+fn merge_ranks(
+    older: &[(i64, usize)],
+    newer: &[(i64, usize)],
+    value: &mut Vec<f64>,
+    rank: &mut Vec<usize>,
+) {
+    let (held, len) = (older.len(), older.len() + newer.len());
+    value.clear();
+    value.resize(len, 0.0);
+    rank.clear();
+    rank.resize(len, 0);
+    // Both heads are read every step so that the pick can compile to a
+    // select: a branch on the data-dependent merge order mispredicts.
+    let (mut a, mut b) = (0, 0);
+    for (r, v) in value.iter_mut().enumerate() {
+        let (ka, ja) = older.get(a).copied().unwrap_or_default();
+        let (kb, jb) = newer.get(b).copied().unwrap_or_default();
+        let from_older = a < held && (b >= newer.len() || ka <= kb);
+        let (key, j) = if from_older {
+            (ka, ja)
         } else {
-            push_entry(&mut self.lower, &mut self.at, 0, (!key, slot));
-        }
-        if self.lower.len() > self.upper.len() + 1 {
-            let (top, slot) = pop_root(&mut self.lower, &mut self.at, 0);
-            push_entry(&mut self.upper, &mut self.at, UPPER, (!top, slot));
-        } else if self.upper.len() > self.lower.len() {
-            let (top, slot) = pop_root(&mut self.upper, &mut self.at, UPPER);
-            push_entry(&mut self.lower, &mut self.at, 0, (!top, slot));
-        }
-    }
-
-    /// Full window: overwrite `slot`'s outgoing sample with `key`.
-    fn replace(&mut self, slot: usize, key: i64) {
-        let loc = self.at[slot];
-        if loc & UPPER == 0 {
-            self.lower[loc].0 = !key;
-            resift(&mut self.lower, &mut self.at, 0, loc);
-        } else {
-            self.upper[loc & !UPPER].0 = key;
-            resift(&mut self.upper, &mut self.at, UPPER, loc & !UPPER);
-        }
-        // Only the new key can be out of place, so at most one of the
-        // two roots is on the wrong side and one swap settles both.
-        if let (Some(&(lo, lo_slot)), Some(&(hi, hi_slot))) =
-            (self.lower.first(), self.upper.first())
-        {
-            if !lo > hi {
-                self.lower[0] = (!hi, hi_slot);
-                self.upper[0] = (!lo, lo_slot);
-                self.at[hi_slot] = 0;
-                self.at[lo_slot] = UPPER;
-                sift_down(&mut self.lower, &mut self.at, 0, 0);
-                sift_down(&mut self.upper, &mut self.at, UPPER, 0);
-            }
-        }
-    }
-
-    fn median(&self) -> f64 {
-        let lower = key_value(!self.lower[0].0);
-        if self.lower.len() > self.upper.len() {
-            lower
-        } else {
-            0.5 * (lower + key_value(self.upper[0].0))
+            (kb, held + jb)
+        };
+        a += usize::from(from_older);
+        b += usize::from(!from_older);
+        *v = key_value(key);
+        if let Some(slot) = rank.get_mut(j) {
+            *slot = r;
         }
     }
 }
 
-/// Move the entry at `i` up or down to its place after a key change.
-fn resift(heap: &mut [(i64, usize)], at: &mut [usize], tag: usize, i: usize) {
-    if sift_up(heap, at, tag, i) == i {
-        sift_down(heap, at, tag, i);
+/// Move rank `r` into or out of the window.
+fn toggle_live(live: &mut [u64], r: usize) {
+    if let Some(word) = live.get_mut(r / 64) {
+        *word ^= 1 << (r % 64);
     }
 }
 
-/// Move the entry at `i` towards the root; returns where it landed.
-fn sift_up(heap: &mut [(i64, usize)], at: &mut [usize], tag: usize, mut i: usize) -> usize {
-    let entry = heap[i];
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if heap[parent].0 <= entry.0 {
-            break;
-        }
-        heap[i] = heap[parent];
-        at[heap[i].1] = i | tag;
-        i = parent;
-    }
-    heap[i] = entry;
-    at[entry.1] = i | tag;
-    i
+fn is_live(live: &[u64], r: usize) -> bool {
+    live.get(r / 64)
+        .is_some_and(|word| word >> (r % 64) & 1 == 1)
 }
 
-/// Move the entry at `i` away from the root to its place.
-fn sift_down(heap: &mut [(i64, usize)], at: &mut [usize], tag: usize, mut i: usize) {
-    let entry = heap[i];
+/// The smallest live rank at or above `from`.
+fn next_live(live: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut bits = live.get(w)? & (!0 << (from % 64));
+    while bits == 0 {
+        w += 1;
+        bits = *live.get(w)?;
+    }
+    Some(w * 64 + bits.trailing_zeros() as usize)
+}
+
+/// The largest live rank below `before`.
+fn prev_live(live: &[u64], before: usize) -> Option<usize> {
+    let last = before.checked_sub(1)?;
+    let mut w = last / 64;
+    let mut bits = live.get(w)? & (!0 >> (63 - last % 64));
+    while bits == 0 {
+        w = w.checked_sub(1)?;
+        bits = *live.get(w)?;
+    }
+    Some(w * 64 + 63 - bits.leading_zeros() as usize)
+}
+
+/// Move the cursor to the live rank with exactly `target` live ranks
+/// below it. `below` counts the live ranks below `cursor`, which may
+/// itself have just left the window. The window always holds more than
+/// `target` live ranks, so every scan finds one.
+fn settle(live: &[u64], mut cursor: usize, mut below: usize, target: usize) -> (usize, usize) {
     loop {
-        let mut child = 2 * i + 1;
-        if child >= heap.len() {
-            break;
+        let step = if below > target {
+            prev_live(live, cursor).map(|r| (r, below - 1))
+        } else if !is_live(live, cursor) {
+            next_live(live, cursor).map(|r| (r, below))
+        } else if below < target {
+            next_live(live, cursor + 1).map(|r| (r, below + 1))
+        } else {
+            return (cursor, below);
+        };
+        match step {
+            Some(moved) => (cursor, below) = moved,
+            None => return (cursor, below),
         }
-        if child + 1 < heap.len() && heap[child + 1].0 < heap[child].0 {
-            child += 1;
-        }
-        if entry.0 <= heap[child].0 {
-            break;
-        }
-        heap[i] = heap[child];
-        at[heap[i].1] = i | tag;
-        i = child;
     }
-    heap[i] = entry;
-    at[entry.1] = i | tag;
 }
 
-fn push_entry(heap: &mut Vec<(i64, usize)>, at: &mut [usize], tag: usize, entry: (i64, usize)) {
-    let last = heap.len();
-    heap.push(entry);
-    sift_up(heap, at, tag, last);
-}
-
-/// Remove and return the root of a non-empty heap.
-fn pop_root(heap: &mut Vec<(i64, usize)>, at: &mut [usize], tag: usize) -> (i64, usize) {
-    let root = heap.swap_remove(0);
-    if !heap.is_empty() {
-        sift_down(heap, at, tag, 0);
+/// The median of `count` live ranks whose lower median is at `cursor`.
+/// The `NaN` fallbacks are never taken: the cursor is live, and an even
+/// count leaves a live rank above it.
+fn median_at(live: &[u64], value: &[f64], cursor: usize, count: usize) -> f64 {
+    let lower = value.get(cursor).copied().unwrap_or(f64::NAN);
+    if count % 2 == 1 {
+        return lower;
     }
-    root
+    let upper = next_live(live, cursor + 1)
+        .and_then(|r| value.get(r).copied())
+        .unwrap_or(f64::NAN);
+    0.5 * (lower + upper)
 }
 
 #[cfg(test)]

@@ -157,8 +157,8 @@ proptest! {
     }
 }
 
-/// The sorted insert/remove buffer `rolling_median` used before the
-/// heap kernel — O(n·w), kept here as the bit-exact oracle.
+/// A sorted insert/remove buffer — O(n·w), the bit-exact oracle for
+/// `rolling_median`.
 fn sorted_buffer_median(xs: &[f64], window: usize) -> Vec<f64> {
     let mut out = Vec::with_capacity(xs.len());
     let mut sorted: Vec<f64> = Vec::with_capacity(window);
@@ -213,16 +213,38 @@ fn arb_median_sample() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// A sample vector and a window: 1..=64 (odd and even), or at least
-/// the vector's length so the window never fills.
+/// A pool long enough for four whole 64-sample windows plus a
+/// remainder: the stress mix above, or a 0.001 grid with at most eight
+/// distinct values, the ties a quantized meter register produces.
+fn arb_median_pool() -> impl Strategy<Value = Vec<f64>> {
+    prop_oneof![
+        1 => prop::collection::vec(arb_median_sample(), 5 * 64),
+        1 => (1_u64..=8, 0_u64..5000, prop::collection::vec(any::<u64>(), 5 * 64)).prop_map(
+            |(distinct, base, picks)| {
+                picks
+                    .iter()
+                    .map(|p| (base + p % distinct) as f64 * 0.001)
+                    .collect()
+            }
+        ),
+    ]
+}
+
+/// A sample vector and a window. The vector holds 0–4 whole windows
+/// plus a remainder, so the median crosses every block boundary it can
+/// meet; the window is 1, 2, up to 64 (odd and even), or at least the
+/// vector's length so it never fills.
 fn arb_median_case() -> impl Strategy<Value = (Vec<f64>, usize)> {
     (
-        prop::collection::vec(arb_median_sample(), 0..300),
-        1_usize..=64,
+        arb_median_pool(),
+        prop_oneof![1 => Just(1_usize), 1 => Just(2_usize), 4 => 3_usize..=64],
+        0_usize..=4,
+        any::<usize>(),
         0_usize..3,
         any::<bool>(),
     )
-        .prop_map(|(xs, window, extra, beyond)| {
+        .prop_map(|(mut xs, window, blocks, rem, extra, beyond)| {
+            xs.truncate(blocks * window + rem % window);
             let window = if beyond {
                 xs.len().max(1) + extra
             } else {
@@ -323,6 +345,62 @@ proptest! {
             prop_assert_eq!(g.direction, w.direction);
             prop_assert_eq!(g.deviation_kwh.to_bits(), w.deviation_kwh.to_bits());
             prop_assert_eq!(g.max_z.to_bits(), w.max_z.to_bits());
+        }
+    }
+}
+
+/// A deterministic week of 1-min readings on a 0.001 kWh grid: a
+/// day/night base load, sub-kWh noise, and rare spikes and dropouts.
+fn quantized_week_1min() -> TimeSeries {
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut uniform = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1_u64 << 53) as f64
+    };
+    let values = (0..7 * 1440)
+        .map(|i| {
+            let base = if (420..1380).contains(&(i % 1440)) {
+                0.02
+            } else {
+                0.004
+            };
+            let kwh = match uniform() {
+                u if u < 0.002 => 0.0,
+                u if u > 0.999 => 0.4,
+                _ => base + 0.006 * uniform(),
+            };
+            (kwh / 0.001_f64).round() * 0.001
+        })
+        .collect();
+    TimeSeries::new(Timestamp::from_minutes(0), Resolution::MIN_1, values).unwrap()
+}
+
+#[test]
+fn rolling_anomalies_match_oracle_on_a_quantized_week() {
+    let s = quantized_week_1min();
+    // The cleaning stage's defaults, then a tight band that flags runs
+    // of both directions.
+    for (z, floor) in [(4.0, 0.05), (1.0, 0.0)] {
+        let got = anomaly::rolling_anomalies(&s, 1440, z, floor);
+        let want = oracle_rolling_anomalies(&s, 1440, z, floor);
+        assert!(!want.is_empty(), "z {z}: the week must flag some runs");
+        assert_eq!(got.len(), want.len(), "z {z}");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.start, w.start, "z {z}");
+            assert_eq!(g.intervals, w.intervals, "z {z} at {}", w.start);
+            assert_eq!(g.direction, w.direction, "z {z} at {}", w.start);
+            assert_eq!(g.deviation_kwh.to_bits(), w.deviation_kwh.to_bits());
+            assert_eq!(g.max_z.to_bits(), w.max_z.to_bits());
+        }
+        if z < 2.0 {
+            for direction in [AnomalyDirection::High, AnomalyDirection::Low] {
+                assert!(
+                    want.iter().any(|a| a.direction == direction),
+                    "{direction:?}"
+                );
+            }
         }
     }
 }
