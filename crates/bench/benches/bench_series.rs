@@ -1,10 +1,10 @@
 //! Microbenchmarks of the series-engine primitives every extraction
 //! approach leans on: statistics, decomposition, peak detection,
-//! resampling and the binary codec.
+//! resampling, rolling windows, forecasting and anomaly screening.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flextract_bench::family_market_series;
-use flextract_series::{codec, decompose, peaks, resample, stats, PeakThreshold, TimeSeries};
+use flextract_series::{decompose, peaks, resample, stats, PeakThreshold, TimeSeries};
 use flextract_time::Resolution;
 use std::hint::black_box;
 
@@ -66,20 +66,6 @@ fn bench_resample(c: &mut Criterion) {
     let week_15 = resample::downsample(&week_1min, Resolution::MIN_15).unwrap();
     group.bench_function("upsample_15min_to_1min_week", |b| {
         b.iter(|| resample::upsample(black_box(&week_15), Resolution::MIN_1).unwrap())
-    });
-    group.finish();
-}
-
-fn bench_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("series/codec");
-    let series = family_market_series(28, 5);
-    group.throughput(Throughput::Bytes((series.len() * 8) as u64));
-    group.bench_function("encode_28d", |b| {
-        b.iter(|| codec::encode(black_box(&series)))
-    });
-    let bytes = codec::encode(&series);
-    group.bench_function("decode_28d", |b| {
-        b.iter(|| codec::decode(black_box(bytes.clone())).unwrap())
     });
     group.finish();
 }
@@ -167,7 +153,6 @@ criterion_group!(
     bench_decompose,
     bench_peaks,
     bench_resample,
-    bench_codec,
     bench_rolling,
     bench_forecast_and_anomaly
 );

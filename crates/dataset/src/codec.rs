@@ -9,13 +9,16 @@
 //! writer uses Rust's shortest round-trip float rendering, so
 //! `decode(encode(m)) == m` byte for byte in both directions.
 //!
-//! The binary layouts (including the `FXM2` per-chunk statistics and
-//! footer chunk index) are documented on [`flextract_frame::fxm`];
-//! this module adapts them to [`DatasetError`] and keeps the CSV
-//! format, which is row-shaped and needs row/column error context the
-//! frame layer has no concept of.
+//! This is the one module that knows how a series file is laid out:
+//! [`encode`] writes any [`SeriesCodec`], [`decode`] reads any binary
+//! version (sniffed by magic) and [`from_csv`] reads the rest. The
+//! binary layouts (including the per-chunk statistics and footer chunk
+//! index) are documented on [`flextract_frame::fxm`]; this module
+//! adapts them to [`DatasetError`] and keeps the CSV format, which is
+//! row-shaped and needs row/column error context the frame layer has
+//! no concept of.
 
-use crate::{DatasetError, MeasuredSeries};
+use crate::{DatasetError, MeasuredSeries, SeriesCodec};
 use bytes::Bytes;
 use flextract_frame::fxm;
 use flextract_series::SeriesError;
@@ -23,43 +26,20 @@ use flextract_time::{Resolution, Timestamp};
 
 pub use flextract_frame::fxm::{sniff, FxmVersion, DEFAULT_CHUNK_LEN};
 
-/// Encode a measured series as `FXM2` (per-chunk statistics + footer
-/// chunk index) using [`DEFAULT_CHUNK_LEN`]-interval chunks.
-pub fn encode(series: &MeasuredSeries) -> Bytes {
-    fxm::encode(series)
+/// Encode a measured series as one series file in `codec`, binary
+/// formats chunked at [`DEFAULT_CHUNK_LEN`] intervals. Other chunk
+/// lengths are a frame-layer concern: call [`flextract_frame::fxm`]
+/// directly.
+pub fn encode(series: &MeasuredSeries, codec: SeriesCodec) -> Bytes {
+    match codec {
+        SeriesCodec::Csv => Bytes::from(to_csv(series).into_bytes()),
+        SeriesCodec::Binary => fxm::encode(series),
+        SeriesCodec::BinaryV1 => fxm::encode_v1(series),
+        SeriesCodec::BinaryV3 => fxm::encode_v3(series),
+    }
 }
 
-/// Encode as `FXM2` with an explicit chunk length. Errors on
-/// `chunk_len == 0` (never silently clamped).
-pub fn encode_chunked(series: &MeasuredSeries, chunk_len: usize) -> Result<Bytes, DatasetError> {
-    fxm::encode_chunked(series, chunk_len).map_err(Into::into)
-}
-
-/// Encode as legacy `FXM1` (no statistics — readers fall back to full
-/// decodes) using [`DEFAULT_CHUNK_LEN`]-interval chunks.
-pub fn encode_v1(series: &MeasuredSeries) -> Bytes {
-    fxm::encode_v1(series)
-}
-
-/// Encode as legacy `FXM1` with an explicit chunk length (same
-/// zero-chunk-length contract as [`encode_chunked`]).
-pub fn encode_chunked_v1(series: &MeasuredSeries, chunk_len: usize) -> Result<Bytes, DatasetError> {
-    fxm::encode_chunked_v1(series, chunk_len).map_err(Into::into)
-}
-
-/// Encode as `FXM3` (per-chunk statistics + XOR-compressed payloads)
-/// using [`DEFAULT_CHUNK_LEN`]-interval chunks.
-pub fn encode_v3(series: &MeasuredSeries) -> Bytes {
-    fxm::encode_v3(series)
-}
-
-/// Encode as `FXM3` with an explicit chunk length (same
-/// zero-chunk-length contract as [`encode_chunked`]).
-pub fn encode_chunked_v3(series: &MeasuredSeries, chunk_len: usize) -> Result<Bytes, DatasetError> {
-    fxm::encode_chunked_v3(series, chunk_len).map_err(Into::into)
-}
-
-/// Decode a full measured series from a binary frame buffer (either
+/// Decode a full measured series from a binary frame buffer (any
 /// version, sniffed by magic). `file` names the source in errors.
 pub fn decode(buf: &[u8], file: &str) -> Result<MeasuredSeries, DatasetError> {
     fxm::decode(buf, file).map_err(Into::into)
@@ -177,6 +157,12 @@ pub fn from_csv(text: &str, file: &str) -> Result<MeasuredSeries, DatasetError> 
 mod tests {
     use super::*;
 
+    const BINARY: [SeriesCodec; 3] = [
+        SeriesCodec::Binary,
+        SeriesCodec::BinaryV1,
+        SeriesCodec::BinaryV3,
+    ];
+
     fn ts(s: &str) -> Timestamp {
         s.parse().unwrap()
     }
@@ -190,39 +176,159 @@ mod tests {
         .unwrap()
     }
 
+    /// Read a series file the way the store does: binary by magic,
+    /// anything else as CSV.
+    fn read(bytes: &[u8], file: &str) -> Result<MeasuredSeries, DatasetError> {
+        if sniff(bytes).is_some() {
+            decode(bytes, file)
+        } else {
+            from_csv(std::str::from_utf8(bytes).unwrap(), file)
+        }
+    }
+
+    fn assert_bit_identical(a: &MeasuredSeries, b: &MeasuredSeries) {
+        assert_eq!(a.start(), b.start());
+        assert_eq!(a.resolution(), b.resolution());
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.values().iter().zip(b.values()) {
+            assert!(x.is_nan() == y.is_nan());
+            if !x.is_nan() {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    /// Encode `sample()` in every binary codec, let `corrupt` edit the
+    /// bytes, and return each decode error's message.
+    fn corrupted(corrupt: impl Fn(&mut [u8])) -> Vec<String> {
+        BINARY
+            .iter()
+            .map(|&c| {
+                let mut raw = encode(&sample(), c).to_vec();
+                corrupt(&mut raw);
+                let err = decode(&raw, "bad.fxm").unwrap_err();
+                assert!(matches!(err, DatasetError::Codec { .. }), "{c:?}: {err}");
+                let msg = err.to_string();
+                assert!(msg.starts_with("bad.fxm: "), "{c:?}: {msg}");
+                msg
+            })
+            .collect()
+    }
+
+    #[test]
+    fn round_trip() {
+        let m = sample();
+        for c in [SeriesCodec::Csv].into_iter().chain(BINARY) {
+            let bytes = encode(&m, c);
+            let back = read(&bytes, "t").unwrap();
+            assert_bit_identical(&back, &m);
+            assert_eq!(encode(&back, c), bytes, "{c:?} re-encode is byte-identical");
+        }
+    }
+
+    #[test]
+    fn empty_series_round_trip() {
+        let empty = MeasuredSeries::new(ts("2013-03-18"), Resolution::MIN_1, vec![]).unwrap();
+        for c in BINARY {
+            assert_bit_identical(&decode(&encode(&empty, c), "e.fxm").unwrap(), &empty);
+        }
+        // CSV infers the grid from row spacing, so an empty file cannot
+        // be read back (the dataset writer refuses it up front).
+        let csv = encode(&empty, SeriesCodec::Csv);
+        assert!(matches!(
+            read(&csv, "e.csv"),
+            Err(DatasetError::Invalid { .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_bad_magic() {
+        for msg in corrupted(|raw| raw[0] = b'X') {
+            assert!(msg.contains("bad magic"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn rejects_truncation() {
+        for c in BINARY {
+            let raw = encode(&sample(), c);
+            for cut in 0..raw.len() {
+                let err = decode(&raw[..cut], "cut.fxm").unwrap_err();
+                assert!(matches!(err, DatasetError::Codec { .. }), "{c:?} at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_invalid_resolution() {
+        // 7 min does not divide a day.
+        for msg in corrupted(|raw| raw[12..16].copy_from_slice(&7u32.to_le_bytes())) {
+            assert!(msg.contains("invalid resolution"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_payload() {
+        // A gap is `NaN`; ±∞ is never a meter reading. The first raw
+        // value sits after FXM1's count word or FXM2's 32-byte stats.
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            for c in [SeriesCodec::Binary, SeriesCodec::BinaryV1] {
+                let mut raw = encode(&sample(), c).to_vec();
+                let at = fxm::HEADER_LEN
+                    + match c {
+                        SeriesCodec::BinaryV1 => 4,
+                        _ => fxm::V2_CHUNK_HEADER_LEN,
+                    };
+                raw[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                let err = decode(&raw, "inf.fxm").unwrap_err();
+                assert!(err.to_string().contains("infinite"), "{c:?}: {err}");
+            }
+        }
+        let csv = "interval_start,kwh\n2013-03-18 00:00,inf\n2013-03-18 00:15,1.0\n";
+        let err = from_csv(csv, "inf.csv").unwrap_err();
+        assert!(err.to_string().contains("non-finite"), "{err}");
+    }
+
+    #[test]
+    fn rejects_unaligned_start() {
+        // 00:07 is not on the 15-min grid.
+        for msg in corrupted(|raw| raw[4..12].copy_from_slice(&7i64.to_le_bytes())) {
+            assert!(msg.contains("unaligned start"), "{msg}");
+        }
+        let csv = "interval_start,kwh\n2013-03-18 00:07,1.0\n2013-03-18 00:22,1.0\n";
+        let err = from_csv(csv, "shifted.csv").unwrap_err();
+        assert!(err.to_string().contains("not aligned"), "{err}");
+    }
+
+    #[test]
+    fn length_overflow_is_rejected() {
+        corrupted(|raw| raw[16..24].copy_from_slice(&u64::MAX.to_le_bytes()));
+    }
+
     #[test]
     fn all_binary_versions_round_trip_through_the_dataset_layer() {
         let m = sample();
-        for bytes in [encode(&m), encode_v1(&m), encode_v3(&m)] {
-            let back = decode(&bytes, "test.fxm").unwrap();
-            assert_eq!(back.start(), m.start());
-            assert_eq!(back.resolution(), m.resolution());
-            assert_eq!(back.gap_count(), 2);
-            for (a, b) in back.values().iter().zip(m.values()) {
-                assert!(a.is_nan() == b.is_nan());
-                if !a.is_nan() {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
+        for (c, version) in BINARY
+            .into_iter()
+            .zip([FxmVersion::V2, FxmVersion::V1, FxmVersion::V3])
+        {
+            let bytes = encode(&m, c);
+            assert_eq!(sniff(&bytes), Some(version));
+            assert_eq!(decode(&bytes, "test.fxm").unwrap().gap_count(), 2);
         }
-        assert_eq!(sniff(&encode(&m)), Some(FxmVersion::V2));
-        assert_eq!(sniff(&encode_v1(&m)), Some(FxmVersion::V1));
-        assert_eq!(sniff(&encode_v3(&m)), Some(FxmVersion::V3));
     }
 
     #[test]
     fn frame_errors_convert_to_dataset_errors() {
         let m = sample();
         // Zero chunk length surfaces as an Invalid error, not a clamp.
-        let err = encode_chunked(&m, 0).unwrap_err();
+        let err = DatasetError::from(
+            flextract_frame::Frame::from_measured(m.clone(), 0, "t.csv").unwrap_err(),
+        );
         assert!(matches!(err, DatasetError::Invalid { .. }));
         assert!(err.to_string().contains("at least 1"), "{err}");
-        let err = encode_chunked_v1(&m, 0).unwrap_err();
-        assert!(matches!(err, DatasetError::Invalid { .. }));
-        let err = encode_chunked_v3(&m, 0).unwrap_err();
-        assert!(matches!(err, DatasetError::Invalid { .. }));
         // Trailing garbage keeps the byte offset in the message.
-        let raw = encode_v1(&m);
+        let raw = encode(&m, SeriesCodec::BinaryV1);
         let clean_len = raw.len();
         let mut long = raw.to_vec();
         long.push(0);
@@ -248,13 +354,8 @@ mod tests {
         .unwrap();
         let csv = to_csv(&m);
         let back = from_csv(&csv, "t.csv").unwrap();
-        assert_eq!(back.start(), m.start());
-        for (a, b) in back.values().iter().zip(m.values()) {
-            assert!(a.is_nan() == b.is_nan());
-            if !a.is_nan() {
-                assert_eq!(a.to_bits(), b.to_bits(), "shortest-float must round-trip");
-            }
-        }
+        // Shortest-float rendering round-trips every bit.
+        assert_bit_identical(&back, &m);
         // And the re-render is byte-identical.
         assert_eq!(to_csv(&back), csv);
     }

@@ -288,9 +288,15 @@ mod tests {
         let s = day();
         let a = d.apply(&s, &mut StdRng::seed_from_u64(9)).unwrap();
         let b = d.apply(&s, &mut StdRng::seed_from_u64(9)).unwrap();
-        assert_eq!(crate::codec::encode(&a), crate::codec::encode(&b));
+        assert_eq!(
+            crate::codec::encode(&a, crate::SeriesCodec::Binary),
+            crate::codec::encode(&b, crate::SeriesCodec::Binary)
+        );
         let c = d.apply(&s, &mut StdRng::seed_from_u64(10)).unwrap();
-        assert_ne!(crate::codec::encode(&a), crate::codec::encode(&c));
+        assert_ne!(
+            crate::codec::encode(&a, crate::SeriesCodec::Binary),
+            crate::codec::encode(&c, crate::SeriesCodec::Binary)
+        );
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //!   [`TimeSeries`](flextract_series::TimeSeries) whose invariant is
 //!   all-finite values (re-exported from
 //!   [`flextract_frame`], which owns the columnar substrate);
-//! * [`codec`] — the chunked binary formats (`FXM2` with per-chunk
-//!   statistics, legacy `FXM1`) delegated to
-//!   [`flextract_frame::fxm`], and the `interval_start,kwh` CSV format
-//!   (an empty `kwh` field is a gap), all loss-free;
+//! * [`codec`] — the one series-file codec: the chunked binary formats
+//!   (compressed `FXM3`, stat-carrying `FXM2`, legacy `FXM1`) delegated
+//!   to [`flextract_frame::fxm`], and the `interval_start,kwh` CSV
+//!   format (an empty `kwh` field is a gap), all loss-free, written
+//!   through one `encode(series, codec)` entry point;
 //! * [`degrade`] — seeded, deterministic degradation operators
 //!   (downsampling, measurement noise, anomaly spikes, gap injection)
 //!   applied when a simulated fleet is exported to the metered format;

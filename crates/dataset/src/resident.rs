@@ -46,10 +46,9 @@
 use crate::store::MANIFEST_FILE;
 use crate::{Dataset, DatasetError};
 use flextract_frame::{Aggregates, ChunkCache, Frame, Scan, ScanReport};
-use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::SystemTime;
 
 /// Byte budgets for the resident caches.
@@ -196,13 +195,17 @@ struct PoolHandle<'a> {
 
 impl ChunkCache for PoolHandle<'_> {
     fn lookup(&mut self, file: &str, chunk: usize) -> Option<Arc<Vec<f64>>> {
-        self.pool.lock().lookup(&(file.to_string(), chunk))
+        self.pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .lookup(&(file.to_string(), chunk))
     }
 
     fn store(&mut self, file: &str, chunk: usize, values: Arc<Vec<f64>>) {
         let bytes = values.len() * std::mem::size_of::<f64>();
         self.pool
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .insert((file.to_string(), chunk), values, bytes);
     }
 }
@@ -226,7 +229,14 @@ impl std::fmt::Debug for ResidentStore {
         f.debug_struct("ResidentStore")
             .field("dir", &self.dir)
             .field("config", &self.config)
-            .field("generation", &self.state.read().generation)
+            .field(
+                "generation",
+                &self
+                    .state
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .generation,
+            )
             .finish_non_exhaustive()
     }
 }
@@ -272,7 +282,10 @@ impl ResidentStore {
         static REGISTRY: OnceLock<Mutex<BTreeMap<PathBuf, Arc<ResidentStore>>>> = OnceLock::new();
         let dir = dir.as_ref();
         let key = std::fs::canonicalize(dir).unwrap_or_else(|_| dir.to_path_buf());
-        let mut registry = REGISTRY.get_or_init(Mutex::default).lock();
+        let mut registry = REGISTRY
+            .get_or_init(Mutex::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(store) = registry.get(&key) {
             return Ok(store.clone());
         }
@@ -294,18 +307,25 @@ impl ResidentStore {
     /// The current snapshot generation: 1 after open, +1 every time
     /// revalidation observed a committed change and reopened.
     pub fn generation(&self) -> u64 {
-        self.state.read().generation
+        self.state
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .generation
     }
 
     /// Cache occupancy, for tests and summaries.
     pub fn cache_stats(&self) -> CacheStats {
-        let generation = self.state.read().generation;
+        let generation = self
+            .state
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .generation;
         let (frame_entries, frame_bytes) = {
-            let frames = self.frames.lock();
+            let frames = self.frames.lock().unwrap_or_else(PoisonError::into_inner);
             (frames.len(), frames.bytes())
         };
         let (chunk_entries, chunk_bytes) = {
-            let pool = self.pool.lock();
+            let pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
             (pool.len(), pool.bytes())
         };
         CacheStats {
@@ -327,12 +347,12 @@ impl ResidentStore {
     pub fn snapshot(&self) -> Result<(Arc<Dataset>, bool), DatasetError> {
         let fingerprint = index_fingerprint(&self.dir)?;
         {
-            let state = self.state.read();
+            let state = self.state.read().unwrap_or_else(PoisonError::into_inner);
             if state.fingerprint == fingerprint {
                 return Ok((state.dataset.clone(), false));
             }
         }
-        let mut state = self.state.write();
+        let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
         // Another thread may have revalidated while we waited for the
         // write lock.
         if state.fingerprint == fingerprint {
@@ -345,8 +365,14 @@ impl ResidentStore {
         // empty caches — never new data with stale entries.
         let fingerprint = index_fingerprint(&self.dir)?;
         let dataset = Arc::new(Dataset::open(&self.dir)?);
-        self.frames.lock().clear();
-        self.pool.lock().clear();
+        self.frames
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        self.pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         state.generation += 1;
         state.fingerprint = fingerprint;
         state.dataset = dataset.clone();
@@ -435,12 +461,20 @@ impl ResidentStore {
         dataset: &Dataset,
         idx: usize,
     ) -> Result<(Arc<Frame>, bool), DatasetError> {
-        if let Some(frame) = self.frames.lock().lookup(&idx) {
+        if let Some(frame) = self
+            .frames
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .lookup(&idx)
+        {
             return Ok((frame, true));
         }
         let frame = Arc::new(dataset.consumer_frame(idx)?);
         let bytes = frame.disk_bytes();
-        self.frames.lock().insert(idx, frame.clone(), bytes);
+        self.frames
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(idx, frame.clone(), bytes);
         Ok((frame, false))
     }
 }

@@ -47,10 +47,10 @@ pub enum SeriesCodec {
     /// footer chunk index, enabling ranged reads and stat pushdown.
     Binary,
     /// The legacy chunked `FXM1` binary format (no statistics; readers
-    /// fall back to full decodes). Kept as an export escape hatch and
-    /// for reading pre-FXM2 datasets — the read path sniffs the magic,
-    /// so any binary flavour loads regardless of the manifest's
-    /// declared codec.
+    /// fall back to full decodes). Readable everywhere — the read path
+    /// sniffs the magic, so any binary flavour loads regardless of the
+    /// manifest's declared codec. Only the library still writes it (to
+    /// keep that read path tested and benchmarked); the CLI cannot.
     BinaryV1,
     /// The chunked `FXM3` binary format: the same per-chunk statistics
     /// and footer index as `FXM2`, with payloads XOR-compressed
@@ -1064,15 +1064,11 @@ impl DatasetWriter {
 
     fn write_series_file(&self, file: &str, series: &MeasuredSeries) -> Result<(), DatasetError> {
         let path = self.dir.join(file);
-        let bytes = match self.manifest.codec {
-            SeriesCodec::Csv => codec::to_csv(series).into_bytes(),
-            SeriesCodec::Binary => codec::encode(series).to_vec(),
-            SeriesCodec::BinaryV1 => codec::encode_v1(series).to_vec(),
-            SeriesCodec::BinaryV3 => codec::encode_v3(series).to_vec(),
-        };
-        std::fs::write(&path, bytes).map_err(|e| DatasetError::Io {
-            path: path.display().to_string(),
-            what: e.to_string(),
+        std::fs::write(&path, codec::encode(series, self.manifest.codec)).map_err(|e| {
+            DatasetError::Io {
+                path: path.display().to_string(),
+                what: e.to_string(),
+            }
         })
     }
 

@@ -13,6 +13,7 @@ use flextract_dataset::{
     codec, ConsumerKind, Dataset, DatasetWriter, Degradation, MeasuredSeries, Predicate,
     ResidentStore, Scan, SeriesCodec, ShardedWriter,
 };
+use flextract_frame::fxm;
 use flextract_series::{missing, FillStrategy, TimeSeries};
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
 use proptest::prelude::*;
@@ -58,8 +59,8 @@ proptest! {
         let m = MeasuredSeries::new(start(), Resolution::MIN_15, values).unwrap();
         // Both binary flavours: FXM2 (stats + footer) and legacy FXM1.
         for bytes in [
-            codec::encode_chunked(&m, chunk_len).unwrap(),
-            codec::encode_chunked_v1(&m, chunk_len).unwrap(),
+            fxm::encode_chunked(&m, chunk_len).unwrap(),
+            fxm::encode_chunked_v1(&m, chunk_len).unwrap(),
         ] {
             let back = codec::decode(&bytes, "prop.fxm").unwrap();
             prop_assert_eq!(back.len(), m.len());
@@ -138,7 +139,10 @@ proptest! {
         };
         let a = d.apply(&series, &mut StdRng::seed_from_u64(seed)).unwrap();
         let b = d.apply(&series, &mut StdRng::seed_from_u64(seed)).unwrap();
-        prop_assert_eq!(codec::encode(&a), codec::encode(&b));
+        prop_assert_eq!(
+            codec::encode(&a, SeriesCodec::Binary),
+            codec::encode(&b, SeriesCodec::Binary)
+        );
     }
 
     /// **Compaction round-trip** — for any fleet, shard capacity and

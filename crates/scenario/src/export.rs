@@ -35,7 +35,9 @@ pub struct ExportOptions {
     /// statistics and footer chunk index as FXM2, with payloads
     /// XOR-compressed losslessly, so readers keep ranged and pushdown
     /// scans on a smaller file; `Binary` for uncompressed FXM2, `Csv`
-    /// for a readable export, `BinaryV1` as the legacy escape hatch).
+    /// for a readable export). `BinaryV1` still writes legacy FXM1 so
+    /// tests and benches can keep its read path covered; the CLI no
+    /// longer offers it.
     pub codec: SeriesCodec,
     /// Degradation RNG base seed (default: the scenario's seed).
     pub seed: Option<u64>,

@@ -46,10 +46,10 @@ use flextract_flexoffer::FlexOffer;
 use flextract_series::TimeSeries;
 use flextract_sim::{simulate_wind_production, WindFarmConfig};
 use flextract_time::{Resolution, TimeRange};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Runs scenarios, fanning out across worker threads.
@@ -374,11 +374,14 @@ impl ScenarioRunner {
                         break;
                     };
                     let outcome = runner.run(scenario);
-                    results.lock().push((i, outcome));
+                    results
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((i, outcome));
                 });
             }
         });
-        let mut indexed = results.into_inner();
+        let mut indexed = results.into_inner().unwrap_or_else(PoisonError::into_inner);
         indexed.sort_by_key(|(i, _)| *i);
         indexed.into_iter().map(|(_, r)| r).collect()
     }

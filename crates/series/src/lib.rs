@@ -27,7 +27,6 @@
 //! * [`resample`] — exact down-sampling and uniform up-sampling between
 //!   resolutions (ref \[14\] motivates reasoning across granularities).
 //! * [`missing`] — gap handling: detection and fill strategies.
-//! * [`codec`] — compact binary interchange format built on [`bytes`].
 //!
 //! ```
 //! use flextract_series::TimeSeries;
@@ -47,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod anomaly;
-pub mod codec;
 pub mod decompose;
 pub mod forecast;
 pub mod missing;
@@ -110,11 +108,6 @@ pub enum SeriesError {
     Empty,
     /// The start timestamp is not aligned to the resolution grid.
     UnalignedStart,
-    /// A decode failed (truncated buffer, bad magic, unknown version).
-    Codec {
-        /// Human-readable description of the decode failure.
-        what: &'static str,
-    },
     /// An operation needed a finer/coarser resolution relationship that
     /// does not hold (e.g. resampling 15 min → 10 min).
     IncompatibleResolution,
@@ -153,7 +146,6 @@ impl std::fmt::Display for SeriesError {
             SeriesError::UnalignedStart => {
                 write!(f, "series start is not aligned to the resolution grid")
             }
-            SeriesError::Codec { what } => write!(f, "codec error: {what}"),
             SeriesError::IncompatibleResolution => {
                 write!(f, "resolutions are not integer multiples of each other")
             }
@@ -177,9 +169,6 @@ mod lib_tests {
         assert!(e.to_string().contains("15min"));
         assert!(e.to_string().contains("1h"));
         assert!(SeriesError::Empty.to_string().contains("non-empty"));
-        assert!(SeriesError::Codec { what: "bad magic" }
-            .to_string()
-            .contains("bad magic"));
         assert!(SeriesError::LengthMismatch { left: 3, right: 4 }
             .to_string()
             .contains('3'));

@@ -395,17 +395,6 @@ impl TimeSeries {
                 _ => Some((i, v)),
             })
     }
-
-    /// Render as `time,value` CSV lines (header included) — handy for
-    /// eyeballing experiment output and plotting externally.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.values.len() * 28 + 16);
-        out.push_str("interval_start,kwh\n");
-        for (t, v) in self.iter() {
-            out.push_str(&format!("{t},{v:.6}\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -630,16 +619,6 @@ mod tests {
         assert_eq!(s.argmax(), Some((40, 2.0)));
         let empty = TimeSeries::new(ts("2013-03-18"), Resolution::MIN_15, vec![]).unwrap();
         assert_eq!(empty.argmax(), None);
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let s = TimeSeries::new(ts("2013-03-18"), Resolution::MIN_15, vec![0.5, 1.0]).unwrap();
-        let csv = s.to_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines[0], "interval_start,kwh");
-        assert!(lines[1].starts_with("2013-03-18 00:00,0.5"));
-        assert!(lines[2].starts_with("2013-03-18 00:15,1.0"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use flextract_series::anomaly::{self, Anomaly, AnomalyDirection};
 use flextract_series::{
-    codec, decompose, missing, peaks, resample, rolling, stats, PeakThreshold, TimeSeries,
+    decompose, missing, peaks, resample, rolling, stats, PeakThreshold, TimeSeries,
 };
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
 use proptest::prelude::*;
@@ -18,13 +18,6 @@ fn arb_start() -> impl Strategy<Value = Timestamp> {
 }
 
 proptest! {
-    #[test]
-    fn codec_round_trip(start in arb_start(), values in arb_values(200)) {
-        let s = TimeSeries::new(start, Resolution::MIN_15, values).unwrap();
-        let decoded = codec::decode(codec::encode(&s)).unwrap();
-        prop_assert_eq!(decoded, s);
-    }
-
     #[test]
     fn slice_energy_never_exceeds_total(
         start in arb_start(),

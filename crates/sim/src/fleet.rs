@@ -4,7 +4,7 @@
 //! evaluation experiments therefore need fleets, not single households.
 //! Fleet simulation is embarrassingly parallel per household, so the
 //! work is fanned out over `std::thread` scoped threads with results
-//! collected behind a `parking_lot` mutex.
+//! collected behind a mutex.
 
 use crate::household::{HouseholdArchetype, HouseholdConfig};
 use crate::randomness::weighted_index;
@@ -13,10 +13,10 @@ use crate::tariff::TariffResponse;
 use flextract_appliance::Catalog;
 use flextract_series::{resample, TimeSeries};
 use flextract_time::{Resolution, TimeRange};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, PoisonError};
 
 /// Why a [`FleetConfig`] cannot be materialised into households.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,13 +195,16 @@ pub fn try_simulate_fleet(
             scope.spawn(move || {
                 for (j, cfg) in batch.iter().enumerate() {
                     let sim = simulate_household_with_catalog(cfg, range, catalog);
-                    results.lock().push((t * chunk + j, sim));
+                    results
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((t * chunk + j, sim));
                 }
             });
         }
     });
 
-    let mut indexed = results.into_inner();
+    let mut indexed = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     indexed.sort_by_key(|(i, _)| *i);
     let households: Vec<SimulatedHousehold> = indexed.into_iter().map(|(_, sim)| sim).collect();
 

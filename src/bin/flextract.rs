@@ -7,17 +7,19 @@
 //! flextract experiment e6 --households 10 --days 14
 //! ```
 //!
-//! Series files are either the workspace CSV layout
-//! (`interval_start,kwh` rows, as written by `simulate`) or the `.fxt`
-//! binary codec.
+//! `extract --input` reads any series file a dataset store reads: the
+//! `FXM1`/`FXM2`/`FXM3` binary formats (sniffed by magic) or
+//! `interval_start,kwh` CSV. `simulate` writes each household as both
+//! CSV and `FXM3`; `dataset export --codec fxm3|fxm2|csv` picks the
+//! store format.
 
 use flextract::core::{
     BasicExtractor, ExtractionConfig, ExtractionInput, FlexibilityExtractor, PeakExtractor,
     RandomExtractor,
 };
 use flextract::dataset::{
-    Aggregates, CleaningConfig, Dataset, Degradation, Predicate, ResidentStore, Scan, ScanReport,
-    SeriesCodec,
+    codec, Aggregates, CleaningConfig, Dataset, Degradation, MeasuredSeries, Predicate,
+    ResidentStore, Scan, ScanReport, SeriesCodec,
 };
 use flextract::eval::experiments::{
     aggregation_study, approach_comparison, granularity, share_sweep, tariff_study,
@@ -27,7 +29,7 @@ use flextract::eval::fig5_day;
 use flextract::flexoffer::FlexOffer;
 use flextract::scenario::shard::ordered_parallel_map;
 use flextract::scenario::{load_dir, load_file, ExportOptions, Scenario, ScenarioRunner};
-use flextract::series::{codec, missing::FillStrategy, TimeSeries};
+use flextract::series::{missing::FillStrategy, TimeSeries};
 use flextract::sim::{simulate_fleet, FleetConfig};
 use flextract::time::{Duration, Resolution, TimeRange, Timestamp};
 use rand::rngs::StdRng;
@@ -49,7 +51,7 @@ USAGE:
   flextract scenario run (--all | --name NAME) [--dir DIR] [--threads N]
                        [--consumer-threads N] [--json]
   flextract dataset export  --scenario FILE --out DIR
-                       [--codec fxm3|fxm2|fxm1|csv]
+                       [--codec fxm3|fxm2|csv]
                        [--shard-capacity N] [--resolution-min N] [--noise F]
                        [--gap-rate F] [--mean-gap-len F] [--anomaly-rate F]
                        [--anomaly-factor F] [--anomaly-len N]
@@ -252,17 +254,19 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
         },
         horizon,
     );
+    let write = |name: &str, series: &MeasuredSeries, format: SeriesCodec| {
+        let path = Path::new(out).join(format!("{name}.{}", format.extension()));
+        std::fs::write(&path, codec::encode(series, format))
+            .map_err(|e| format!("write {}: {e}", path.display()))
+    };
     for h in &fleet.households {
-        let market = h.series_at(Resolution::MIN_15);
-        let base = Path::new(out).join(format!("household_{}", h.config.id));
-        std::fs::write(base.with_extension("csv"), market.to_csv())
-            .map_err(|e| format!("write csv: {e}"))?;
-        std::fs::write(base.with_extension("fxt"), codec::encode(&market))
-            .map_err(|e| format!("write fxt: {e}"))?;
+        let market = MeasuredSeries::from_series(&h.series_at(Resolution::MIN_15));
+        let name = format!("household_{}", h.config.id);
+        write(&name, &market, SeriesCodec::Csv)?;
+        write(&name, &market, SeriesCodec::BinaryV3)?;
     }
-    let total = Path::new(out).join("fleet_total");
-    std::fs::write(total.with_extension("csv"), fleet.total.to_csv())
-        .map_err(|e| format!("write csv: {e}"))?;
+    let total = MeasuredSeries::from_series(&fleet.total);
+    write("fleet_total", &total, SeriesCodec::Csv)?;
     println!(
         "simulated {households} households × {days} days → {out}/ ({:.0} kWh total, {:.1} % truly flexible)",
         fleet.total.total_energy(),
@@ -523,14 +527,13 @@ fn cmd_dataset_export(flags: &Flags) -> Result<(), String> {
     // FXM3 is the default: the same per-chunk statistics + footer
     // index as FXM2, with payloads XOR-compressed losslessly, so the
     // exported dataset supports ranged reads and pushdown queries on a
-    // smaller file. `fxm2` keeps uncompressed payloads, `fxm1` is the
-    // legacy escape hatch, `csv` the readable one.
+    // smaller file. `fxm2` keeps uncompressed payloads, `csv` is the
+    // readable one.
     let codec = match flags.get("codec").unwrap_or("fxm3") {
         "csv" => SeriesCodec::Csv,
         "fxm3" => SeriesCodec::BinaryV3,
         "binary" | "fxm" | "fxm2" => SeriesCodec::Binary,
-        "fxm1" => SeriesCodec::BinaryV1,
-        other => return Err(format!("unknown codec '{other}' (fxm3|fxm2|fxm1|csv)")),
+        other => return Err(format!("unknown codec '{other}' (fxm3|fxm2|csv)")),
     };
     let mut degradation = Degradation::default();
     if let Some(raw) = flags.get("resolution-min") {
@@ -752,10 +755,10 @@ fn sniffed_codec_label(ds: &Dataset, file: &str) -> &'static str {
     if !ok {
         return "?";
     }
-    match flextract::dataset::codec::sniff(&magic) {
-        Some(flextract::dataset::codec::FxmVersion::V1) => "fxm1",
-        Some(flextract::dataset::codec::FxmVersion::V2) => "fxm2",
-        Some(flextract::dataset::codec::FxmVersion::V3) => "fxm3",
+    match codec::sniff(&magic) {
+        Some(codec::FxmVersion::V1) => "fxm1",
+        Some(codec::FxmVersion::V2) => "fxm2",
+        Some(codec::FxmVersion::V3) => "fxm3",
         None => "csv",
     }
 }
@@ -1470,54 +1473,28 @@ fn query_offers(file: &str, flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Read a series from `.fxt` (binary codec) or `.csv`
-/// (`interval_start,kwh` rows).
+/// Read a gap-free series from any file a dataset store reads: binary
+/// `FXM1`/`FXM2`/`FXM3` by magic, anything else as CSV.
 fn read_series(path: &Path) -> Result<TimeSeries, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    if bytes.starts_with(&codec::MAGIC) {
-        return codec::decode(bytes.as_slice()).map_err(|e| format!("decode fxt: {e}"));
+    let file = path.display().to_string();
+    let bytes = std::fs::read(path).map_err(|e| format!("read {file}: {e}"))?;
+    let measured = if codec::sniff(&bytes).is_some() {
+        codec::decode(&bytes, &file)
+    } else {
+        let text = String::from_utf8(bytes)
+            .map_err(|_| format!("{file}: not valid UTF-8 (and not FXM binary)"))?;
+        codec::from_csv(&text, &file)
     }
-    let text = String::from_utf8(bytes).map_err(|_| "CSV is not valid UTF-8".to_string())?;
-    parse_csv_series(&text)
-}
-
-fn parse_csv_series(text: &str) -> Result<TimeSeries, String> {
-    let mut rows: Vec<(Timestamp, f64)> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with("interval_start") {
-            continue;
-        }
-        let (ts_part, kwh_part) = line
-            .rsplit_once(',')
-            .ok_or_else(|| format!("line {}: expected 'timestamp,kwh'", lineno + 1))?;
-        let t: Timestamp = ts_part
-            .trim()
-            .parse()
-            .map_err(|e| format!("line {}: bad timestamp: {e}", lineno + 1))?;
-        let v: f64 = kwh_part
-            .trim()
-            .parse()
-            .map_err(|_| format!("line {}: bad kWh value '{kwh_part}'", lineno + 1))?;
-        rows.push((t, v));
+    .map_err(|e| e.to_string())?;
+    let gaps = measured.gap_count();
+    if gaps > 0 {
+        return Err(format!(
+            "{file}: series has {gaps} gap(s); extraction needs a gap-free series"
+        ));
     }
-    if rows.len() < 2 {
-        return Err("CSV needs at least two data rows".into());
-    }
-    let step = (rows[1].0 - rows[0].0).as_minutes();
-    let resolution = Resolution::from_minutes(step)
-        .map_err(|_| format!("rows are {step} min apart, which does not divide a day"))?;
-    for (i, pair) in rows.windows(2).enumerate() {
-        if (pair[1].0 - pair[0].0).as_minutes() != step {
-            return Err(format!("row {}: series has gaps or uneven spacing", i + 2));
-        }
-    }
-    TimeSeries::new(
-        rows[0].0,
-        resolution,
-        rows.into_iter().map(|(_, v)| v).collect(),
-    )
-    .map_err(|e| format!("invalid series: {e}"))
+    measured
+        .into_series()
+        .map_err(|e| format!("{file}: invalid series: {e}"))
 }
 
 #[cfg(test)]
@@ -1537,32 +1514,46 @@ mod tests {
         assert!(bad.get_parsed::<i64>("days", 0).is_err());
     }
 
+    /// Write `contents` to a scratch file named after `tag` and read
+    /// it back through [`read_series`].
+    fn read_text(tag: &str, contents: &str) -> Result<TimeSeries, String> {
+        let path = std::env::temp_dir().join(format!("flextract_{tag}_{}", std::process::id()));
+        std::fs::write(&path, contents).unwrap();
+        let read = read_series(&path);
+        std::fs::remove_file(&path).ok();
+        read
+    }
+
     #[test]
     fn csv_round_trip_through_parser() {
         let series = TimeSeries::new(
             "2013-03-18".parse().unwrap(),
             Resolution::MIN_15,
-            vec![0.25, 0.5, 0.75],
+            vec![0.1 + 0.2, 0.5, 1.0 / 3.0],
         )
         .unwrap();
-        let parsed = parse_csv_series(&series.to_csv()).unwrap();
-        assert_eq!(parsed.start(), series.start());
-        assert_eq!(parsed.resolution(), series.resolution());
-        for (a, b) in parsed.values().iter().zip(series.values()) {
-            assert!((a - b).abs() < 1e-9);
-        }
+        let csv = codec::to_csv(&MeasuredSeries::from_series(&series));
+        assert_eq!(read_text("round_trip.csv", &csv).unwrap(), series);
     }
 
     #[test]
     fn csv_parser_rejects_malformed_input() {
-        assert!(parse_csv_series("").is_err());
-        assert!(parse_csv_series("interval_start,kwh\n2013-03-18 00:00,1.0").is_err()); // one row
-        assert!(parse_csv_series("nonsense").is_err());
-        // 7-min step.
-        assert!(parse_csv_series("2013-03-18 00:00,1.0\n2013-03-18 00:07,1.0\n").is_err());
-        // Gap in the middle.
-        let gappy = "2013-03-18 00:00,1.0\n2013-03-18 00:15,1.0\n2013-03-18 01:00,1.0\n";
-        assert!(parse_csv_series(gappy).is_err());
+        for (tag, text) in [
+            ("empty.csv", ""),
+            ("one_row.csv", "interval_start,kwh\n2013-03-18 00:00,1.0"),
+            ("nonsense.csv", "nonsense"),
+            (
+                "step_7min.csv",
+                "2013-03-18 00:00,1.0\n2013-03-18 00:07,1.0\n",
+            ),
+            (
+                "missing_row.csv",
+                "2013-03-18 00:00,1.0\n2013-03-18 00:15,1.0\n2013-03-18 01:00,1.0\n",
+            ),
+        ] {
+            let err = read_text(tag, text).unwrap_err();
+            assert!(err.contains(tag), "{tag}: {err}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Drives the compiled executable exactly as a user would: simulate a
 //! tiny fleet into a scratch directory, then run peak extraction on one
-//! of the emitted series files (both the CSV and the binary `.fxt`
-//! codec path), and check the failure modes exit non-zero.
+//! of the emitted series files (both the CSV and the binary `FXM3`
+//! path), and check the failure modes exit non-zero.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -55,13 +55,17 @@ fn simulate_then_extract_peak_round_trip() {
     );
     for name in [
         "household_0.csv",
-        "household_0.fxt",
+        "household_0.fxm",
         "household_1.csv",
-        "household_1.fxt",
+        "household_1.fxm",
         "fleet_total.csv",
     ] {
         assert!(out_dir.join(name).is_file(), "missing output file {name}");
     }
+    assert!(
+        !out_dir.join("household_0.fxt").exists(),
+        "simulate writes store formats only"
+    );
 
     // 2. Extract flex-offers from the CSV with the peak approach and
     //    write them as JSON.
@@ -92,32 +96,53 @@ fn simulate_then_extract_peak_round_trip() {
         "offers JSON is an array"
     );
 
-    // 3. The binary .fxt codec path decodes to the same extraction.
-    let extract_fxt = flextract(&[
+    // 3. The FXM3 file decodes to the same extraction: both formats are
+    //    lossless, so the offers JSON is byte-identical.
+    let fxm_offers_path = dir.join("offers_fxm.json");
+    let extract_fxm = flextract(&[
         "extract",
         "--approach",
         "peak",
         "--input",
-        out_dir.join("household_0.fxt").to_str().unwrap(),
+        out_dir.join("household_0.fxm").to_str().unwrap(),
         "--share",
         "0.05",
         "--seed",
         "7",
+        "--out",
+        fxm_offers_path.to_str().unwrap(),
     ]);
     assert!(
-        extract_fxt.status.success(),
-        "fxt extract failed: {}",
-        String::from_utf8_lossy(&extract_fxt.stderr)
+        extract_fxm.status.success(),
+        "fxm extract failed: {}",
+        String::from_utf8_lossy(&extract_fxm.stderr)
     );
-    let line_csv = String::from_utf8_lossy(&extract.stdout);
-    let line_fxt = String::from_utf8_lossy(&extract_fxt.stdout);
     assert_eq!(
-        line_csv.lines().next(),
-        line_fxt.lines().next(),
-        "CSV and FXT inputs must yield the same extraction summary"
+        std::fs::read(&fxm_offers_path).expect("FXM3 offers JSON was written"),
+        json.as_bytes(),
+        "CSV and FXM3 inputs must yield byte-identical offers"
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn extract_rejects_gappy_series_naming_file_and_gap_count() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    for (file, gaps) in [
+        ("datasets/ds_sharded_fleet/shards/0000/consumer_0.fxm", 7),
+        ("datasets/ds_gap_heavy/consumer_0.csv", 40),
+    ] {
+        let input = root.join(file);
+        let out = flextract(&["extract", "--input", input.to_str().unwrap()]);
+        assert!(!out.status.success(), "{file}: extract must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(file), "{file}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{gaps} gap(s)")),
+            "{file}: {stderr}"
+        );
+    }
 }
 
 #[test]
