@@ -29,9 +29,10 @@
 //! * [`ingest`] — the cleaning stage: gap-fill then anomaly-screen,
 //!   producing an extraction-ready `TimeSeries` plus a
 //!   [`CleaningReport`] of what was repaired;
-//! * [`store`] — the on-disk dataset: one `manifest.json` naming the
-//!   fleet plus one series file per consumer (and, for exported
-//!   datasets, the simulator ground truth), loadable consumer by
+//! * [`store`] — the on-disk dataset: a root index over shards, each a
+//!   `manifest.json` plus one series file per consumer (and, for
+//!   exported datasets, the simulator ground truth); a single-manifest
+//!   directory is a store with one implicit shard. Loadable consumer by
 //!   consumer — wholly, or as **ranged reads** that decode only the
 //!   chunks overlapping a time slice, or as streamed chunk-stat
 //!   aggregates that may touch no payload at all;

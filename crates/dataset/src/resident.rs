@@ -1,13 +1,14 @@
 //! The resident store: a long-lived, thread-safe dataset handle that
 //! amortizes index parsing and payload decoding across queries.
 //!
-//! [`Dataset`] is deliberately stateless — every open re-reads
-//! `root.json`/`manifest.json`, and every consumer query re-reads and
-//! re-decodes its series file. That is the right contract for one-shot
-//! tools, but a long-lived process (the serving loop the ROADMAP aims
-//! at) pays the whole routing cost per query: the committed bench
-//! baseline spends ~54 ms per sliced point query on a 100k-consumer
-//! store to read 848 B, almost all of it re-parsing indexes.
+//! [`Dataset`] caches nothing across opens — every open re-reads its
+//! index (`root.json`, or the `manifest.json` of a single-manifest
+//! directory), and every consumer query re-reads and re-decodes its
+//! series file. That is the right contract for one-shot tools, but a
+//! long-lived process (the serving loop the ROADMAP aims at) pays the
+//! whole routing cost per query: the committed bench baseline spends
+//! ~54 ms per sliced point query on a 100k-consumer store to read
+//! 848 B, almost all of it re-parsing indexes.
 //! [`ResidentStore`] keeps the parsed state resident:
 //!
 //! * the **dataset snapshot** — `root.json` parsed once, shard
@@ -25,7 +26,8 @@
 //!
 //! Both caches key off a **generation**. Every query entry point
 //! revalidates the handle by fingerprinting the index file
-//! (`root.json` length + mtime; `manifest.json` for legacy layouts).
+//! [`Dataset::open`] parses (length + mtime of `root.json`, or of
+//! `manifest.json` in a single-manifest directory).
 //! The sharded writer's only commit point is the atomic rename of
 //! `root.json` — kill points before it leave the old root byte-for-byte
 //! in place (new shard directories and `root.json.tmp` are invisible to
@@ -43,7 +45,7 @@
 //! `BTreeMap` — nothing that feeds a report or an eviction decision
 //! iterates a hash map.
 
-use crate::store::MANIFEST_FILE;
+use crate::store::index_file;
 use crate::{Dataset, DatasetError};
 use flextract_frame::{Aggregates, ChunkCache, Frame, Scan, ScanReport};
 use std::collections::BTreeMap;
@@ -90,9 +92,10 @@ pub struct CacheStats {
 }
 
 /// The index-file identity a snapshot was opened against: length +
-/// mtime of `root.json` (sharded) or `manifest.json` (legacy). The
-/// sharded commit point is an atomic rename onto `root.json`, which
-/// changes both; uncommitted `.tmp` siblings change neither.
+/// mtime of the file [`Dataset::open`] parses (`root.json`, or a
+/// single-manifest directory's `manifest.json`). The sharded commit
+/// point is an atomic rename onto `root.json`, which changes both;
+/// uncommitted `.tmp` siblings change neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IndexFingerprint {
     len: u64,
@@ -479,16 +482,10 @@ impl ResidentStore {
     }
 }
 
-/// Fingerprint the store's index file: `root.json` when present (the
-/// sharded layout), else `manifest.json` — mirroring the layout sniff
-/// in [`Dataset::open`].
+/// Fingerprint the store's index file — the same file
+/// [`Dataset::open`] parses.
 fn index_fingerprint(dir: &Path) -> Result<IndexFingerprint, DatasetError> {
-    let root = dir.join(crate::sharded::ROOT_FILE);
-    let path = if root.is_file() {
-        root
-    } else {
-        dir.join(MANIFEST_FILE)
-    };
+    let path = index_file(dir);
     let meta = std::fs::metadata(&path).map_err(|e| DatasetError::Io {
         path: path.display().to_string(),
         what: e.to_string(),
@@ -559,11 +556,11 @@ mod tests {
         w.finish().unwrap();
     }
 
-    fn export_legacy(dir: &Path, consumers: usize, codec: SeriesCodec) {
+    fn export_single_manifest(dir: &Path, consumers: usize, codec: SeriesCodec) {
         let mut w = DatasetWriter::create(
             dir,
             "resident",
-            "resident-store legacy fleet",
+            "resident-store single-manifest fleet",
             ts("2013-03-18"),
             Resolution::MIN_15,
             96,
@@ -731,16 +728,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_layout_revalidates_on_manifest_rewrite() {
-        let dir = scratch("legacy");
-        export_legacy(&dir, 3, SeriesCodec::Binary);
+    fn single_manifest_revalidates_on_manifest_rewrite() {
+        let dir = scratch("single");
+        export_single_manifest(&dir, 3, SeriesCodec::Binary);
         let store = ResidentStore::open(&dir).unwrap();
         let (a, first_rep) = store.consumer_aggregates(0, &Scan::new()).unwrap();
         let (_, warm_rep) = store.consumer_aggregates(0, &Scan::new()).unwrap();
         assert!(warm_rep.cache_hits >= first_rep.cache_hits);
-        // Re-export with one more consumer: legacy writes are not
-        // atomic, but the finished manifest has a new length.
-        export_legacy(&dir, 4, SeriesCodec::Binary);
+        // Re-export with one more consumer: single-manifest writes are
+        // not atomic, but the finished manifest has a new length.
+        export_single_manifest(&dir, 4, SeriesCodec::Binary);
         let ds = store.dataset().unwrap();
         assert_eq!(ds.len(), 4);
         assert!(store.generation() >= 2);
@@ -752,7 +749,7 @@ mod tests {
     #[test]
     fn chunk_pool_budget_is_enforced() {
         let dir = scratch("budget");
-        export_legacy(&dir, 4, SeriesCodec::BinaryV1);
+        export_single_manifest(&dir, 4, SeriesCodec::BinaryV1);
         // Budget fits exactly one 96-interval chunk payload (768 B):
         // scanning v1 frames (no stats → every chunk decodes) keeps at
         // most one payload resident.
@@ -777,7 +774,7 @@ mod tests {
     #[test]
     fn shared_registry_returns_one_handle_per_directory() {
         let dir = scratch("sharedreg");
-        export_legacy(&dir, 2, SeriesCodec::Binary);
+        export_single_manifest(&dir, 2, SeriesCodec::Binary);
         let a = ResidentStore::shared(&dir).unwrap();
         let b = ResidentStore::shared(&dir).unwrap();
         assert!(Arc::ptr_eq(&a, &b));

@@ -7,21 +7,21 @@
 //!   root.json                — root index: grid + one summary per shard
 //!   shards/
 //!     0000/
-//!       manifest.json        — an ordinary single-manifest dataset
-//!       consumer_<id>.fxm    — series files, exactly the legacy layout
+//!       manifest.json        — the shard's consumer directory
+//!       consumer_<id>.fxm    — series files, one per consumer
 //!       ...
 //!     0001/
 //!       ...
 //! ```
 //!
-//! Each shard directory **is** a legacy dataset, so every reader
-//! primitive (ranged reads, stat pushdown, grid validation) is reused
-//! unchanged one level down. What the root index adds is a per-shard
-//! [`ShardSummary`] — consumer count, time coverage, and min/max/sum/gap
-//! roll-ups folded from the FXM2 chunk statistics in the canonical
-//! order — so a query can exclude a whole shard without opening its
-//! manifest, the same statistics-only-exclude contract as chunk
-//! pushdown, one level up.
+//! Each shard directory has the same shape as a single-manifest
+//! dataset, and [`crate::Dataset`] reads both through one path: a
+//! single-manifest directory opens as a store with one implicit shard.
+//! What a root index on disk adds is a per-shard [`ShardSummary`] —
+//! consumer count, time coverage, and min/max/sum/gap roll-ups folded
+//! from the FXM2 chunk statistics in the canonical order — so a query
+//! can exclude a whole shard without opening its manifest, the same
+//! statistics-only-exclude contract as chunk pushdown, one level up.
 //!
 //! # Crash safety
 //!
@@ -43,15 +43,16 @@
 //! rewrites the store into canonical capacity-aligned shards — the same
 //! grouping a fresh export produces — copying series files byte-for-byte
 //! and recomputing roll-ups, then swaps the root and removes every
-//! unreferenced shard directory. Legacy single-manifest directories
-//! remain fully readable ([`crate::Dataset::open`] sniffs for
-//! `root.json` first, like the codec sniffing that keeps
-//! `SeriesCodec::BinaryV1` files loadable).
+//! unreferenced shard directory. Single-manifest directories remain
+//! fully readable: [`crate::Dataset::open`] looks for `root.json`
+//! first and otherwise synthesizes a one-shard root in memory, like
+//! the codec sniffing that keeps `SeriesCodec::BinaryV1` files
+//! loadable.
 
 use crate::degrade::Degradation;
 use crate::store::{
-    frame_from_raw, read_file, ConsumerEntry, ConsumerKind, Dataset, DatasetWriter, SeriesCodec,
-    FORMAT_VERSION,
+    frame_from_raw, read_file, ConsumerEntry, ConsumerKind, Dataset, DatasetWriter, Manifest,
+    SeriesCodec, Shard, FORMAT_VERSION,
 };
 use crate::{DatasetError, MeasuredSeries};
 use flextract_frame::{Aggregates, ChunkStats, Predicate, Scan};
@@ -148,8 +149,8 @@ impl ShardSummary {
 /// order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RootIndex {
-    /// Format version (currently [`FORMAT_VERSION`], shared with the
-    /// legacy manifest).
+    /// Format version (currently [`FORMAT_VERSION`], shared with
+    /// `manifest.json`).
     pub format: u32,
     /// Dataset name.
     pub name: String,
@@ -206,6 +207,39 @@ impl RootIndex {
     pub fn is_empty(&self) -> bool {
         self.shards.is_empty()
     }
+
+    /// The in-memory root of a single-manifest dataset: the manifest's
+    /// grid and provenance over one implicit shard. The summary carries
+    /// the manifest's counts but no roll-up — nothing on disk records
+    /// one — so readers never prune a shard or answer from it.
+    pub(crate) fn implicit(manifest: &Manifest) -> RootIndex {
+        let consumers = &manifest.consumers;
+        RootIndex {
+            format: manifest.format,
+            name: manifest.name.clone(),
+            description: manifest.description.clone(),
+            start: manifest.start.clone(),
+            resolution_min: manifest.resolution_min,
+            intervals: manifest.intervals,
+            codec: manifest.codec,
+            source_scenario: manifest.source_scenario.clone(),
+            degradation: manifest.degradation.clone(),
+            seed: manifest.seed,
+            shard_capacity: consumers.len(),
+            next_shard_id: 1,
+            shards: vec![ShardSummary {
+                id: 0,
+                consumers: consumers.len(),
+                with_truth: consumers.iter().filter(|c| c.truth_total.is_some()).count(),
+                gap_count: consumers.iter().map(|c| c.gap_count).sum(),
+                min_kwh: None,
+                max_kwh: None,
+                sum_kwh: 0.0,
+                start: manifest.start.clone(),
+                intervals: manifest.intervals,
+            }],
+        }
+    }
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> DatasetError {
@@ -226,10 +260,12 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), DatasetError> {
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
 }
 
-/// Parse and validate `root.json` in `dir`.
-pub(crate) fn read_root(dir: &Path) -> Result<RootIndex, DatasetError> {
+/// Parse and validate `root.json` in `dir`. Returns the root and the
+/// length of the bytes parsed — the index size a cold query is charged.
+pub(crate) fn read_root(dir: &Path) -> Result<(RootIndex, usize), DatasetError> {
     let path = dir.join(ROOT_FILE);
     let raw = read_file(&path)?;
+    let len = raw.len();
     let text = String::from_utf8(raw).map_err(|_| DatasetError::Manifest {
         path: path.display().to_string(),
         what: "not valid UTF-8".to_string(),
@@ -277,24 +313,24 @@ pub(crate) fn read_root(dir: &Path) -> Result<RootIndex, DatasetError> {
             )));
         }
     }
-    Ok(root)
+    Ok((root, len))
 }
 
-/// Open shard `summary` of the sharded dataset at `dir` as an ordinary
-/// single-manifest [`Dataset`], validating it against the root index:
-/// same grid, same codec, and exactly the committed consumer count.
+/// Open shard `summary` of the sharded dataset at `dir`, validating its
+/// manifest against the root index: same grid, same codec, and exactly
+/// the committed consumer count.
 pub(crate) fn open_shard(
     dir: &Path,
     root: &RootIndex,
     summary: &ShardSummary,
-) -> Result<Dataset, DatasetError> {
+) -> Result<Shard, DatasetError> {
     let shard_dir = dir.join(SHARDS_DIR).join(summary.dir_name());
-    let ds = Dataset::open_legacy(&shard_dir)?;
+    let shard = Shard::open(&shard_dir)?;
     let invalid = |what: String| DatasetError::Manifest {
         path: shard_dir.join(crate::MANIFEST_FILE).display().to_string(),
         what,
     };
-    let m = ds.legacy_manifest()?;
+    let m = &shard.manifest;
     if m.consumers.len() != summary.consumers {
         return Err(invalid(format!(
             "shard manifest lists {} consumer(s) but the root index records {}",
@@ -321,7 +357,7 @@ pub(crate) fn open_shard(
             root.codec.label()
         )));
     }
-    Ok(ds)
+    Ok(shard)
 }
 
 /// The open tail shard of a [`ShardedWriter`]: an ordinary
@@ -389,7 +425,7 @@ impl ShardedWriter {
         // allocation past the old root's high-water mark so a crash
         // mid-export leaves the old store fully intact.
         let next_id = if dir.join(ROOT_FILE).is_file() {
-            read_root(&dir).map(|r| r.next_shard_id).unwrap_or(0)
+            read_root(&dir).map(|(r, _)| r.next_shard_id).unwrap_or(0)
         } else {
             0
         };
@@ -422,7 +458,7 @@ impl ShardedWriter {
     /// committed store untouched.
     pub fn append(dir: impl AsRef<Path>) -> Result<ShardedWriter, DatasetError> {
         let dir = dir.as_ref().to_path_buf();
-        let root = read_root(&dir)?;
+        let (root, _) = read_root(&dir)?;
         let next_id = root.next_shard_id;
         Ok(ShardedWriter {
             dir,
@@ -592,10 +628,10 @@ impl ShardedWriter {
         write_atomic(&path, json.as_bytes())?;
         sweep_unreferenced(&self.dir, &self.root)?;
         // A sharded store has no top-level manifest.json; remove one
-        // left behind by a legacy dataset previously exported here.
-        let legacy = self.dir.join(crate::MANIFEST_FILE);
-        if legacy.is_file() {
-            std::fs::remove_file(&legacy).map_err(|e| io_err(&legacy, e))?;
+        // left behind by a single-manifest dataset exported here.
+        let stale = self.dir.join(crate::MANIFEST_FILE);
+        if stale.is_file() {
+            std::fs::remove_file(&stale).map_err(|e| io_err(&stale, e))?;
         }
         Ok(self.root)
     }
@@ -800,6 +836,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Export the same `n` consumers as [`export_sharded`] into one
+    /// `manifest.json`.
+    fn export_single_manifest(dir: &Path, n: usize) {
+        let mut w = DatasetWriter::create(
+            dir,
+            "unit",
+            "single-manifest unit dataset",
+            ts("2013-03-18"),
+            Resolution::MIN_15,
+            96,
+            SeriesCodec::Binary,
+        )
+        .unwrap();
+        for i in 0..n {
+            w.write_consumer(
+                &i.to_string(),
+                ConsumerKind::Household,
+                &series_for(i, 96),
+                None,
+                None,
+            )
+            .unwrap();
+        }
+        w.finish().unwrap();
+    }
+
+    /// `scan` over every consumer, merged in the canonical nesting
+    /// (consumer → shard → fleet) with `shard_sizes` consumers per
+    /// shard — the brute-force reference for store-level folds.
+    fn nested_fold(ds: &Dataset, scan: &Scan, shard_sizes: &[usize]) -> Aggregates {
+        let mut fleet = Aggregates::default();
+        let mut idx = 0;
+        for &size in shard_sizes {
+            let mut sub = Aggregates::default();
+            for _ in 0..size {
+                let (a, _) = ds.consumer_aggregates(idx, scan).unwrap();
+                sub.merge(&a);
+                idx += 1;
+            }
+            fleet.merge(&sub);
+        }
+        fleet
+    }
+
+    fn assert_bit_identical(a: &Aggregates, b: &Aggregates) {
+        assert_eq!(a, b);
+        assert_eq!(a.sum_kwh.to_bits(), b.sum_kwh.to_bits());
+    }
+
     #[test]
     fn fleet_scan_answers_stats_only_and_matches_forced_decode() {
         let dir = scratch("fleet");
@@ -810,30 +895,48 @@ mod tests {
         assert_eq!(report.shards_stats_only, 3);
         assert_eq!(report.shards_opened(), 0);
         assert_eq!(agg.intervals, 960);
-        // Forcing every shard open (a predicate no roll-up can exclude)
-        // reaches the same aggregates for the matching chunks; compare
-        // against the always-true exact path instead: brute-force merge
-        // of per-consumer scans in the canonical nesting.
-        let mut brute = Aggregates::default();
-        let mut idx = 0;
-        for summary in &ds.root().unwrap().shards {
-            let mut sub = Aggregates::default();
-            for _ in 0..summary.consumers {
-                let (a, _) = ds.consumer_aggregates(idx, &Scan::new()).unwrap();
-                sub.merge(&a);
-                idx += 1;
-            }
-            brute.merge(&sub);
-        }
-        assert_eq!(agg.sum_kwh.to_bits(), brute.sum_kwh.to_bits());
-        assert_eq!(agg, brute);
+        // The roll-up answer equals a brute-force merge of per-consumer
+        // scans in the canonical nesting.
+        let sizes: Vec<usize> = ds
+            .root()
+            .unwrap()
+            .shards
+            .iter()
+            .map(|s| s.consumers)
+            .collect();
+        assert_bit_identical(&agg, &nested_fold(&ds, &Scan::new(), &sizes));
+
+        // The same consumers in one manifest: the implicit shard has no
+        // roll-up, so it opens, and the answer is the same fold.
+        let single_dir = scratch("fleet_single");
+        export_single_manifest(&single_dir, 10);
+        let single = Dataset::open(&single_dir).unwrap();
+        let (single_agg, report) = single.fleet_aggregates(&Scan::new()).unwrap();
+        assert_eq!(report.shards_total, 1);
+        assert_eq!(report.shards_opened(), 1);
+        assert_bit_identical(&single_agg, &nested_fold(&single, &Scan::new(), &[10]));
+        // Shard 0 is the whole store; there is no shard 1.
+        let (shard0, shard0_report) = single
+            .shard_aggregates(0, &Scan::new(), &mut Vec::new())
+            .unwrap();
+        assert_bit_identical(&shard0, &single_agg);
+        assert_eq!(shard0_report.shards_opened(), 1);
+        let err = single
+            .shard_aggregates(1, &Scan::new(), &mut Vec::new())
+            .unwrap_err();
+        assert!(
+            matches!(&err, DatasetError::Invalid { what, .. } if what.contains("shard index 1")),
+            "{err:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&single_dir).ok();
     }
 
     #[test]
     fn predicates_prune_whole_shards_from_rollups() {
-        let dir = scratch("prune");
-        // Shards of 2: consumers 0..2 quiet, 2..4 spiky, 4..6 gappy.
+        let (dir, single_dir) = (scratch("prune"), scratch("prune_single"));
+        // Shards of 2: consumers 0..2 quiet, 2..4 spiky, 4..6 gappy. The
+        // same six consumers also go into one manifest.
         let mut w = ShardedWriter::create(
             &dir,
             "unit",
@@ -843,6 +946,16 @@ mod tests {
             8,
             SeriesCodec::Binary,
             2,
+        )
+        .unwrap();
+        let mut single = DatasetWriter::create(
+            &single_dir,
+            "unit",
+            "prune test",
+            ts("2013-03-18"),
+            Resolution::MIN_15,
+            8,
+            SeriesCodec::Binary,
         )
         .unwrap();
         for i in 0..6 {
@@ -856,9 +969,17 @@ mod tests {
             let m = MeasuredSeries::new(ts("2013-03-18"), Resolution::MIN_15, values).unwrap();
             w.write_consumer(&i.to_string(), ConsumerKind::Household, &m, None, None)
                 .unwrap();
+            single
+                .write_consumer(&i.to_string(), ConsumerKind::Household, &m, None, None)
+                .unwrap();
         }
         w.finish().unwrap();
+        single.finish().unwrap();
         let ds = Dataset::open(&dir).unwrap();
+        let single = Dataset::open(&single_dir).unwrap();
+        let manifest_len = std::fs::metadata(single_dir.join(crate::MANIFEST_FILE))
+            .unwrap()
+            .len() as usize;
 
         let spikes = Scan::new().with_predicate(Predicate::MaxAbove(1.0));
         let (agg, report) = ds.fleet_aggregates(&spikes).unwrap();
@@ -873,12 +994,24 @@ mod tests {
 
         // A time slice outside the coverage prunes everything.
         let elsewhere = TimeRange::starting_at(ts("2014-01-01"), Duration::days(1)).unwrap();
-        let (agg, report) = ds
-            .fleet_aggregates(&Scan::new().time_slice(elsewhere))
-            .unwrap();
+        let outside = Scan::new().time_slice(elsewhere);
+        let (agg, report) = ds.fleet_aggregates(&outside).unwrap();
         assert_eq!(report.shards_pruned, 3);
         assert_eq!(agg.intervals, 0);
+
+        // The single-manifest store has no roll-up to prune from: its
+        // one implicit shard always opens, charges its manifest once,
+        // and answers with the consumer-order fold.
+        for scan in [&spikes, &gaps, &outside] {
+            let (agg, report) = single.fleet_aggregates(scan).unwrap();
+            assert_eq!(report.shards_total, 1, "{report:?}");
+            assert_eq!(report.shards_pruned, 0, "{report:?}");
+            assert_eq!(report.shards_stats_only, 0, "{report:?}");
+            assert_eq!(report.bytes_read_index, manifest_len, "{report:?}");
+            assert_bit_identical(&agg, &nested_fold(&single, scan, &[6]));
+        }
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&single_dir).ok();
     }
 
     #[test]
@@ -996,8 +1129,8 @@ mod tests {
         compact(&frag_dir).unwrap();
         export_sharded(&fresh_dir, 10, 4);
 
-        let frag_root = read_root(&frag_dir).unwrap();
-        let fresh_root = read_root(&fresh_dir).unwrap();
+        let frag_root = read_root(&frag_dir).unwrap().0;
+        let fresh_root = read_root(&fresh_dir).unwrap().0;
         assert_eq!(frag_root.shards.len(), fresh_root.shards.len());
         for (a, b) in frag_root.shards.iter().zip(&fresh_root.shards) {
             // Everything but the generation-dependent id matches.
@@ -1178,7 +1311,7 @@ mod tests {
             }
             w.finish().unwrap();
         }
-        read_root(dir).unwrap()
+        read_root(dir).unwrap().0
     }
 
     /// Interrupt compaction after each write step it performs — new
@@ -1232,7 +1365,7 @@ mod tests {
             // Reopen: the old root is still the committed one, so the
             // store reads back as the exact pre-compaction state.
             assert_eq!(observed_values(&work), before_values, "kill {kill_after}");
-            let reread = read_root(&work).unwrap();
+            let reread = read_root(&work).unwrap().0;
             assert_eq!(reread, root, "kill {kill_after}: old root still valid");
             // And a re-run of compaction from this state converges to a
             // store observably identical to the uninterrupted one.

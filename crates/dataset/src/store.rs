@@ -1,36 +1,47 @@
-//! The on-disk dataset: a manifest plus one series file per consumer.
+//! The on-disk dataset: a root index over shards, each shard a
+//! manifest plus one series file per consumer.
 //!
-//! A dataset is a directory:
+//! A shard is a directory:
 //!
 //! ```text
-//! <dir>/
-//!   manifest.json          — fleet metadata + consumer directory
+//! <shard>/
+//!   manifest.json          — shard metadata + consumer directory
 //!   consumer_<id>.csv|.fxm — measured series, one file per consumer
 //!   truth_<id>.csv|.fxm    — (exported datasets) undegraded total
 //!   flex_<id>.csv|.fxm     — (exported datasets) true flexible series
 //! ```
 //!
-//! The layout is columnar twice over: each consumer's series is its
-//! own contiguous column file (loading consumer `i` touches
+//! A sharded store keeps its shards under `shards/NNNN/` and lists them
+//! in `root.json` (see [`crate::sharded`]). A directory that is itself
+//! a shard — one `manifest.json`, no `root.json` — opens as a store
+//! with exactly one implicit shard, under a root index synthesized in
+//! memory at open. Either way [`Dataset`] has one read path: route a
+//! global consumer index through the root to a shard, then read there.
+//!
+//! Storage is columnar twice over: each consumer's series is its own
+//! contiguous column file (loading consumer `i` touches
 //! `O(intervals)` bytes regardless of fleet size), and each file is a
-//! chunked [`Frame`] — FXM2 files carry per-chunk statistics and a
+//! chunked [`Frame`] — FXM2/FXM3 files carry per-chunk statistics and a
 //! footer index, so **ranged reads** ([`Dataset::consumer_in`],
 //! [`Dataset::consumer_slice`]) decode only the chunks overlapping a
 //! time slice and stat queries ([`Dataset::consumer_aggregates`]) may
 //! decode no payload at all. The scenario runner's sharded workers
 //! pull consumers by index concurrently through a shared [`Dataset`]
-//! handle (`&self` loads — no interior mutability, no cache).
-//! Ground-truth files ride along only when the dataset was exported
-//! from the simulator; real metered feeds simply do not have them.
+//! handle: loads take `&self`, and the only interior state is one
+//! open-once slot per shard. Ground-truth files ride along only when
+//! the dataset was exported from the simulator; real metered feeds
+//! simply do not have them.
 
 use crate::codec;
 use crate::degrade::Degradation;
+use crate::sharded::{RootIndex, ROOT_FILE};
 use crate::{DatasetError, MeasuredSeries};
 use bytes::Bytes;
 use flextract_frame::{Aggregates, Frame, Scan, ScanReport};
 use flextract_time::{Resolution, TimeRange, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Current manifest format version.
 pub const FORMAT_VERSION: u32 = 1;
@@ -170,51 +181,53 @@ pub struct DatasetRecord {
     pub truth_flex: Option<flextract_series::TimeSeries>,
 }
 
-/// A dataset opened for reading. Loading is per consumer and takes
-/// `&self`, so one handle can be shared across shard workers.
+/// A dataset opened for reading: a root index over shards, each shard a
+/// directory holding a `manifest.json` and its consumers' series files.
+/// Loading is per consumer and takes `&self`, so one handle can be
+/// shared across shard workers.
 ///
-/// Two on-disk layouts open through the same handle, sniffed like the
-/// series codecs: a directory holding a [`ROOT_FILE`](crate::ROOT_FILE)
-/// is a **sharded** store (a root index over `shards/NNNN/` directories,
-/// each an ordinary single-manifest dataset, opened lazily on first
-/// access), anything else is the **legacy** single-manifest layout.
-/// Consumer indices are global either way: a sharded store routes index
-/// `i` to the shard holding it via the root's per-shard counts, without
-/// opening any other shard.
+/// Both on-disk layouts open into this one shape. A directory holding a
+/// [`ROOT_FILE`] is a **sharded** store: its root index is read from
+/// disk and each `shards/NNNN/` directory opens lazily on first
+/// access. Any other directory is a **single-manifest** dataset: its
+/// `manifest.json` is parsed at open and becomes the one implicit shard
+/// of a root index synthesized in memory (nothing on disk is
+/// rewritten). Consumer indices are global: index `i` routes to the
+/// shard holding it via the root's per-shard counts, without opening
+/// any other shard.
 #[derive(Debug)]
 pub struct Dataset {
     dir: PathBuf,
-    layout: Layout,
+    root: RootIndex,
+    /// `true` when `root` was read from `root.json`. A synthesized
+    /// root's one summary carries counts but no roll-up, so shard
+    /// pruning and stats-only answers apply only when this is set.
+    sharded: bool,
+    /// One slot per shard, caching the outcome of its first open
+    /// (errors included), so repeated access neither re-reads nor
+    /// flip-flops. An implicit shard's slot is filled at open.
+    shards: Vec<OnceLock<Result<Shard, DatasetError>>>,
     /// On-disk size of the index parsed at open (`root.json` or
     /// `manifest.json`) — what [`ScanReport::bytes_read_index`]
-    /// accounts for cold opens.
+    /// charges every cold query before any shard manifest.
     index_bytes: usize,
 }
 
+/// One shard: a directory whose `manifest.json` names its consumers,
+/// with the grid parsed **once** at open — per-consumer validation and
+/// loads reuse the parsed start and resolution instead of re-parsing
+/// the manifest's strings per file touched. Consumer indices are local
+/// to the shard.
 #[derive(Debug)]
-enum Layout {
-    /// One `manifest.json` naming every consumer.
-    Legacy(LegacyLayout),
-    /// A root index over lazily-opened shard datasets. Each slot caches
-    /// the outcome of the first open (errors included), so repeated
-    /// access neither re-reads nor flip-flops.
-    Sharded {
-        root: crate::sharded::RootIndex,
-        shards: Vec<std::sync::OnceLock<Result<Dataset, DatasetError>>>,
-    },
-}
-
-/// A legacy single-manifest layout with its grid parsed **once** at
-/// open. Per-consumer validation and loads reuse the parsed start and
-/// resolution instead of re-parsing the manifest's strings on every
-/// access — open already parsed them to validate alignment, so keeping
-/// them is free and the per-consumer paths stop paying a string parse
-/// per file touched.
-#[derive(Debug)]
-struct LegacyLayout {
-    manifest: Manifest,
+pub(crate) struct Shard {
+    dir: PathBuf,
+    pub(crate) manifest: Manifest,
     start: Timestamp,
     resolution: Resolution,
+    /// On-disk size of the shard manifest, charged on top of the
+    /// store's index: 0 for an implicit shard, whose manifest *is* the
+    /// store's index.
+    index_bytes: usize,
 }
 
 pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, DatasetError> {
@@ -222,6 +235,19 @@ pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, DatasetError> {
         path: path.display().to_string(),
         what: e.to_string(),
     })
+}
+
+/// The index file that defines the store at `dir`: `root.json` when
+/// present (a sharded store), else `manifest.json`. The one layout
+/// sniff — [`Dataset::open`] parses this file and the resident store
+/// fingerprints it.
+pub(crate) fn index_file(dir: &Path) -> PathBuf {
+    let root = dir.join(ROOT_FILE);
+    if root.is_file() {
+        root
+    } else {
+        dir.join(MANIFEST_FILE)
+    }
 }
 
 /// Decode raw series-file bytes into a chunk-addressable [`Frame`]:
@@ -241,35 +267,26 @@ pub(crate) fn frame_from_raw(raw: Vec<u8>, display: &str) -> Result<Frame, Datas
     }
 }
 
-impl Dataset {
-    /// Open `dir`, sniffing the layout: a directory carrying
-    /// `root.json` opens as a sharded store (shard manifests load
-    /// lazily on first access), anything else as a legacy
-    /// single-manifest dataset — the migration contract that keeps
-    /// pre-sharding directories readable, like `SeriesCodec::BinaryV1`
-    /// files staying loadable by magic.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Dataset, DatasetError> {
-        let dir = dir.as_ref().to_path_buf();
-        let root_path = dir.join(crate::sharded::ROOT_FILE);
-        if root_path.is_file() {
-            let index_bytes = std::fs::metadata(&root_path)
-                .map(|m| m.len() as usize)
-                .unwrap_or(0);
-            let root = crate::sharded::read_root(&dir)?;
-            let shards = root.shards.iter().map(|_| Default::default()).collect();
-            Ok(Dataset {
-                dir,
-                layout: Layout::Sharded { root, shards },
-                index_bytes,
-            })
-        } else {
-            Self::open_legacy(&dir)
-        }
+/// Materialize a frame, whole or sliced to `range` (a ranged read:
+/// only the chunks overlapping the slice decode).
+fn materialize(frame: Frame, range: Option<TimeRange>) -> Result<MeasuredSeries, DatasetError> {
+    match range {
+        // Whole-series read: already-materialized frames (FXM1, CSV)
+        // move their values instead of copying.
+        None => frame.into_measured().map_err(Into::into),
+        Some(r) => Scan::new()
+            .time_slice(r)
+            .materialize(&frame)
+            .map(|(series, _)| series)
+            .map_err(Into::into),
     }
+}
 
-    /// Open `dir` as a legacy single-manifest dataset, parse and
-    /// validate its manifest.
-    pub(crate) fn open_legacy(dir: &Path) -> Result<Dataset, DatasetError> {
+impl Shard {
+    /// Parse and validate the `manifest.json` in `dir`: format version,
+    /// a non-empty consumer list with unique ids, an aligned grid, and
+    /// every series file it names present on disk.
+    pub(crate) fn open(dir: &Path) -> Result<Shard, DatasetError> {
         let dir = dir.to_path_buf();
         let manifest_path = dir.join(MANIFEST_FILE);
         let raw = read_file(&manifest_path)?;
@@ -297,8 +314,8 @@ impl Dataset {
             return Err(invalid("dataset has no consumers".to_string()));
         }
         let start = manifest.start_timestamp()?;
-        let res = manifest.resolution()?;
-        if !start.is_aligned(res) {
+        let resolution = manifest.resolution()?;
+        if !start.is_aligned(resolution) {
             return Err(invalid(format!(
                 "start {} is not aligned to the {}-min grid",
                 manifest.start, manifest.resolution_min
@@ -324,249 +341,25 @@ impl Dataset {
                 }
             }
         }
-        Ok(Dataset {
+        Ok(Shard {
             dir,
-            layout: Layout::Legacy(LegacyLayout {
-                manifest,
-                start,
-                resolution: res,
-            }),
+            manifest,
+            start,
+            resolution,
             index_bytes,
         })
     }
 
-    /// The parsed manifest of a legacy single-manifest dataset; `None`
-    /// for a sharded store (whose metadata lives in
-    /// [`Dataset::root`] and the layout-independent accessors).
-    pub fn manifest(&self) -> Option<&Manifest> {
-        match &self.layout {
-            Layout::Legacy(l) => Some(&l.manifest),
-            Layout::Sharded { .. } => None,
-        }
-    }
-
-    /// The root index of a sharded store; `None` for a legacy dataset.
-    pub fn root(&self) -> Option<&crate::sharded::RootIndex> {
-        match &self.layout {
-            Layout::Legacy(_) => None,
-            Layout::Sharded { root, .. } => Some(root),
-        }
-    }
-
-    /// `true` when this dataset uses the sharded layout.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.layout, Layout::Sharded { .. })
-    }
-
-    /// Number of shards: 1 for a legacy dataset (the whole directory is
-    /// one implicit shard), the root's shard count for a sharded store.
-    pub fn shard_count(&self) -> usize {
-        match &self.layout {
-            Layout::Legacy(_) => 1,
-            Layout::Sharded { root, .. } => root.shards.len(),
-        }
-    }
-
-    /// The dataset directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Number of consumers (across every shard for a sharded store).
-    pub fn len(&self) -> usize {
-        match &self.layout {
-            Layout::Legacy(l) => l.manifest.consumers.len(),
-            Layout::Sharded { root, .. } => root.len(),
-        }
-    }
-
-    /// `true` if the dataset has no consumers (never true for an opened
-    /// dataset — `open` rejects empty manifests and empty roots).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Dataset name.
-    pub fn name(&self) -> &str {
-        match &self.layout {
-            Layout::Legacy(l) => &l.manifest.name,
-            Layout::Sharded { root, .. } => &root.name,
-        }
-    }
-
-    /// One-line human description.
-    pub fn description(&self) -> &str {
-        match &self.layout {
-            Layout::Legacy(l) => &l.manifest.description,
-            Layout::Sharded { root, .. } => &root.description,
-        }
-    }
-
-    /// The declared start, as stored (`YYYY-MM-DD [HH:MM]`).
-    pub fn start_str(&self) -> &str {
-        match &self.layout {
-            Layout::Legacy(l) => &l.manifest.start,
-            Layout::Sharded { root, .. } => &root.start,
-        }
-    }
-
-    /// The declared start timestamp, parsed.
-    pub fn start_timestamp(&self) -> Result<Timestamp, DatasetError> {
-        match &self.layout {
-            Layout::Legacy(l) => Ok(l.start),
-            Layout::Sharded { root, .. } => root.start_timestamp(),
-        }
-    }
-
-    /// The declared resolution, in minutes.
-    pub fn resolution_min(&self) -> i64 {
-        match &self.layout {
-            Layout::Legacy(l) => l.manifest.resolution_min,
-            Layout::Sharded { root, .. } => root.resolution_min,
-        }
-    }
-
-    /// The declared resolution, parsed.
-    pub fn resolution(&self) -> Result<Resolution, DatasetError> {
-        match &self.layout {
-            Layout::Legacy(l) => Ok(l.resolution),
-            Layout::Sharded { root, .. } => root.resolution(),
-        }
-    }
-
-    /// Interval count of every measured series.
-    pub fn intervals(&self) -> usize {
-        match &self.layout {
-            Layout::Legacy(l) => l.manifest.intervals,
-            Layout::Sharded { root, .. } => root.intervals,
-        }
-    }
-
-    /// How the series files are encoded.
-    pub fn codec(&self) -> SeriesCodec {
-        match &self.layout {
-            Layout::Legacy(l) => l.manifest.codec,
-            Layout::Sharded { root, .. } => root.codec,
-        }
-    }
-
-    /// Name of the scenario this dataset was exported from, if any.
-    pub fn source_scenario(&self) -> Option<&str> {
-        match &self.layout {
-            Layout::Legacy(l) => l.manifest.source_scenario.as_deref(),
-            Layout::Sharded { root, .. } => root.source_scenario.as_deref(),
-        }
-    }
-
-    /// The degradation applied at export time, if any.
-    pub fn degradation(&self) -> Option<&Degradation> {
-        match &self.layout {
-            Layout::Legacy(l) => l.manifest.degradation.as_ref(),
-            Layout::Sharded { root, .. } => root.degradation.as_ref(),
-        }
-    }
-
-    /// The export seed, if exported.
-    pub fn seed(&self) -> Option<u64> {
-        match &self.layout {
-            Layout::Legacy(l) => l.manifest.seed,
-            Layout::Sharded { root, .. } => root.seed,
-        }
-    }
-
-    /// `true` when every consumer carries a ground-truth total series.
-    /// A sharded store answers from the root roll-up without opening
-    /// any shard.
-    pub fn all_have_truth(&self) -> bool {
-        match &self.layout {
-            Layout::Legacy(l) => l.manifest.consumers.iter().all(|c| c.truth_total.is_some()),
-            Layout::Sharded { root, .. } => root.shards.iter().all(|s| s.with_truth == s.consumers),
-        }
-    }
-
-    /// The [`DatasetError::OutOfRange`] for `index` against this
-    /// dataset, naming the valid range and the directory.
-    fn out_of_range(&self, index: usize) -> DatasetError {
-        DatasetError::OutOfRange {
-            index,
-            len: self.len(),
-            dir: self.dir.display().to_string(),
-        }
-    }
-
-    /// The manifest when this is a legacy dataset; a typed internal
-    /// error otherwise (routing always lands consumer access on a
-    /// legacy handle, so hitting this on a sharded one is a bug, but a
-    /// reportable one rather than a panic).
-    fn legacy(&self) -> Result<&Manifest, DatasetError> {
-        self.legacy_layout().map(|l| &l.manifest)
-    }
-
-    /// The legacy layout (manifest plus the grid parsed at open); same
-    /// contract as [`Dataset::legacy`].
-    fn legacy_layout(&self) -> Result<&LegacyLayout, DatasetError> {
-        match &self.layout {
-            Layout::Legacy(l) => Ok(l),
-            Layout::Sharded { .. } => Err(DatasetError::Invalid {
-                file: self.dir.display().to_string(),
-                what: "internal: expected a single-manifest dataset handle".to_string(),
-            }),
-        }
-    }
-
-    /// Crate-internal accessor for shard validation.
-    pub(crate) fn legacy_manifest(&self) -> Result<&Manifest, DatasetError> {
-        self.legacy()
-    }
-
-    /// Open (or fetch the cached handle of) shard `k`. The first open
-    /// reads and validates the shard manifest against the root; the
-    /// outcome — success or error — is cached in the slot.
-    fn shard(&self, k: usize) -> Result<&Dataset, DatasetError> {
-        let Layout::Sharded { root, shards } = &self.layout else {
-            return Err(DatasetError::Invalid {
-                file: self.dir.display().to_string(),
-                what: "internal: shard access on a single-manifest dataset".to_string(),
-            });
-        };
-        let Some((summary, slot)) = root.shards.get(k).zip(shards.get(k)) else {
-            return Err(DatasetError::Invalid {
-                file: self.dir.display().to_string(),
-                what: format!(
-                    "internal: shard index {k} out of range for {} shard(s)",
-                    root.shards.len()
-                ),
-            });
-        };
-        slot.get_or_init(|| crate::sharded::open_shard(&self.dir, root, summary))
-            .as_ref()
-            .map_err(|e| e.clone())
-    }
-
-    /// Route a global consumer index to the dataset handle holding it:
-    /// `(self, idx)` for a legacy dataset, `(shard, local_idx)` for a
-    /// sharded one — found from the root's per-shard counts, opening
-    /// only that shard.
-    fn locate(&self, idx: usize) -> Result<(&Dataset, usize), DatasetError> {
-        match &self.layout {
-            Layout::Legacy(l) => {
-                if idx < l.manifest.consumers.len() {
-                    Ok((self, idx))
-                } else {
-                    Err(self.out_of_range(idx))
-                }
-            }
-            Layout::Sharded { root, .. } => {
-                let mut rel = idx;
-                for (k, summary) in root.shards.iter().enumerate() {
-                    if rel < summary.consumers {
-                        return Ok((self.shard(k)?, rel));
-                    }
-                    rel -= summary.consumers;
-                }
-                Err(self.out_of_range(idx))
-            }
-        }
+    /// The manifest entry at local index `rel`.
+    fn entry(&self, rel: usize) -> Result<&ConsumerEntry, DatasetError> {
+        self.manifest
+            .consumers
+            .get(rel)
+            .ok_or_else(|| DatasetError::OutOfRange {
+                index: rel,
+                len: self.manifest.consumers.len(),
+                dir: self.dir.display().to_string(),
+            })
     }
 
     /// Open `file` as a chunk-addressable [`Frame`]: binary formats
@@ -580,19 +373,49 @@ impl Dataset {
         frame_from_raw(raw, &path.display().to_string())
     }
 
-    /// Materialize a frame, whole or sliced to `range` (a ranged read:
-    /// only the chunks overlapping the slice decode).
-    fn materialize(frame: Frame, range: Option<TimeRange>) -> Result<MeasuredSeries, DatasetError> {
-        match range {
-            // Whole-series read: already-materialized frames (FXM1,
-            // CSV) move their values instead of copying.
-            None => frame.into_measured().map_err(Into::into),
-            Some(r) => Scan::new()
-                .time_slice(r)
-                .materialize(&frame)
-                .map(|(series, _)| series)
-                .map_err(Into::into),
+    /// The grid-validated measured frame at local index `rel` — the
+    /// shared open step behind every consumer-level query path.
+    fn frame(&self, rel: usize) -> Result<Frame, DatasetError> {
+        let entry = self.entry(rel)?;
+        let frame = self.load_frame(&entry.measured)?;
+        self.validate_grid(&frame, &entry.measured)?;
+        Ok(frame)
+    }
+
+    /// Check a frame's header against the manifest's declared grid —
+    /// a constant-time check that decodes nothing.
+    fn validate_grid(&self, frame: &Frame, file: &str) -> Result<(), DatasetError> {
+        let manifest = &self.manifest;
+        let header = frame.header();
+        let file = self.dir.join(file).display().to_string();
+        if header.start != self.start {
+            return Err(DatasetError::Invalid {
+                file,
+                what: format!(
+                    "series starts at {} but the manifest declares {}",
+                    header.start, manifest.start
+                ),
+            });
         }
+        if header.resolution != self.resolution {
+            return Err(DatasetError::Invalid {
+                file,
+                what: format!(
+                    "series resolution is {} but the manifest declares {} min",
+                    header.resolution, manifest.resolution_min
+                ),
+            });
+        }
+        if header.len != manifest.intervals {
+            return Err(DatasetError::Invalid {
+                file,
+                what: format!(
+                    "series has {} intervals but the manifest declares {}",
+                    header.len, manifest.intervals
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// Load a ground-truth file and validate it against the manifest:
@@ -604,14 +427,13 @@ impl Dataset {
     fn load_truth_file(
         &self,
         file: &str,
-        start: Timestamp,
         range: Option<TimeRange>,
     ) -> Result<flextract_series::TimeSeries, DatasetError> {
-        let manifest = self.legacy()?;
+        let manifest = &self.manifest;
         let frame = self.load_frame(file)?;
         let header = *frame.header();
         let display = || self.dir.join(file).display().to_string();
-        if header.start != start {
+        if header.start != self.start {
             return Err(DatasetError::Invalid {
                 file: display(),
                 what: format!(
@@ -631,7 +453,7 @@ impl Dataset {
                 ),
             });
         }
-        let measured = Self::materialize(frame, range)?;
+        let measured = materialize(frame, range)?;
         if measured.is_empty() {
             // Distinguish a non-overlapping range from file corruption:
             // an empty slice is a caller problem, not a gap problem.
@@ -654,88 +476,260 @@ impl Dataset {
         })
     }
 
+    /// Load the consumer at local index `rel`: the measured series
+    /// (validated against the declared grid) plus any ground truth.
+    fn load_consumer(
+        &self,
+        rel: usize,
+        with_truth_total: bool,
+        range: Option<TimeRange>,
+    ) -> Result<DatasetRecord, DatasetError> {
+        let entry = self.entry(rel)?;
+        let measured = materialize(self.frame(rel)?, range)?;
+        let truth_total = if with_truth_total {
+            entry
+                .truth_total
+                .as_ref()
+                .map(|f| self.load_truth_file(f, range))
+                .transpose()?
+        } else {
+            None
+        };
+        let truth_flex = entry
+            .truth_flex
+            .as_ref()
+            .map(|f| self.load_truth_file(f, range))
+            .transpose()?;
+        Ok(DatasetRecord {
+            entry: entry.clone(),
+            measured,
+            truth_total,
+            truth_flex,
+        })
+    }
+}
+
+impl Dataset {
+    /// Open `dir`. A directory carrying `root.json` opens as a sharded
+    /// store (shard manifests load lazily on first access); any other
+    /// directory's `manifest.json` is parsed and validated now and
+    /// opens as a store with one implicit shard — the migration
+    /// contract that keeps pre-sharding directories readable, like
+    /// `SeriesCodec::BinaryV1` files staying loadable by magic.
+    pub fn open(dir: impl AsRef<Path>) -> Result<Dataset, DatasetError> {
+        let dir = dir.as_ref().to_path_buf();
+        let sharded = index_file(&dir).ends_with(ROOT_FILE);
+        let (root, shards, index_bytes) = if sharded {
+            let (root, index_bytes) = crate::sharded::read_root(&dir)?;
+            let shards = root.shards.iter().map(|_| OnceLock::new()).collect();
+            (root, shards, index_bytes)
+        } else {
+            let mut shard = Shard::open(&dir)?;
+            // The store charges the manifest it parsed; the implicit
+            // shard adds nothing on top.
+            let index_bytes = std::mem::take(&mut shard.index_bytes);
+            let root = RootIndex::implicit(&shard.manifest);
+            (root, vec![OnceLock::from(Ok(shard))], index_bytes)
+        };
+        Ok(Dataset {
+            dir,
+            root,
+            sharded,
+            shards,
+            index_bytes,
+        })
+    }
+
+    /// The root index of a sharded store; `None` for a single-manifest
+    /// dataset, whose root is synthesized rather than stored.
+    pub fn root(&self) -> Option<&RootIndex> {
+        self.sharded.then_some(&self.root)
+    }
+
+    /// `true` when this dataset's root index was read from `root.json`.
+    pub fn is_sharded(&self) -> bool {
+        self.sharded
+    }
+
+    /// Number of shards: 1 for a single-manifest dataset (the whole
+    /// directory is one implicit shard), the root's shard count for a
+    /// sharded store.
+    pub fn shard_count(&self) -> usize {
+        self.root.shards.len()
+    }
+
+    /// The dataset directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Number of consumers across every shard.
+    pub fn len(&self) -> usize {
+        self.root.len()
+    }
+
+    /// `true` if the dataset has no consumers (never true for an opened
+    /// dataset — `open` rejects empty manifests and empty roots).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Dataset name.
+    pub fn name(&self) -> &str {
+        &self.root.name
+    }
+
+    /// One-line human description.
+    pub fn description(&self) -> &str {
+        &self.root.description
+    }
+
+    /// The declared start, as stored (`YYYY-MM-DD [HH:MM]`).
+    pub fn start_str(&self) -> &str {
+        &self.root.start
+    }
+
+    /// The declared start timestamp, parsed.
+    pub fn start_timestamp(&self) -> Result<Timestamp, DatasetError> {
+        self.root.start_timestamp()
+    }
+
+    /// The declared resolution, in minutes.
+    pub fn resolution_min(&self) -> i64 {
+        self.root.resolution_min
+    }
+
+    /// The declared resolution, parsed.
+    pub fn resolution(&self) -> Result<Resolution, DatasetError> {
+        self.root.resolution()
+    }
+
+    /// Interval count of every measured series.
+    pub fn intervals(&self) -> usize {
+        self.root.intervals
+    }
+
+    /// How the series files are encoded.
+    pub fn codec(&self) -> SeriesCodec {
+        self.root.codec
+    }
+
+    /// Name of the scenario this dataset was exported from, if any.
+    pub fn source_scenario(&self) -> Option<&str> {
+        self.root.source_scenario.as_deref()
+    }
+
+    /// The degradation applied at export time, if any.
+    pub fn degradation(&self) -> Option<&Degradation> {
+        self.root.degradation.as_ref()
+    }
+
+    /// The export seed, if exported.
+    pub fn seed(&self) -> Option<u64> {
+        self.root.seed
+    }
+
+    /// `true` when every consumer carries a ground-truth total series,
+    /// answered from the root's per-shard counts without opening any
+    /// shard.
+    pub fn all_have_truth(&self) -> bool {
+        self.root.shards.iter().all(|s| s.with_truth == s.consumers)
+    }
+
+    /// The typed error for a shard index the root does not list.
+    fn no_shard(&self, k: usize) -> DatasetError {
+        DatasetError::Invalid {
+            file: self.dir.display().to_string(),
+            what: format!(
+                "internal: shard index {k} out of range for {} shard(s)",
+                self.root.shards.len()
+            ),
+        }
+    }
+
+    /// Open (or fetch the cached handle of) shard `k`. The first open
+    /// reads and validates the shard manifest against the root; the
+    /// outcome — success or error — is cached in the slot.
+    fn shard(&self, k: usize) -> Result<&Shard, DatasetError> {
+        let Some((summary, slot)) = self.root.shards.get(k).zip(self.shards.get(k)) else {
+            return Err(self.no_shard(k));
+        };
+        slot.get_or_init(|| crate::sharded::open_shard(&self.dir, &self.root, summary))
+            .as_ref()
+            .map_err(|e| e.clone())
+    }
+
+    /// Route a global consumer index to the shard holding it and the
+    /// index local to that shard — found from the root's per-shard
+    /// counts, opening only that shard.
+    fn locate(&self, idx: usize) -> Result<(&Shard, usize), DatasetError> {
+        let mut rel = idx;
+        for (k, summary) in self.root.shards.iter().enumerate() {
+            if rel < summary.consumers {
+                return Ok((self.shard(k)?, rel));
+            }
+            rel -= summary.consumers;
+        }
+        Err(DatasetError::OutOfRange {
+            index: idx,
+            len: self.len(),
+            dir: self.dir.display().to_string(),
+        })
+    }
+
     /// Load consumer `idx` (measured series plus any ground truth),
-    /// validating it against the manifest's declared grid. Indices are
-    /// global: a sharded store routes to the holding shard.
+    /// validating it against the manifest's declared grid.
     pub fn consumer(&self, idx: usize) -> Result<DatasetRecord, DatasetError> {
-        let (ds, rel) = self.locate(idx)?;
-        ds.load_consumer(rel, true, None)
+        let (shard, rel) = self.locate(idx)?;
+        shard.load_consumer(rel, true, None)
     }
 
-    /// Like [`Dataset::consumer`], but skip loading the ground-truth
-    /// *total* series (`truth_total` comes back `None` even when the
-    /// manifest names it). `truth_flex` still loads — it is the
-    /// scoring reference. For callers that will not run a fidelity
-    /// comparison, this avoids reading and decoding one file per
-    /// consumer for nothing.
-    pub fn consumer_without_truth_total(&self, idx: usize) -> Result<DatasetRecord, DatasetError> {
-        let (ds, rel) = self.locate(idx)?;
-        ds.load_consumer(rel, false, None)
-    }
-
-    /// Ranged consumer read: like [`Dataset::consumer`] /
-    /// [`Dataset::consumer_without_truth_total`], but every series
-    /// (measured and ground truth) is materialized only over `range` —
-    /// for FXM2 files, chunks outside the range are never decoded.
-    /// The file's declared grid is still validated against the
-    /// manifest in full (a header check, no decode).
+    /// Ranged consumer read: like [`Dataset::consumer`], but every
+    /// series (measured and ground truth) is materialized only over
+    /// `range` — for FXM2/FXM3 files, chunks outside the range are
+    /// never decoded — and the ground-truth *total* loads only when
+    /// `with_truth_total` is set (`truth_flex`, the scoring reference,
+    /// always loads). The file's declared grid is still validated
+    /// against the manifest in full (a header check, no decode).
     pub fn consumer_in(
         &self,
         idx: usize,
         range: TimeRange,
         with_truth_total: bool,
     ) -> Result<DatasetRecord, DatasetError> {
-        let (ds, rel) = self.locate(idx)?;
-        ds.load_consumer(rel, with_truth_total, Some(range))
+        let (shard, rel) = self.locate(idx)?;
+        shard.load_consumer(rel, with_truth_total, Some(range))
     }
 
     /// The grid-validated lazy frame of consumer `idx`'s measured
     /// series — the entry point for scans and pushdown queries.
     pub fn consumer_frame(&self, idx: usize) -> Result<Frame, DatasetError> {
-        let (ds, rel) = self.locate(idx)?;
-        ds.frame_local(rel)
-    }
-
-    /// The grid-validated frame at a **local** (shard-relative) index —
-    /// the shared open step behind every consumer-level query path.
-    fn frame_local(&self, rel: usize) -> Result<Frame, DatasetError> {
-        let entry = self.entry_local(rel)?;
-        let frame = self.load_frame(&entry.measured)?;
-        self.validate_grid(&frame, &entry.measured)?;
-        Ok(frame)
+        let (shard, rel) = self.locate(idx)?;
+        shard.frame(rel)
     }
 
     /// Index bytes a cold open consults to answer a query for consumer
-    /// `idx`: the top-level index (`root.json` or `manifest.json`) plus,
-    /// for a sharded store, the holding shard's own manifest.
+    /// `idx`: the store's index plus the holding shard's own manifest
+    /// (nothing extra for an implicit shard).
     pub fn consumer_index_bytes(&self, idx: usize) -> Result<usize, DatasetError> {
-        let (ds, _) = self.locate(idx)?;
-        Ok(self.index_bytes + if self.is_sharded() { ds.index_bytes } else { 0 })
+        let (shard, _) = self.locate(idx)?;
+        Ok(self.index_bytes + shard.index_bytes)
     }
 
     /// On-disk size of the index this handle parsed at open:
-    /// `root.json` for a sharded store, `manifest.json` for a legacy
-    /// dataset — the fixed routing cost every cold query pays before
-    /// touching a series file, accounted by
+    /// `root.json` for a sharded store, `manifest.json` for a
+    /// single-manifest dataset — the fixed routing cost every cold
+    /// query pays before touching a series file, accounted by
     /// [`ScanReport::bytes_read_index`].
     pub fn index_bytes(&self) -> usize {
         self.index_bytes
     }
 
-    /// Consumer `idx`'s manifest entry. For a sharded store this opens
-    /// (at most) the holding shard.
+    /// Consumer `idx`'s manifest entry. This opens (at most) the
+    /// holding shard.
     pub fn consumer_entry(&self, idx: usize) -> Result<ConsumerEntry, DatasetError> {
-        let (ds, rel) = self.locate(idx)?;
-        ds.entry_local(rel).cloned()
-    }
-
-    /// The local (shard-relative) manifest entry at `idx`.
-    fn entry_local(&self, idx: usize) -> Result<&ConsumerEntry, DatasetError> {
-        let manifest = self.legacy()?;
-        manifest
-            .consumers
-            .get(idx)
-            .ok_or_else(|| self.out_of_range(idx))
+        let (shard, rel) = self.locate(idx)?;
+        shard.entry(rel).cloned()
     }
 
     /// Ranged read of consumer `idx`'s measured series: decode only
@@ -769,25 +763,24 @@ impl Dataset {
     /// allocation instead of allocating per chunk per consumer.
     ///
     /// `bytes_read_index` charges the index bytes this query consulted
-    /// (top-level index + holding shard manifest) — single-consumer
-    /// queries pay the full routing cost; fleet sweeps charge each
-    /// index once instead (see [`Dataset::fleet_aggregates`]).
+    /// (the store's index + the holding shard's manifest) —
+    /// single-consumer queries pay the full routing cost; fleet sweeps
+    /// charge each index once instead (see
+    /// [`Dataset::fleet_aggregates`]).
     pub fn consumer_aggregates_with(
         &self,
         idx: usize,
         scan: &Scan,
         scratch: &mut Vec<f64>,
     ) -> Result<(Aggregates, ScanReport), DatasetError> {
-        let (ds, rel) = self.locate(idx)?;
-        let frame = ds.frame_local(rel)?;
-        let (agg, mut report) = scan.aggregates_with(&frame, scratch)?;
-        report.bytes_read_index =
-            self.index_bytes + if self.is_sharded() { ds.index_bytes } else { 0 };
+        let (shard, rel) = self.locate(idx)?;
+        let (agg, mut report) = scan.aggregates_with(&shard.frame(rel)?, scratch)?;
+        report.bytes_read_index = self.index_bytes + shard.index_bytes;
         Ok((agg, report))
     }
 
-    /// Execute `scan` against every consumer of shard `k`, pruning the
-    /// whole shard from its roll-up when the statistics allow it:
+    /// Execute `scan` against every consumer of shard `k`. A shard
+    /// listed in `root.json` is first checked against its roll-up:
     ///
     /// * any predicate excluded by the roll-up, or a time slice
     ///   disjoint from the shard's coverage ⇒ **pruned** — neither the
@@ -795,60 +788,52 @@ impl Dataset {
     /// * no predicates and the slice covers the whole shard ⇒
     ///   **stats-only** — answered from the roll-up alone (built with
     ///   the same fold association as a full scan, so the answer is
-    ///   bit-identical);
-    /// * otherwise every consumer is scanned and merged in consumer
-    ///   order, reusing `scratch` across decodes.
+    ///   bit-identical).
     ///
-    /// The report counts this shard under `shards_*`; per-chunk
-    /// counters accumulate only when files actually open. Legacy
-    /// datasets have no shards — use [`Dataset::fleet_aggregates`].
+    /// Otherwise — and always for the implicit shard of a
+    /// single-manifest dataset, whose synthesized summary has no
+    /// roll-up — every consumer is scanned and merged in consumer
+    /// order, reusing `scratch` across decodes.
+    ///
+    /// The report counts this shard under `shards_*` and charges the
+    /// shard manifest when it was opened (the caller adds the store's
+    /// index); per-chunk counters accumulate only when files open.
     pub fn shard_aggregates(
         &self,
         k: usize,
         scan: &Scan,
         scratch: &mut Vec<f64>,
     ) -> Result<(Aggregates, ScanReport), DatasetError> {
-        let Layout::Sharded { root, .. } = &self.layout else {
-            return Err(DatasetError::Invalid {
-                file: self.dir.display().to_string(),
-                what: "internal: shard_aggregates on a single-manifest dataset".to_string(),
-            });
-        };
-        let Some(summary) = root.shards.get(k) else {
-            return Err(DatasetError::Invalid {
-                file: self.dir.display().to_string(),
-                what: format!(
-                    "internal: shard index {k} out of range for {} shard(s)",
-                    root.shards.len()
-                ),
-            });
+        let Some(summary) = self.root.shards.get(k) else {
+            return Err(self.no_shard(k));
         };
         let mut report = ScanReport {
             shards_total: 1,
             ..ScanReport::default()
         };
-        let coverage = summary.coverage(root.resolution()?)?;
-        let disjoint = scan.slice().is_some_and(|s| !s.overlaps(coverage));
-        let excluded = scan.predicates().iter().any(|p| summary.excludes(p));
-        if disjoint || excluded {
-            report.shards_pruned = 1;
-            return Ok((Aggregates::default(), report));
-        }
-        let covers_all = scan.slice().is_none_or(|s| s.contains_range(coverage));
-        if scan.predicates().is_empty() && covers_all {
-            let agg = summary.aggregates();
-            report.shards_stats_only = 1;
-            report.intervals_selected = agg.intervals;
-            return Ok((agg, report));
+        if self.sharded {
+            let coverage = summary.coverage(self.root.resolution()?)?;
+            let disjoint = scan.slice().is_some_and(|s| !s.overlaps(coverage));
+            let excluded = scan.predicates().iter().any(|p| summary.excludes(p));
+            if disjoint || excluded {
+                report.shards_pruned = 1;
+                return Ok((Aggregates::default(), report));
+            }
+            let covers_all = scan.slice().is_none_or(|s| s.contains_range(coverage));
+            if scan.predicates().is_empty() && covers_all {
+                let agg = summary.aggregates();
+                report.shards_stats_only = 1;
+                report.intervals_selected = agg.intervals;
+                return Ok((agg, report));
+            }
         }
         let shard = self.shard(k)?;
         // The shard's manifest is consulted once for the whole sweep —
-        // charge it once, not per consumer (the caller adds the root).
+        // charge it once, not per consumer.
         report.bytes_read_index = shard.index_bytes;
         let mut agg = Aggregates::default();
         for rel in 0..summary.consumers {
-            let frame = shard.frame_local(rel)?;
-            let (a, r) = scan.aggregates_with(&frame, scratch)?;
+            let (a, r) = scan.aggregates_with(&shard.frame(rel)?, scratch)?;
             agg.merge(&a);
             report.absorb(&r);
         }
@@ -857,46 +842,21 @@ impl Dataset {
 
     /// Execute `scan` against every consumer in the store, in the
     /// canonical fold order (chunk → consumer → shard → fleet), with
-    /// shard-level pruning for sharded stores. A legacy dataset counts
-    /// as one implicit shard that always opens.
+    /// shard-level pruning where the root carries roll-ups. The
+    /// store's index is charged once for the whole sweep.
     pub fn fleet_aggregates(&self, scan: &Scan) -> Result<(Aggregates, ScanReport), DatasetError> {
         let mut scratch = Vec::new();
-        match &self.layout {
-            Layout::Legacy(l) => {
-                let mut report = ScanReport {
-                    shards_total: 1,
-                    // One manifest parse serves the whole sweep.
-                    bytes_read_index: self.index_bytes,
-                    ..ScanReport::default()
-                };
-                let mut sub = Aggregates::default();
-                for rel in 0..l.manifest.consumers.len() {
-                    let frame = self.frame_local(rel)?;
-                    let (a, r) = scan.aggregates_with(&frame, &mut scratch)?;
-                    sub.merge(&a);
-                    report.absorb(&r);
-                }
-                let mut agg = Aggregates::default();
-                agg.merge(&sub);
-                Ok((agg, report))
-            }
-            Layout::Sharded { root, .. } => {
-                let mut agg = Aggregates::default();
-                let mut report = ScanReport {
-                    // The root index is parsed once for the whole
-                    // fleet; opened shard manifests accumulate from
-                    // the per-shard reports.
-                    bytes_read_index: self.index_bytes,
-                    ..ScanReport::default()
-                };
-                for k in 0..root.shards.len() {
-                    let (a, r) = self.shard_aggregates(k, scan, &mut scratch)?;
-                    agg.merge(&a);
-                    report.absorb(&r);
-                }
-                Ok((agg, report))
-            }
+        let mut agg = Aggregates::default();
+        let mut report = ScanReport {
+            bytes_read_index: self.index_bytes,
+            ..ScanReport::default()
+        };
+        for k in 0..self.root.shards.len() {
+            let (a, r) = self.shard_aggregates(k, scan, &mut scratch)?;
+            agg.merge(&a);
+            report.absorb(&r);
         }
+        Ok((agg, report))
     }
 
     /// Consumer `idx`'s manifest entry plus the raw bytes of every file
@@ -906,94 +866,17 @@ impl Dataset {
         &self,
         idx: usize,
     ) -> Result<(ConsumerEntry, Vec<RawFile>), DatasetError> {
-        let (ds, rel) = self.locate(idx)?;
-        let entry = ds.entry_local(rel)?.clone();
+        let (shard, rel) = self.locate(idx)?;
+        let entry = shard.entry(rel)?.clone();
         let mut files = Vec::new();
         for file in [Some(&entry.measured), entry.truth_total.as_ref()]
             .into_iter()
             .flatten()
             .chain(entry.truth_flex.as_ref())
         {
-            files.push((file.clone(), read_file(&ds.dir.join(file))?));
+            files.push((file.clone(), read_file(&shard.dir.join(file))?));
         }
         Ok((entry, files))
-    }
-
-    /// Check a frame's header against the manifest's declared grid —
-    /// a constant-time check that decodes nothing.
-    fn validate_grid(&self, frame: &Frame, file: &str) -> Result<(), DatasetError> {
-        // The grid was parsed once at open — per-consumer validation
-        // compares against the parsed form instead of re-parsing the
-        // manifest's strings on every file touched.
-        let layout = self.legacy_layout()?;
-        let manifest = &layout.manifest;
-        let header = frame.header();
-        let file = self.dir.join(file).display().to_string();
-        let start = layout.start;
-        let res = layout.resolution;
-        if header.start != start {
-            return Err(DatasetError::Invalid {
-                file,
-                what: format!(
-                    "series starts at {} but the manifest declares {}",
-                    header.start, manifest.start
-                ),
-            });
-        }
-        if header.resolution != res {
-            return Err(DatasetError::Invalid {
-                file,
-                what: format!(
-                    "series resolution is {} but the manifest declares {} min",
-                    header.resolution, manifest.resolution_min
-                ),
-            });
-        }
-        if header.len != manifest.intervals {
-            return Err(DatasetError::Invalid {
-                file,
-                what: format!(
-                    "series has {} intervals but the manifest declares {}",
-                    header.len, manifest.intervals
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Local (shard-relative) consumer load; public callers route
-    /// through [`Dataset::locate`] first.
-    fn load_consumer(
-        &self,
-        idx: usize,
-        with_truth_total: bool,
-        range: Option<TimeRange>,
-    ) -> Result<DatasetRecord, DatasetError> {
-        let entry = self.entry_local(idx)?;
-        let frame = self.load_frame(&entry.measured)?;
-        self.validate_grid(&frame, &entry.measured)?;
-        let measured = Self::materialize(frame, range)?;
-        let start = self.legacy_layout()?.start;
-        let truth_total = if with_truth_total {
-            entry
-                .truth_total
-                .as_ref()
-                .map(|f| self.load_truth_file(f, start, range))
-                .transpose()?
-        } else {
-            None
-        };
-        let truth_flex = entry
-            .truth_flex
-            .as_ref()
-            .map(|f| self.load_truth_file(f, start, range))
-            .transpose()?;
-        Ok(DatasetRecord {
-            entry: entry.clone(),
-            measured,
-            truth_total,
-            truth_flex,
-        })
     }
 }
 
@@ -1202,7 +1085,7 @@ impl DatasetWriter {
         // A single-manifest export over a previously sharded directory
         // must remove the stale root index (layout sniffing prefers
         // `root.json`) and the shard directories it referenced.
-        let stale_root = self.dir.join(crate::sharded::ROOT_FILE);
+        let stale_root = self.dir.join(ROOT_FILE);
         if stale_root.is_file() {
             std::fs::remove_file(&stale_root).map_err(|e| DatasetError::Io {
                 path: stale_root.display().to_string(),
@@ -1589,7 +1472,6 @@ mod tests {
         let raw = std::fs::read(dir.join("consumer_0.fxm")).unwrap();
         assert_eq!(codec::sniff(&raw), Some(codec::FxmVersion::V1));
         let ds = Dataset::open(&dir).unwrap();
-        assert_eq!(ds.manifest().unwrap().codec, SeriesCodec::BinaryV1);
         assert_eq!(ds.codec(), SeriesCodec::BinaryV1);
         assert!(!ds.is_sharded());
         let rec = ds.consumer(0).unwrap();

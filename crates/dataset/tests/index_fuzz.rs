@@ -1,9 +1,9 @@
 //! Corrupt-index fuzz over the committed datasets.
 //!
 //! Every truncation and every single-byte flip (XOR 0xFF) of a dataset
-//! index — a legacy `manifest.json`, a sharded `root.json`, a shard's
-//! own `manifest.json` — must open and load every consumer to `Ok` or a
-//! typed [`DatasetError`], never a panic. A [`DatasetError::Manifest`]
+//! index — a single-manifest dataset's `manifest.json`, a sharded
+//! `root.json`, a shard's own `manifest.json` — must open and load
+//! every consumer to `Ok` or a typed [`DatasetError`], never a panic. A [`DatasetError::Manifest`]
 //! must name the file that was corrupted, so an operator knows which
 //! index to restore.
 
@@ -80,7 +80,7 @@ fn fuzz_index(name: &str, index: &str) {
 }
 
 #[test]
-fn legacy_manifest_mutations_never_panic() {
+fn single_manifest_mutations_never_panic() {
     fuzz_index("ds_household_1min", "manifest.json");
 }
 

@@ -117,8 +117,8 @@ pub struct ScanReport {
     pub chunks_decoded: usize,
     /// Intervals that contributed to the result.
     pub intervals_selected: usize,
-    /// Shards in the store (0 for single-frame scans; 1 for a legacy
-    /// single-manifest dataset).
+    /// Shards in the store (0 for single-frame scans; 1 for a
+    /// single-manifest dataset, which is one implicit shard).
     pub shards_total: usize,
     /// Shards excluded by their roll-up statistics or time coverage —
     /// neither their manifest nor any series file was opened.
@@ -136,9 +136,10 @@ pub struct ScanReport {
     /// at open, so this stays 0 for them — `bytes_read` carries their
     /// cost. A stats-only answer leaves this at 0 on every format.
     pub bytes_decoded: usize,
-    /// Index bytes consulted to route this scan: `root.json` plus the
-    /// opened shard manifests for a sharded store, `manifest.json` for
-    /// a legacy dataset, 0 for single-frame scans. Filled by the
+    /// Index bytes consulted to route this scan: the store's index
+    /// (`root.json`, or a single-manifest dataset's `manifest.json`)
+    /// plus any shard manifests opened on top of it, 0 for
+    /// single-frame scans. Filled by the
     /// dataset layer — frame-level executions don't know about
     /// manifests.
     pub bytes_read_index: usize,

@@ -687,8 +687,11 @@ fn cmd_dataset_inspect(flags: &Flags) -> Result<(), String> {
         println!("  (roll-ups only — no shard was opened; use --consumer N for one series)");
         return Ok(());
     }
-    let m = ds.manifest().ok_or("unreachable: legacy layout")?;
-    if matches!(m.codec, SeriesCodec::Binary | SeriesCodec::BinaryV3) {
+    let entries = (0..ds.len())
+        .map(|i| ds.consumer_entry(i))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    if matches!(ds.codec(), SeriesCodec::Binary | SeriesCodec::BinaryV3) {
         // FXM2/FXM3: per-consumer stats are *streamed*, one consumer
         // at a time, straight from the chunk statistics headers — no
         // payload ever decodes and nothing is materialized. Each line
@@ -697,7 +700,7 @@ fn cmd_dataset_inspect(flags: &Flags) -> Result<(), String> {
         // magic whatever the manifest declares).
         let mut stat_only_chunks = 0usize;
         let mut total_chunks = 0usize;
-        for (i, c) in m.consumers.iter().enumerate() {
+        for (i, c) in entries.iter().enumerate() {
             let (agg, report) = ds
                 .consumer_aggregates(i, &Scan::new())
                 .map_err(|e| e.to_string())?;
@@ -725,7 +728,7 @@ fn cmd_dataset_inspect(flags: &Flags) -> Result<(), String> {
         // Stat-less codecs would need a full decode per consumer just
         // to print a summary line; answer from the manifest instead
         // and leave per-interval statistics to `flextract query`.
-        for (i, c) in m.consumers.iter().enumerate() {
+        for (i, c) in entries.iter().enumerate() {
             println!(
                 "  [{i}] {} ({:?}): {} gap(s){}",
                 c.id,
@@ -737,7 +740,7 @@ fn cmd_dataset_inspect(flags: &Flags) -> Result<(), String> {
         println!(
             "  (per-interval statistics need the fxm3 or fxm2 codec; this {} dataset is \
              summarised from the manifest — use `flextract query` to scan it)",
-            m.codec.label()
+            ds.codec().label()
         );
     }
     Ok(())

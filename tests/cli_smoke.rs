@@ -1260,3 +1260,49 @@ fn analyze_internal_errors_exit_2_naming_the_path() {
     assert!(stderr.contains("broken.toml"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `dataset inspect` and `query --agg stats --json` over committed
+/// single-manifest (FXM3 and CSV) and sharded datasets print exactly
+/// the stdout pinned under `tests/golden/cli/`. Both commands read the
+/// store through every layer — index parse, routing, shard roll-ups,
+/// chunk statistics, index-byte accounting — so a refactor of the
+/// store must leave these bytes unchanged. `UPDATE_GOLDEN=1` rewrites
+/// the pins after an intentional output change.
+#[test]
+fn committed_dataset_inspect_and_query_stdout_is_pinned() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let golden_dir = root.join("tests").join("golden").join("cli");
+    let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
+    for name in ["ds_household_1min", "ds_gap_heavy", "ds_sharded_fleet"] {
+        let dataset = root.join("datasets").join(name);
+        let dataset = dataset.to_str().unwrap();
+        for (tag, args) in [
+            ("inspect", vec!["dataset", "inspect", "--dataset", dataset]),
+            (
+                "query_stats",
+                vec!["query", "--dataset", dataset, "--agg", "stats", "--json"],
+            ),
+        ] {
+            let out = flextract(&args);
+            assert!(
+                out.status.success(),
+                "{name} {tag}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let pin = golden_dir.join(format!("{name}.{tag}.txt"));
+            if update {
+                std::fs::create_dir_all(&golden_dir).expect("golden dir is creatable");
+                std::fs::write(&pin, &out.stdout).expect("pin is writable");
+                continue;
+            }
+            let expected =
+                std::fs::read_to_string(&pin).unwrap_or_else(|e| panic!("{}: {e}", pin.display()));
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                expected,
+                "{name} {tag}: stdout drifted from {}",
+                pin.display()
+            );
+        }
+    }
+}
