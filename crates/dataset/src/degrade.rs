@@ -25,6 +25,7 @@
 
 use crate::{DatasetError, MeasuredSeries};
 use flextract_series::{resample, TimeSeries};
+use flextract_sim::randomness::standard_normal;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -212,15 +213,6 @@ impl Degradation {
         }
         MeasuredSeries::new(coarse.start(), coarse.resolution(), values).map_err(Into::into)
     }
-}
-
-/// A standard-normal draw via the Box–Muller transform (the vendored
-/// `rand` has no `rand_distr`; this mirrors `flextract_sim::randomness`
-/// without pulling the simulator into the dataset layer).
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// A geometric run length with the given mean, capped at `max`.

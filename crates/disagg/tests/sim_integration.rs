@@ -30,43 +30,57 @@ fn matched_truth(
         .count()
 }
 
+/// Households scored per pooled claim: a contiguous block of seeds
+/// starting at the claim's original seed, so no seed is picked.
+const SEED_BLOCK: u64 = 16;
+
 #[test]
 fn detects_majority_of_big_flexible_loads() {
-    let cfg = HouseholdConfig::new(5, HouseholdArchetype::FamilyWithChildren).with_seed(2013);
-    let sim = simulate_household(&cfg, fortnight());
+    // Per-household recall swings with the draw (0.33–0.75 over this
+    // block), so the claim is pooled over SEED_BLOCK households.
     let catalog = Catalog::extended();
     let specs: Vec<&ApplianceSpec> = catalog.shiftable();
-    let (detections, residual) = detect_activations(&sim.series, &specs, &MatchConfig::default());
-
     // Focus on the big, well-separated loads: washer, dryer, dishwasher.
     let big_names = [
         "Washing Machine from Manufacturer Y",
         "Dishwasher from Manufacturer Z",
         "Tumble Dryer",
     ];
-    let truths: Vec<_> = sim
-        .activations
-        .iter()
-        .filter(|a| big_names.contains(&a.appliance.as_str()))
-        .cloned()
-        .collect();
-    assert!(
-        !truths.is_empty(),
-        "the family must have run big appliances"
-    );
-    let hits = matched_truth(&truths, &detections);
-    let recall = hits as f64 / truths.len() as f64;
+    let (mut hits, mut truths, mut table) = (0, 0, String::new());
+    for seed in 2013..2013 + SEED_BLOCK {
+        let cfg = HouseholdConfig::new(5, HouseholdArchetype::FamilyWithChildren).with_seed(seed);
+        let sim = simulate_household(&cfg, fortnight());
+        let (detections, residual) =
+            detect_activations(&sim.series, &specs, &MatchConfig::default());
+        let big: Vec<_> = sim
+            .activations
+            .iter()
+            .filter(|a| big_names.contains(&a.appliance.as_str()))
+            .cloned()
+            .collect();
+        assert!(
+            !big.is_empty(),
+            "seed {seed}: the family must have run big appliances"
+        );
+        let matched = matched_truth(&big, &detections);
+        table += &format!("seed {seed}: {matched}/{} truths matched\n", big.len());
+        hits += matched;
+        truths += big.len();
+
+        // Residual energy must be less than the original (we explained
+        // some load) but non-negative.
+        assert!(
+            residual.total_energy() < sim.series.total_energy(),
+            "seed {seed}"
+        );
+        assert!(residual.values().iter().all(|&v| v >= 0.0), "seed {seed}");
+    }
+    let recall = hits as f64 / truths as f64;
+    println!("{table}pooled recall {recall:.3} ({hits}/{truths})");
     assert!(
         recall >= 0.5,
-        "recall {recall:.2} over {} truths, {} detections",
-        truths.len(),
-        detections.len()
+        "pooled recall {recall:.3} ({hits}/{truths}):\n{table}"
     );
-
-    // Residual energy must be less than the original (we explained some
-    // load) but non-negative.
-    assert!(residual.total_energy() < sim.series.total_energy());
-    assert!(residual.values().iter().all(|&v| v >= 0.0));
 }
 
 #[test]
@@ -150,26 +164,36 @@ fn schedule_mining_finds_preferred_windows() {
 #[test]
 fn disaggregation_quality_collapses_at_15min() {
     // The paper's closing claim: appliance-level extraction needs finer
-    // than 15-min data. Score the same household at both resolutions.
-    let cfg = HouseholdConfig::new(8, HouseholdArchetype::FamilyWithChildren).with_seed(314);
-    let sim = simulate_household(&cfg, fortnight());
+    // than 15-min data. Score the same households at both resolutions,
+    // pooled over SEED_BLOCK of them: a single household can go either
+    // way by chance.
     let catalog = Catalog::extended();
     let specs: Vec<&ApplianceSpec> = catalog.shiftable();
+    let (mut hits1, mut hits15, mut table) = (0, 0, String::new());
+    for seed in 314..314 + SEED_BLOCK {
+        let cfg = HouseholdConfig::new(8, HouseholdArchetype::FamilyWithChildren).with_seed(seed);
+        let sim = simulate_household(&cfg, fortnight());
+        let (d1, _) = detect_activations(&sim.series, &specs, &MatchConfig::default());
+        let coarse = sim.series_at(flextract_time::Resolution::MIN_15);
+        let (d15, _) = detect_activations(&coarse, &specs, &MatchConfig::default());
 
-    let (d1, _) = detect_activations(&sim.series, &specs, &MatchConfig::default());
-    let coarse = sim.series_at(flextract_time::Resolution::MIN_15);
-    let (d15, _) = detect_activations(&coarse, &specs, &MatchConfig::default());
-
-    let truths: Vec<_> = sim
-        .activations
-        .iter()
-        .filter(|a| a.shiftable)
-        .cloned()
-        .collect();
-    let hits1 = matched_truth(&truths, &d1);
-    let hits15 = matched_truth(&truths, &d15);
+        let truths: Vec<_> = sim
+            .activations
+            .iter()
+            .filter(|a| a.shiftable)
+            .cloned()
+            .collect();
+        let (m1, m15) = (matched_truth(&truths, &d1), matched_truth(&truths, &d15));
+        table += &format!(
+            "seed {seed}: {m1} at 1 min, {m15} at 15 min of {}\n",
+            truths.len()
+        );
+        hits1 += m1;
+        hits15 += m15;
+    }
+    println!("{table}pooled: {hits1} at 1 min, {hits15} at 15 min");
     assert!(
         hits1 >= hits15,
-        "1-min should match at least as many truths ({hits1} vs {hits15})"
+        "1-min should match at least as many truths ({hits1} vs {hits15}):\n{table}"
     );
 }

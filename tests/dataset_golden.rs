@@ -6,8 +6,13 @@
 //! degradation, the seed and the codec, so `export_dataset` can re-run
 //! the export and every file must come back byte-identical. Run with
 //! `UPDATE_GOLDEN=1` to regenerate the committed datasets in place
-//! after an intentional simulator or exporter change (then regenerate
-//! the scenario goldens too — dataset bytes feed the reports).
+//! after an intentional simulator or exporter change. Dataset bytes feed
+//! two other pins, so regenerate them afterwards, in this order: the
+//! scenario goldens (`UPDATE_GOLDEN=1 cargo test --test
+//! scenario_golden`, the `ds_*` reports) and then the CLI pins under
+//! `tests/golden/cli/` (`UPDATE_GOLDEN=1 cargo test --test cli_smoke`,
+//! the `dataset inspect` / `query --agg stats` stdout). README §
+//! "Re-baselining after a simulator change" has the whole procedure.
 
 use flextract::dataset::{Dataset, MANIFEST_FILE, ROOT_FILE};
 use flextract::scenario::{export_dataset, load_file, ExportOptions};
