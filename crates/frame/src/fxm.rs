@@ -67,6 +67,19 @@
 //! statistics header is byte-identical to `FXM2`, a stats-only scan
 //! decodes exactly as many payload bytes on `FXM3` as on `FXM2`: zero.
 //!
+//! ## Decoding `FXM3`
+//!
+//! The decoder works by bit position over the stream. It loads one
+//! big-endian 16-byte window per value, which holds at least 121 bits:
+//! enough for a 14-bit control + window header and a 64-bit payload.
+//! Only loads within 16 bytes of the stream's end read from a
+//! zero-padded copy of its tail. A run of `0` (repeat) controls is one
+//! leading-zero count and one fill. Observed values decode contiguously;
+//! gaps are then spread in back to front, only in chunks that have any.
+//! Every corruption check names the chunk's byte offset, and a
+//! differential test holds the decoder to the previous bit-reader
+//! decoder on every truncation and byte flip of a corpus of streams.
+//!
 //! All formats carry gaps explicitly (every `NaN` is normalised to one
 //! canonical bit pattern on encode, so encoding is a pure function of
 //! the series) and round-trip bit-exactly.
@@ -987,144 +1000,16 @@ fn parse_v3_chunks(
     Ok(metas)
 }
 
-/// MSB-first bit cursor over a compressed stream, buffered through a
-/// 64-bit accumulator so the per-value hot path is shifts, not a
-/// byte-masking loop (this decoder sits under every time-sliced FXM3
-/// query — see the `query/*/fxm3` bench rows). Every refill is
-/// bounds-checked; `None` means the stream ended early, which callers
-/// surface as a typed codec error.
-struct BitReader<'a> {
-    buf: &'a [u8],
-    /// Next byte to refill the accumulator from.
-    next: usize,
-    /// MSB-aligned accumulator: the top `have` bits are valid.
-    acc: u64,
-    /// Valid bit count in `acc`.
-    have: u32,
-    /// Total bits consumed (drives the padding check).
-    used: usize,
-}
-
-impl<'a> BitReader<'a> {
-    fn new(buf: &'a [u8]) -> BitReader<'a> {
-        BitReader {
-            buf,
-            next: 0,
-            acc: 0,
-            have: 0,
-            used: 0,
-        }
-    }
-
-    /// Read `n` bits (`1 <= n <= 64`), MSB-first, as the low bits of a
-    /// u64.
-    fn read_bits(&mut self, n: u32) -> Option<u64> {
-        if n > 57 {
-            // Two halves keep `read_small`'s refill shifts in range.
-            let hi = self.read_small(n - 32)?;
-            let lo = self.read_small(32)?;
-            return Some((hi << 32) | lo);
-        }
-        self.read_small(n)
-    }
-
-    /// Read `n <= 57` bits out of the accumulator, refilling in bulk
-    /// where 8 source bytes remain and a byte at a time near the end
-    /// of the stream. A bulk refill tops `have` up to at least 56, so
-    /// the byte loop only runs near the stream's tail, where
-    /// `have < n <= 57` keeps its `56 - have` shift in range.
-    #[inline]
-    fn read_small(&mut self, n: u32) -> Option<u64> {
-        if self.have < n {
-            self.refill_bulk();
-            while self.have < n {
-                let byte = *self.buf.get(self.next)?;
-                self.next += 1;
-                self.acc |= u64::from(byte) << (56 - self.have);
-                self.have += 8;
-            }
-        }
-        let out = self.acc >> (64 - n);
-        self.acc <<= n;
-        self.have -= n;
-        self.used += n as usize;
-        Some(out)
-    }
-
-    /// Buffer as many stream bits as fit (at least 57 unless the
-    /// stream itself ends sooner), so callers can branch on `peek` /
-    /// `consume` without per-read refill checks. Afterwards either
-    /// `have >= 57` or every remaining stream byte is in `acc`.
-    #[inline]
-    fn ensure(&mut self) {
-        if self.have < 57 {
-            self.refill_bulk();
-            while self.have <= 56 {
-                let Some(&byte) = self.buf.get(self.next) else {
-                    break;
-                };
-                self.next += 1;
-                self.acc |= u64::from(byte) << (56 - self.have);
-                self.have += 8;
-            }
-        }
-    }
-
-    /// The top `n` buffered bits (callers check `have >= n` first).
-    #[inline]
-    fn peek(&self, n: u32) -> u64 {
-        self.acc >> (64 - n)
-    }
-
-    /// Drop `n` buffered bits (callers check `have >= n` first;
-    /// `n < 64`).
-    #[inline]
-    fn consume(&mut self, n: u32) {
-        self.acc <<= n;
-        self.have -= n;
-        self.used += n as usize;
-    }
-
-    /// Top up the accumulator from one 8-byte load, committing only
-    /// the whole bytes that fit. Bits of `acc` below the committed
-    /// `have` region receive a *prefix of not-yet-committed stream
-    /// bytes*; the next refill ORs those same bytes again
-    /// (idempotent), and `peek`/`consume` only ever look at the top
-    /// `have` bits, so no masking is needed. A no-op when fewer than
-    /// 8 bytes remain (the caller's byte loop finishes up, restoring
-    /// the zero-low-bits invariant it relies on). Called with
-    /// `have <= 56`.
-    #[inline]
-    fn refill_bulk(&mut self) {
-        let Some(&chunk) = self.buf.get(self.next..).and_then(|s| s.first_chunk::<8>()) else {
-            return;
-        };
-        self.acc |= u64::from_be_bytes(chunk) >> self.have;
-        let bytes = (63 - self.have) / 8;
-        self.next += bytes as usize;
-        self.have += bytes * 8;
-    }
-
-    /// Bits left over in the final partial byte, which must be zero
-    /// padding: `false` means a non-zero pad bit (corruption).
-    fn padding_is_zero(&self) -> bool {
-        let pad = self.buf.len() * 8 - self.used;
-        if pad == 0 {
-            return true;
-        }
-        match self.buf.last() {
-            Some(last) => pad < 8 && last & ((1u8 << pad) - 1) == 0,
-            None => false,
-        }
-    }
-}
-
 /// Decode one `FXM3` chunk payload (gap bitmap + compressed stream)
 /// into `out` (cleared first). Accounting is exact: the stream must
 /// end on the final value with only zero padding bits left, the bitmap
 /// must agree with the recorded gap count, and decoded values must be
 /// finite non-NaN — anything else is a typed error naming the chunk's
 /// byte offset.
+///
+/// The observed values decode contiguously (see [`decode_xor_stream`]);
+/// gaps are spread in afterwards, back to front, and only when the
+/// chunk has any.
 fn read_v3_payload(
     buf: &[u8],
     meta: &ChunkMeta,
@@ -1138,7 +1023,6 @@ fn read_v3_payload(
         )
     };
     out.clear();
-    out.reserve(meta.len);
     let bitmap_len = meta.len.div_ceil(8);
     let bitmap_at = meta.offset + V2_CHUNK_HEADER_LEN;
     let stream_at = bitmap_at + bitmap_len;
@@ -1167,128 +1051,201 @@ fn read_v3_payload(
             return Err(chunk_err("gap bitmap sets bits past the chunk length"));
         }
     }
-    let mut r = BitReader::new(stream);
-    // Current reuse window; `w_ml == 0` means none defined yet (a
-    // real window always has `meaningful >= 1`).
-    let mut w_lead = 0u32;
-    let mut w_ml = 0u32;
+    let observed = meta.len - gaps;
+    out.reserve(meta.len.max(observed + RUN_SLACK));
+    out.resize(observed + RUN_SLACK, 0.0);
+    let decoded = decode_xor_stream(stream, out, observed);
+    out.truncate(observed);
+    decoded.map_err(chunk_err)?;
+    if gaps > 0 {
+        // Back to front, observed value `src` moves to its slot `i >=
+        // src`; once every gap is placed the prefix is already final.
+        out.resize(meta.len, f64::from_bits(GAP_BITS));
+        let mut src = observed;
+        for i in (0..meta.len).rev() {
+            if src == i + 1 {
+                break;
+            }
+            let v = if bitmap.get(i / 8).is_some_and(|b| b >> (i % 8) & 1 == 1) {
+                f64::from_bits(GAP_BITS)
+            } else {
+                src -= 1;
+                out.get(src).copied().unwrap_or(f64::from_bits(GAP_BITS))
+            };
+            if let Some(slot) = out.get_mut(i) {
+                *slot = v;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Slots past the observed values that [`decode_xor_stream`] may write
+/// to: the first copies of a repeat run are stored unconditionally.
+const RUN_SLACK: usize = 4;
+
+/// Decode an `FXM3` XOR stream of `observed` values into the front of
+/// `dst` (`observed + RUN_SLACK` slots), checking that the stream ends
+/// on the final value with only zero padding bits left (see the module
+/// docs, "Decoding `FXM3`"). The error is the reason; the caller names
+/// the chunk.
+fn decode_xor_stream(stream: &[u8], dst: &mut [f64], observed: usize) -> Result<(), &'static str> {
+    const ENDS_INSIDE_VALUE: &str = "compressed stream ends inside a value";
+    let bits = stream.len() * 8;
+    let tail_at = stream.len().saturating_sub(16);
+    let mut tail = [0u8; 32];
+    for (t, b) in tail
+        .iter_mut()
+        .zip(stream.get(tail_at..).unwrap_or_default())
+    {
+        *t = *b;
+    }
+    // The 128 stream bits from bit `pos < bits` on, MSB-aligned, as
+    // (high, low) words; the low `pos % 8` bits and any bits past the
+    // stream's end are zero.
+    let window = |pos: usize| {
+        let at = pos / 8;
+        let bytes = match stream.get(at..).and_then(<[u8]>::first_chunk::<16>) {
+            Some(b) => *b,
+            None => tail
+                .get(at.saturating_sub(tail_at)..)
+                .and_then(<[u8]>::first_chunk::<16>)
+                .copied()
+                .unwrap_or([0; 16]),
+        };
+        let w = u128::from_be_bytes(bytes) << (pos % 8);
+        ((w >> 64) as u64, w as u64)
+    };
     // An all-ones exponent is ±∞ (zero mantissa) or a NaN outside
     // the gap bitmap — corruption either way, told apart cold.
     const EXP_ALL: u64 = 0x7ff0_0000_0000_0000;
     let non_finite = |bits: u64| {
-        chunk_err(if bits & !(EXP_ALL | (1 << 63)) == 0 {
+        if bits & !(EXP_ALL | (1 << 63)) == 0 {
             "infinite value in chunk payload"
         } else {
             "NaN payload outside the gap bitmap"
-        })
-    };
-    // Prologue: leading gaps, then the first observed value (64 raw
-    // bits) — so the main loop carries `prev` as a plain u64.
-    let gap_at = |i: usize| bitmap.get(i / 8).is_some_and(|b| b >> (i % 8) & 1 == 1);
-    let mut i = 0;
-    while i < meta.len && gap_at(i) {
-        out.push(f64::from_bits(GAP_BITS));
-        i += 1;
-    }
-    let mut p = 0u64;
-    if i < meta.len {
-        p = r
-            .read_bits(64)
-            .ok_or_else(|| chunk_err("compressed stream ends inside a value"))?;
-        if p & EXP_ALL == EXP_ALL {
-            return Err(non_finite(p));
         }
-        out.push(f64::from_bits(p));
-        i += 1;
+    };
+    // The first observed value is 64 raw bits.
+    let mut pos = 0;
+    let mut prev = 0u64;
+    let mut n = 0;
+    if observed > 0 {
+        if bits < 64 {
+            return Err(ENDS_INSIDE_VALUE);
+        }
+        prev = window(0).0;
+        if prev & EXP_ALL == EXP_ALL {
+            return Err(non_finite(prev));
+        }
+        if let Some(d) = dst.first_mut() {
+            *d = f64::from_bits(prev);
+        }
+        (pos, n) = (64, 1);
     }
-    while i < meta.len {
-        // One cached bitmap byte per 8 values keeps the per-value gap
-        // test a register shift.
-        let bm = bitmap.get(i / 8).copied().unwrap_or(0);
-        let hi = (i / 8 * 8 + 8).min(meta.len);
-        let mut bit = (i % 8) as u32;
-        while i < hi {
-            if bm >> bit & 1 == 1 {
-                out.push(f64::from_bits(GAP_BITS));
-                i += 1;
-                bit += 1;
-                continue;
+    // Current reuse window; `w_ml == 0` means none defined yet (a
+    // real window always has `meaningful >= 1`).
+    let mut w_lead = 0u32;
+    let mut w_ml = 0u32;
+    // Above 32 bits per value, values are mostly window reuses in a
+    // row, which a tight loop takes on a predictable branch. Below it,
+    // values alternate with repeat runs, and counting every run from
+    // the window (zero or not) beats a mispredicted branch.
+    let dense = bits >= observed * 32;
+    while n < observed {
+        if pos >= bits {
+            return Err(ENDS_INSIDE_VALUE);
+        }
+        let (mut hi, mut lo) = window(pos);
+        // The run of repeats: one fill per leading zero bit, bounded by
+        // the values still to decode and the stream's end. A run that
+        // leaves fewer than 78 valid bits (control, header, payload) in
+        // the window, or that hits a bound, goes round again.
+        let zeros = if hi != 0 {
+            hi.leading_zeros()
+        } else {
+            64 + lo.leading_zeros()
+        } as usize;
+        let room = (observed - n).min(bits - pos);
+        let v = f64::from_bits(prev);
+        if zeros > 43 || zeros > room {
+            let run = zeros.min(120).min(room);
+            if let Some(d) = dst.get_mut(n..n + run) {
+                d.fill(v);
             }
-            // Branch on buffered bits directly: one `ensure` per
-            // value replaces a refill-checked read per field, and the
-            // payload comes straight out of the accumulator when it
-            // is already buffered.
-            r.ensure();
-            if r.have == 0 {
-                return Err(chunk_err("compressed stream ends inside a value"));
+            (pos, n) = (pos + run, n + run);
+            continue;
+        }
+        if let Some(d) = dst.get_mut(n..n + RUN_SLACK) {
+            d.fill(v);
+        }
+        if zeros > RUN_SLACK {
+            if let Some(d) = dst.get_mut(n + RUN_SLACK..n + zeros) {
+                d.fill(v);
             }
-            if r.peek(1) == 0 {
-                r.consume(1);
-            } else {
-                if r.have < 2 {
-                    return Err(chunk_err("compressed stream ends inside a value"));
-                }
-                let (lead, meaningful);
-                if r.peek(2) & 1 == 0 {
-                    if w_ml == 0 {
-                        return Err(chunk_err(
-                            "compressed stream re-uses a window before defining one",
-                        ));
-                    }
-                    lead = w_lead;
-                    meaningful = w_ml;
-                    r.consume(2);
-                } else {
-                    // Both 6-bit window fields ride the control bits
-                    // in one 14-bit consume: lead in the high half,
-                    // meaningful−1 in the low half (the stream is
-                    // MSB-first).
-                    let lead_ml = if r.have >= 14 {
-                        let f = r.peek(14) & 0xfff;
-                        r.consume(14);
-                        f
-                    } else {
-                        r.consume(2);
-                        r.read_bits(12)
-                            .ok_or_else(|| chunk_err("compressed stream ends inside a window"))?
-                    };
-                    lead = (lead_ml >> 6) as u32;
-                    meaningful = (lead_ml & 0x3f) as u32 + 1;
-                    if lead + meaningful > 64 {
-                        return Err(chunk_err("compressed window overruns 64 bits"));
-                    }
-                    w_lead = lead;
-                    w_ml = meaningful;
-                    r.ensure();
-                }
-                // Fast path: the whole payload is buffered (and
-                // `consume`'s shift stays in range). `ensure` above
-                // keeps this the common case; the fallback only runs
-                // near the stream's tail or for 58–64 meaningful
-                // bits.
-                let payload = if meaningful < 64 && r.have >= meaningful {
-                    let v = r.peek(meaningful);
-                    r.consume(meaningful);
-                    v
-                } else {
-                    r.read_bits(meaningful)
-                        .ok_or_else(|| chunk_err("compressed stream ends inside a value"))?
-                };
-                p ^= payload << (64 - lead - meaningful);
+        }
+        (pos, n) = (pos + zeros, n + zeros);
+        if n == observed {
+            break;
+        }
+        hi = hi << zeros | (lo >> 1) >> (63 - zeros);
+        lo <<= zeros;
+        // A `1` control: `10` re-uses the window, `11` defines a new
+        // one — two 6-bit fields, lead then meaningful−1.
+        if bits - pos < 2 {
+            return Err(ENDS_INSIDE_VALUE);
+        }
+        let mut head = if hi >> 62 & 1 == 0 {
+            if w_ml == 0 {
+                return Err("compressed stream re-uses a window before defining one");
             }
-            if p & EXP_ALL == EXP_ALL {
-                return Err(non_finite(p));
+            2
+        } else {
+            if bits - pos < 14 {
+                return Err("compressed stream ends inside a window");
             }
-            out.push(f64::from_bits(p));
-            i += 1;
-            bit += 1;
+            w_lead = (hi >> 56) as u32 & 0x3f;
+            w_ml = ((hi >> 50) as u32 & 0x3f) + 1;
+            if w_lead + w_ml > 64 {
+                return Err("compressed window overruns 64 bits");
+            }
+            14
+        };
+        loop {
+            pos += head + w_ml as usize;
+            if pos > bits {
+                return Err(ENDS_INSIDE_VALUE);
+            }
+            let payload = (hi << head | lo >> (64 - head)) >> (64 - w_ml);
+            prev ^= payload << (64 - w_lead - w_ml);
+            if prev & EXP_ALL == EXP_ALL {
+                return Err(non_finite(prev));
+            }
+            if let Some(d) = dst.get_mut(n) {
+                *d = f64::from_bits(prev);
+            }
+            n += 1;
+            // A dense stream stays here while the controls are `10`.
+            if !dense || n == observed || bits - pos < 2 {
+                break;
+            }
+            (hi, lo) = window(pos);
+            if hi >> 62 != 0b10 {
+                break;
+            }
+            head = 2;
         }
     }
     // Exact accounting: the stream must hold exactly the bits decoded,
     // rounded up to whole bytes, with zero padding — slack bytes or
     // set padding bits mean the frame lies about its contents.
-    if stream.len() != r.used.div_ceil(8) || !r.padding_is_zero() {
-        return Err(chunk_err("slack bytes after the compressed stream"));
+    let pad = bits - pos;
+    if pad >= 8
+        || stream
+            .last()
+            .is_some_and(|b| b & ((1u16 << pad) - 1) as u8 != 0)
+    {
+        return Err("slack bytes after the compressed stream");
     }
     Ok(())
 }
@@ -1800,5 +1757,520 @@ mod tests {
         let frame = Frame::from_fxm_bytes(Bytes::from(bad), "t.fxm").unwrap();
         let mut scratch = Vec::new();
         assert!(frame.chunk_values(0, &mut scratch).is_err());
+    }
+
+    /// Deterministic xorshift64* draws for the generated corpus buffers.
+    struct Draws(u64);
+
+    impl Draws {
+        fn unit(&mut self) -> f64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The `FXM3` corpus the decoder's corruption tests run over: every
+    /// committed `ds_household_1min` file (consumer, truth and flex
+    /// kinds) plus generated buffers that reach what `sample()` cannot —
+    /// window reuse, 58–64-bit windows, long repeat runs, many chunks,
+    /// bitmap padding, an all-gap chunk, a repeat run ending exactly on
+    /// a chunk boundary and streams shorter than 16 bytes.
+    fn v3_corpus() -> Vec<(String, Vec<u8>)> {
+        let dir = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../datasets/ds_household_1min"
+        );
+        let mut corpus = Vec::new();
+        for kind in ["consumer", "truth", "flex"] {
+            for c in 0..3 {
+                let name = format!("{kind}_{c}.fxm");
+                let raw = std::fs::read(format!("{dir}/{name}")).unwrap();
+                corpus.push((name, raw));
+            }
+        }
+        let mut rng = Draws(0x9e37_79b9_7f4a_7c15);
+        let mut push = |name: &str, values: Vec<f64>, chunk_len: usize| {
+            let m = MeasuredSeries::new(ts("2013-03-18"), Resolution::MIN_1, values).unwrap();
+            let raw = encode_chunked_v3(&m, chunk_len).unwrap().to_vec();
+            corpus.push((name.to_string(), raw));
+        };
+        // Unquantized noise: nearly every XOR needs a 58–64-bit window.
+        let noise = (0..400).map(|_| 0.3 + rng.unit()).collect();
+        push("noise", noise, 45);
+        // 0.001-quantized 1-min readings with ~1 % gaps.
+        let metered = (0..1440)
+            .map(|i| {
+                if rng.unit() < 0.01 {
+                    f64::NAN
+                } else {
+                    let kwh = 0.2 + 0.15 * (i as f64 / 90.0).sin() + 0.05 * rng.unit();
+                    (kwh * 1000.0).round() / 1000.0
+                }
+            })
+            .collect();
+        push("metered", metered, 96);
+        // ~99 % repeats: long runs of one level with rare steps.
+        let mut level = 0.5;
+        let repeats = (0..2000)
+            .map(|_| {
+                if rng.unit() < 0.01 {
+                    level = (rng.unit() * 10.0).round() / 10.0;
+                }
+                level
+            })
+            .collect();
+        push("repeats", repeats, 96);
+        // Chunk 0: one step, then a repeat run ending exactly on the
+        // chunk boundary, in a 14-byte stream. Chunk 1: all gaps.
+        // Chunk 2: a short stream with gaps inside a repeat run.
+        let mut edges = vec![0.25];
+        edges.extend(std::iter::repeat_n(0.5, 31));
+        edges.extend(std::iter::repeat_n(f64::NAN, 32));
+        edges.extend([0.125, 0.125, f64::NAN, 0.125, f64::NAN, 0.375, 0.375]);
+        push("edges", edges, 32);
+        // Repeat runs of 38–64 and 116–124 values at varying bit
+        // offsets, alternating between a narrow XOR window and a
+        // 64-bit-wide new one (a sign flip): runs that leave a window
+        // too few bits for the next value, and runs longer than one
+        // window holds.
+        let mut runs = Vec::new();
+        let mut v = 0.5f64;
+        for _ in 0..8 {
+            for len in (38..=64).chain(116..=124) {
+                let narrow = ((rng.unit() * 1024.0) as u64 | 1) << 20;
+                v = f64::from_bits(v.to_bits() ^ narrow);
+                runs.extend(std::iter::repeat_n(v, len));
+                v = -v.signum() * (0.3 + rng.unit());
+                runs.extend(std::iter::repeat_n(v, len));
+            }
+        }
+        push("runs", runs, 1024);
+        corpus
+    }
+
+    /// The chunk directory of a corpus buffer, checked to decode whole.
+    fn corpus_chunks(name: &str, raw: &[u8]) -> Vec<ChunkMeta> {
+        let (header, version) = decode_header(raw, name).unwrap();
+        assert_eq!(version, FxmVersion::V3, "{name}");
+        decode(raw, name).unwrap();
+        parse_v3_chunks(raw, &header, name).unwrap()
+    }
+
+    #[test]
+    fn v3_corpus_reaches_the_stream_edge_cases() {
+        let (mut all_gap, mut short_stream, mut chunks) = (0, 0, 0);
+        for (name, raw) in v3_corpus() {
+            for meta in corpus_chunks(&name, &raw) {
+                chunks += 1;
+                let stream_len = meta.payload_bytes - meta.len.div_ceil(8);
+                if meta.stats.is_some_and(|s| s.gaps as usize == meta.len) {
+                    all_gap += 1;
+                } else if stream_len < 16 {
+                    short_stream += 1;
+                }
+            }
+        }
+        assert!(all_gap >= 1 && short_stream >= 1 && chunks > 100);
+    }
+
+    #[test]
+    fn v3_corpus_every_strict_truncation_errs() {
+        for (name, raw) in v3_corpus() {
+            for cut in 0..raw.len() {
+                assert!(decode(&raw[..cut], &name).is_err(), "{name} cut to {cut}");
+            }
+            // Cutting a chunk's payload short (bitmap or stream) must
+            // fail that chunk's decode, wherever the cut lands.
+            let mut out = Vec::new();
+            for meta in corpus_chunks(&name, &raw) {
+                for cut in 0..meta.payload_bytes {
+                    let short = ChunkMeta {
+                        payload_bytes: cut,
+                        ..meta
+                    };
+                    assert!(
+                        read_v3_payload(&raw, &short, &name, &mut out).is_err(),
+                        "{name} chunk at {} cut to {cut} payload bytes",
+                        meta.offset
+                    );
+                }
+            }
+        }
+    }
+    /// Decode `meta` with both the decoder and the bit-reader oracle and
+    /// demand the same outcome: the same error, or bit-identical values.
+    fn assert_agrees_with_oracle(raw: &[u8], meta: &ChunkMeta, what: &str) {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let new = read_v3_payload(raw, meta, "t.fxm", &mut got);
+        let old = v3_oracle::read_v3_payload(raw, meta, "t.fxm", &mut want);
+        match (new, old) {
+            (Ok(()), Ok(())) => {
+                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{what}");
+            }
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+            (a, b) => panic!("{what}: decoder {a:?} vs oracle {b:?}"),
+        }
+    }
+
+    #[test]
+    fn v3_decoder_agrees_with_the_bit_reader_oracle_under_corruption() {
+        for (name, raw) in v3_corpus() {
+            for meta in corpus_chunks(&name, &raw) {
+                let at = meta.offset;
+                assert_agrees_with_oracle(&raw, &meta, &format!("{name} chunk at {at}"));
+                // Every truncation of the payload (bitmap or stream).
+                for cut in 0..meta.payload_bytes {
+                    let short = ChunkMeta {
+                        payload_bytes: cut,
+                        ..meta
+                    };
+                    let what = format!("{name} chunk at {at} cut to {cut}");
+                    assert_agrees_with_oracle(&raw, &short, &what);
+                }
+                // Every single-byte flip of the payload, both whole
+                // (`^ 0xFF`) and one bit of it.
+                let payload =
+                    at + V2_CHUNK_HEADER_LEN..at + V2_CHUNK_HEADER_LEN + meta.payload_bytes;
+                for i in payload {
+                    for mask in [0xFF, 1 << (i % 8)] {
+                        let mut bad = raw.clone();
+                        bad[i] ^= mask;
+                        let what = format!("{name} chunk at {at} byte {i} ^ {mask:#04x}");
+                        assert_agrees_with_oracle(&bad, &meta, &what);
+                    }
+                }
+                // A recorded gap count that disagrees with the bitmap.
+                let Some(stats) = meta.stats else { continue };
+                for gaps in [stats.gaps.wrapping_sub(1), stats.gaps + 1] {
+                    let lied = ChunkMeta {
+                        stats: Some(ChunkStats { gaps, ..stats }),
+                        ..meta
+                    };
+                    assert_agrees_with_oracle(
+                        &raw,
+                        &lied,
+                        &format!("{name} chunk at {at} gaps {gaps}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The bit-reader `FXM3` chunk decoder the position-based
+/// [`read_v3_payload`] replaced, kept as the differential oracle for
+/// its corruption tests: on any payload both must agree on success vs
+/// failure, and successful decodes must be bit-identical.
+#[cfg(test)]
+mod v3_oracle {
+    use super::*;
+
+    /// MSB-first bit cursor over a compressed stream, buffered through a
+    /// 64-bit accumulator. Every refill is bounds-checked; `None` means
+    /// the stream ended early, which callers surface as a typed codec
+    /// error.
+    struct BitReader<'a> {
+        buf: &'a [u8],
+        /// Next byte to refill the accumulator from.
+        next: usize,
+        /// MSB-aligned accumulator: the top `have` bits are valid.
+        acc: u64,
+        /// Valid bit count in `acc`.
+        have: u32,
+        /// Total bits consumed (drives the padding check).
+        used: usize,
+    }
+
+    impl<'a> BitReader<'a> {
+        fn new(buf: &'a [u8]) -> BitReader<'a> {
+            BitReader {
+                buf,
+                next: 0,
+                acc: 0,
+                have: 0,
+                used: 0,
+            }
+        }
+
+        /// Read `n` bits (`1 <= n <= 64`), MSB-first, as the low bits of a
+        /// u64.
+        fn read_bits(&mut self, n: u32) -> Option<u64> {
+            if n > 57 {
+                // Two halves keep `read_small`'s refill shifts in range.
+                let hi = self.read_small(n - 32)?;
+                let lo = self.read_small(32)?;
+                return Some((hi << 32) | lo);
+            }
+            self.read_small(n)
+        }
+
+        /// Read `n <= 57` bits out of the accumulator, refilling in bulk
+        /// where 8 source bytes remain and a byte at a time near the end
+        /// of the stream. A bulk refill tops `have` up to at least 56, so
+        /// the byte loop only runs near the stream's tail, where
+        /// `have < n <= 57` keeps its `56 - have` shift in range.
+        #[inline]
+        fn read_small(&mut self, n: u32) -> Option<u64> {
+            if self.have < n {
+                self.refill_bulk();
+                while self.have < n {
+                    let byte = *self.buf.get(self.next)?;
+                    self.next += 1;
+                    self.acc |= u64::from(byte) << (56 - self.have);
+                    self.have += 8;
+                }
+            }
+            let out = self.acc >> (64 - n);
+            self.acc <<= n;
+            self.have -= n;
+            self.used += n as usize;
+            Some(out)
+        }
+
+        /// Buffer as many stream bits as fit (at least 57 unless the
+        /// stream itself ends sooner), so callers can branch on `peek` /
+        /// `consume` without per-read refill checks. Afterwards either
+        /// `have >= 57` or every remaining stream byte is in `acc`.
+        #[inline]
+        fn ensure(&mut self) {
+            if self.have < 57 {
+                self.refill_bulk();
+                while self.have <= 56 {
+                    let Some(&byte) = self.buf.get(self.next) else {
+                        break;
+                    };
+                    self.next += 1;
+                    self.acc |= u64::from(byte) << (56 - self.have);
+                    self.have += 8;
+                }
+            }
+        }
+
+        /// The top `n` buffered bits (callers check `have >= n` first).
+        #[inline]
+        fn peek(&self, n: u32) -> u64 {
+            self.acc >> (64 - n)
+        }
+
+        /// Drop `n` buffered bits (callers check `have >= n` first;
+        /// `n < 64`).
+        #[inline]
+        fn consume(&mut self, n: u32) {
+            self.acc <<= n;
+            self.have -= n;
+            self.used += n as usize;
+        }
+
+        /// Top up the accumulator from one 8-byte load, committing only
+        /// the whole bytes that fit. Bits of `acc` below the committed
+        /// `have` region receive a *prefix of not-yet-committed stream
+        /// bytes*; the next refill ORs those same bytes again
+        /// (idempotent), and `peek`/`consume` only ever look at the top
+        /// `have` bits, so no masking is needed. A no-op when fewer than
+        /// 8 bytes remain (the caller's byte loop finishes up, restoring
+        /// the zero-low-bits invariant it relies on). Called with
+        /// `have <= 56`.
+        #[inline]
+        fn refill_bulk(&mut self) {
+            let Some(&chunk) = self.buf.get(self.next..).and_then(|s| s.first_chunk::<8>()) else {
+                return;
+            };
+            self.acc |= u64::from_be_bytes(chunk) >> self.have;
+            let bytes = (63 - self.have) / 8;
+            self.next += bytes as usize;
+            self.have += bytes * 8;
+        }
+
+        /// Bits left over in the final partial byte, which must be zero
+        /// padding: `false` means a non-zero pad bit (corruption).
+        fn padding_is_zero(&self) -> bool {
+            let pad = self.buf.len() * 8 - self.used;
+            if pad == 0 {
+                return true;
+            }
+            match self.buf.last() {
+                Some(last) => pad < 8 && last & ((1u8 << pad) - 1) == 0,
+                None => false,
+            }
+        }
+    }
+
+    /// Decode one `FXM3` chunk payload (gap bitmap + compressed stream)
+    /// into `out` (cleared first). Accounting is exact: the stream must
+    /// end on the final value with only zero padding bits left, the bitmap
+    /// must agree with the recorded gap count, and decoded values must be
+    /// finite non-NaN — anything else is a typed error naming the chunk's
+    /// byte offset.
+    pub(super) fn read_v3_payload(
+        buf: &[u8],
+        meta: &ChunkMeta,
+        file: &str,
+        out: &mut Vec<f64>,
+    ) -> Result<(), FrameError> {
+        let chunk_err = |what: &str| {
+            codec_err(
+                file,
+                format!("chunk at byte offset {}: {what}", meta.offset),
+            )
+        };
+        out.clear();
+        out.reserve(meta.len);
+        let bitmap_len = meta.len.div_ceil(8);
+        let bitmap_at = meta.offset + V2_CHUNK_HEADER_LEN;
+        let stream_at = bitmap_at + bitmap_len;
+        let stream_end = bitmap_at + meta.payload_bytes;
+        // The extent was validated against the footer at open; a miss here
+        // means the directory itself is inconsistent.
+        let (Some(bitmap), Some(stream)) = (
+            buf.get(bitmap_at..stream_at),
+            buf.get(stream_at..stream_end),
+        ) else {
+            return Err(chunk_err("payload extends past the buffer"));
+        };
+        let gaps: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+        let recorded = meta.stats.map_or(0, |s| s.gaps as usize);
+        if gaps != recorded {
+            return Err(chunk_err(
+                "gap bitmap disagrees with the recorded gap count",
+            ));
+        }
+        // Padding bits past `len` in the final bitmap byte must be zero —
+        // they are not intervals, so any set bit is corruption (and would
+        // otherwise double-count in the popcount above).
+        if !meta.len.is_multiple_of(8) {
+            let last = bitmap.last().copied().unwrap_or(0);
+            if last & !((1u16 << (meta.len % 8)) - 1) as u8 != 0 {
+                return Err(chunk_err("gap bitmap sets bits past the chunk length"));
+            }
+        }
+        let mut r = BitReader::new(stream);
+        // Current reuse window; `w_ml == 0` means none defined yet (a
+        // real window always has `meaningful >= 1`).
+        let mut w_lead = 0u32;
+        let mut w_ml = 0u32;
+        // An all-ones exponent is ±∞ (zero mantissa) or a NaN outside
+        // the gap bitmap — corruption either way, told apart cold.
+        const EXP_ALL: u64 = 0x7ff0_0000_0000_0000;
+        let non_finite = |bits: u64| {
+            chunk_err(if bits & !(EXP_ALL | (1 << 63)) == 0 {
+                "infinite value in chunk payload"
+            } else {
+                "NaN payload outside the gap bitmap"
+            })
+        };
+        // Prologue: leading gaps, then the first observed value (64 raw
+        // bits) — so the main loop carries `prev` as a plain u64.
+        let gap_at = |i: usize| bitmap.get(i / 8).is_some_and(|b| b >> (i % 8) & 1 == 1);
+        let mut i = 0;
+        while i < meta.len && gap_at(i) {
+            out.push(f64::from_bits(GAP_BITS));
+            i += 1;
+        }
+        let mut p = 0u64;
+        if i < meta.len {
+            p = r
+                .read_bits(64)
+                .ok_or_else(|| chunk_err("compressed stream ends inside a value"))?;
+            if p & EXP_ALL == EXP_ALL {
+                return Err(non_finite(p));
+            }
+            out.push(f64::from_bits(p));
+            i += 1;
+        }
+        while i < meta.len {
+            // One cached bitmap byte per 8 values keeps the per-value gap
+            // test a register shift.
+            let bm = bitmap.get(i / 8).copied().unwrap_or(0);
+            let hi = (i / 8 * 8 + 8).min(meta.len);
+            let mut bit = (i % 8) as u32;
+            while i < hi {
+                if bm >> bit & 1 == 1 {
+                    out.push(f64::from_bits(GAP_BITS));
+                    i += 1;
+                    bit += 1;
+                    continue;
+                }
+                // Branch on buffered bits directly: one `ensure` per
+                // value replaces a refill-checked read per field, and the
+                // payload comes straight out of the accumulator when it
+                // is already buffered.
+                r.ensure();
+                if r.have == 0 {
+                    return Err(chunk_err("compressed stream ends inside a value"));
+                }
+                if r.peek(1) == 0 {
+                    r.consume(1);
+                } else {
+                    if r.have < 2 {
+                        return Err(chunk_err("compressed stream ends inside a value"));
+                    }
+                    let (lead, meaningful);
+                    if r.peek(2) & 1 == 0 {
+                        if w_ml == 0 {
+                            return Err(chunk_err(
+                                "compressed stream re-uses a window before defining one",
+                            ));
+                        }
+                        lead = w_lead;
+                        meaningful = w_ml;
+                        r.consume(2);
+                    } else {
+                        // Both 6-bit window fields ride the control bits
+                        // in one 14-bit consume: lead in the high half,
+                        // meaningful−1 in the low half (the stream is
+                        // MSB-first).
+                        let lead_ml = if r.have >= 14 {
+                            let f = r.peek(14) & 0xfff;
+                            r.consume(14);
+                            f
+                        } else {
+                            r.consume(2);
+                            r.read_bits(12).ok_or_else(|| {
+                                chunk_err("compressed stream ends inside a window")
+                            })?
+                        };
+                        lead = (lead_ml >> 6) as u32;
+                        meaningful = (lead_ml & 0x3f) as u32 + 1;
+                        if lead + meaningful > 64 {
+                            return Err(chunk_err("compressed window overruns 64 bits"));
+                        }
+                        w_lead = lead;
+                        w_ml = meaningful;
+                        r.ensure();
+                    }
+                    // Fast path: the whole payload is buffered (and
+                    // `consume`'s shift stays in range). `ensure` above
+                    // keeps this the common case; the fallback only runs
+                    // near the stream's tail or for 58–64 meaningful
+                    // bits.
+                    let payload = if meaningful < 64 && r.have >= meaningful {
+                        let v = r.peek(meaningful);
+                        r.consume(meaningful);
+                        v
+                    } else {
+                        r.read_bits(meaningful)
+                            .ok_or_else(|| chunk_err("compressed stream ends inside a value"))?
+                    };
+                    p ^= payload << (64 - lead - meaningful);
+                }
+                if p & EXP_ALL == EXP_ALL {
+                    return Err(non_finite(p));
+                }
+                out.push(f64::from_bits(p));
+                i += 1;
+                bit += 1;
+            }
+        }
+        // Exact accounting: the stream must hold exactly the bits decoded,
+        // rounded up to whole bytes, with zero padding — slack bytes or
+        // set padding bits mean the frame lies about its contents.
+        if stream.len() != r.used.div_ceil(8) || !r.padding_is_zero() {
+            return Err(chunk_err("slack bytes after the compressed stream"));
+        }
+        Ok(())
     }
 }

@@ -14,6 +14,9 @@
 //! 4. **Codec equivalence** — the FXM3 decode is bit-exact to the FXM2
 //!    decode of the same series, over adversarial values (±0,
 //!    subnormals, NaN-gap patterns, long constant runs).
+//! 5. **Corruption contract** — random byte flips and truncations of
+//!    FXM3 buffers never panic; every chunk that still decodes holds
+//!    no ±∞ and exactly as many NaNs as its header's gap count.
 
 use flextract_frame::fxm::{encode_chunked, encode_chunked_v1, encode_chunked_v3, Frame};
 use flextract_frame::{ChunkStats, MeasuredSeries, Predicate, Scan};
@@ -281,6 +284,43 @@ proptest! {
             })
             .count();
         prop_assert_eq!(report.chunks_decoded, overlapping);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn fxm3_corruption_never_panics_and_keeps_the_gap_contract(
+        pattern in arb_adversarial(260),
+        chunk_len in 1_usize..64,
+        flips in proptest::collection::vec((any::<u64>(), any::<u8>()), 0..6),
+        cut in any::<u64>(),
+        truncate in 0_u8..4,
+    ) {
+        let m = MeasuredSeries::new(start(), Resolution::MIN_15, pattern).unwrap();
+        let mut raw = encode_chunked_v3(&m, chunk_len).unwrap().to_vec();
+        for (at, mask) in flips {
+            let i = (at % raw.len() as u64) as usize;
+            raw[i] ^= mask.max(1);
+        }
+        // One case in four also cuts the buffer short.
+        if truncate == 0 {
+            raw.truncate((cut % raw.len() as u64) as usize);
+        }
+        let Ok(frame) = Frame::from_fxm_bytes(bytes::Bytes::from(raw), "c.fxm") else {
+            return Ok(());
+        };
+        let mut scratch = Vec::new();
+        for (i, meta) in frame.chunks().iter().enumerate() {
+            let Ok(values) = frame.chunk_values(i, &mut scratch) else {
+                continue;
+            };
+            prop_assert_eq!(values.len(), meta.len);
+            prop_assert!(values.iter().all(|v| !v.is_infinite()));
+            let nans = values.iter().filter(|v| v.is_nan()).count();
+            prop_assert_eq!(Some(nans as u32), meta.stats.map(|s| s.gaps));
+        }
     }
 }
 
