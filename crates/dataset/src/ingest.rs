@@ -10,6 +10,9 @@
 //!    ([`flextract_series::anomaly::mask_anomalies`]) and re-filled
 //!    with the same strategy, so a stuck register or a spurious spike
 //!    is replaced by plausible signal instead of poisoning extraction.
+//!    Screening works in place on the filled series' own buffer: no
+//!    copy of the series is made, only the screened intervals' detected
+//!    values are kept to tally `screened_kwh`.
 //!
 //! Both repairs are pure functions of the input, so a cleaned dataset
 //! consumer is as deterministic as a simulated one — which is what lets
@@ -21,6 +24,8 @@
 //! overlapping the window), never the whole stored series. For `n`
 //! scanned intervals gap-fill costs `O(n)` and the rolling-z screen
 //! `O(n·log w)` (`w` = `anomaly_window`; each `w`-block is sorted once).
+//! The trailing median is the only horizon-length buffer cleaning
+//! allocates; the trailing std is computed as the screen walks.
 
 use crate::{DatasetError, MeasuredSeries};
 use flextract_series::{anomaly, missing, FillStrategy, TimeSeries};
@@ -120,20 +125,30 @@ pub fn clean(
         if !anomalies.is_empty() {
             report.anomalies_screened = anomalies.len();
             report.anomalous_intervals = anomalies.iter().map(|a| a.intervals).sum();
-            let mut values = anomaly::mask_anomalies(&series, &anomalies);
-            missing::fill_gaps(
-                &mut values,
-                cfg.fill,
-                series.resolution().intervals_per_day(),
-            )?;
-            let screened = TimeSeries::new(series.start(), series.resolution(), values)?;
-            report.screened_kwh = screened
-                .values()
+            let (start, resolution) = (series.start(), series.resolution());
+            let mut values = series.into_values();
+            // The screen's runs are disjoint and ascending, so their
+            // spans visit the screened intervals once, in index order.
+            let spans: Vec<_> =
+                anomaly::anomaly_spans(&anomalies, start, resolution, values.len()).collect();
+            let detected: Vec<f64> = spans
                 .iter()
-                .zip(series.values())
+                .filter_map(|span| values.get(span.clone()))
+                .flatten()
+                .copied()
+                .collect();
+            anomaly::mask_anomalies(&mut values, start, resolution, &anomalies);
+            missing::fill_gaps(&mut values, cfg.fill, resolution.intervals_per_day())?;
+            // Unscreened intervals would each add |v - v| = +0.0, so the
+            // sum over the screened ones alone has the same bits.
+            report.screened_kwh = spans
+                .iter()
+                .filter_map(|span| values.get(span.clone()))
+                .flatten()
+                .zip(&detected)
                 .map(|(a, b)| (a - b).abs())
                 .sum();
-            series = screened;
+            series = TimeSeries::new(start, resolution, values)?;
         }
     }
     Ok((series, report))

@@ -8,15 +8,21 @@
 //!    finite values, and `Zero` adds exactly nothing.
 //! 3. **Degradation determinism** — equal seeds produce byte-identical
 //!    measured series.
+//! 4. **Cleaning against its oracle** — `ingest::clean` (in-place
+//!    screening, inline trailing std) is bit-identical to the copying
+//!    pipeline it replaced, kept here as [`oracle_clean`]: same series,
+//!    same `CleaningReport`, `screened_kwh` bits included.
 
 use flextract_dataset::{
-    codec, ConsumerKind, Dataset, DatasetWriter, Degradation, MeasuredSeries, Predicate,
-    ResidentStore, Scan, SeriesCodec, ShardedWriter,
+    codec, ingest, CleaningConfig, CleaningReport, ConsumerKind, Dataset, DatasetWriter,
+    Degradation, MeasuredSeries, Predicate, ResidentStore, Scan, SeriesCodec, ShardedWriter,
 };
 use flextract_frame::fxm;
-use flextract_series::{missing, FillStrategy, TimeSeries};
+use flextract_series::anomaly::{Anomaly, AnomalyDirection};
+use flextract_series::{missing, rolling, FillStrategy, TimeSeries};
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -339,5 +345,259 @@ proptest! {
         }
         prop_assert_eq!(store.generation(), 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The rolling screen as the copying pipeline ran it: the whole
+/// trailing median and the whole trailing std (`rolling_std`), then
+/// each interval judged against the previous window's baseline.
+fn oracle_rolling_anomalies(
+    series: &TimeSeries,
+    window: usize,
+    z_threshold: f64,
+    noise_floor_kwh: f64,
+) -> Vec<Anomaly> {
+    let xs = series.values();
+    if xs.len() <= window {
+        return Vec::new();
+    }
+    let med = rolling::rolling_median(xs, window);
+    let std = rolling::rolling_std(xs, window);
+    let mut runs: Vec<Anomaly> = Vec::new();
+    let mut open = false;
+    for i in window..xs.len() {
+        let band = (z_threshold * std[i - 1]).max(noise_floor_kwh);
+        let diff = xs[i] - med[i - 1];
+        let status = if diff > band {
+            Some((AnomalyDirection::High, diff / band.max(1e-12)))
+        } else if diff < -band {
+            Some((AnomalyDirection::Low, -diff / band.max(1e-12)))
+        } else {
+            None
+        };
+        match (runs.last_mut(), status) {
+            (Some(run), Some((direction, z))) if open && run.direction == direction => {
+                run.intervals += 1;
+                run.deviation_kwh += diff;
+                run.max_z = run.max_z.max(z);
+            }
+            (_, Some((direction, z))) => runs.push(Anomaly {
+                start: series.timestamp_of(i),
+                intervals: 1,
+                direction,
+                deviation_kwh: diff,
+                max_z: z,
+            }),
+            (_, None) => {}
+        }
+        open = status.is_some();
+    }
+    runs
+}
+
+/// The copying cleaner: gap fill, then the screen masks a *copy* of
+/// the filled values, re-fills the copy, and sums `screened_kwh` over
+/// every interval of the two series.
+fn oracle_clean(
+    measured: MeasuredSeries,
+    cfg: &CleaningConfig,
+) -> Result<(TimeSeries, CleaningReport), String> {
+    cfg.validate()?;
+    let mut report = CleaningReport::default();
+    let (mut series, gaps_filled) = measured.fill(cfg.fill).map_err(|e| e.to_string())?;
+    report.gaps_filled = gaps_filled;
+    if cfg.screen_anomalies && !series.is_empty() {
+        let per_day = series.resolution().intervals_per_day();
+        let window = if cfg.anomaly_window == 0 {
+            per_day
+        } else {
+            cfg.anomaly_window
+        };
+        let anomalies =
+            oracle_rolling_anomalies(&series, window, cfg.anomaly_z, cfg.noise_floor_kwh);
+        if !anomalies.is_empty() {
+            report.anomalies_screened = anomalies.len();
+            report.anomalous_intervals = anomalies.iter().map(|a| a.intervals).sum();
+            let mut values = series.values().to_vec();
+            for a in &anomalies {
+                let begin = series.index_of(a.start).unwrap();
+                for v in &mut values[begin..(begin + a.intervals).min(series.len())] {
+                    *v = f64::NAN;
+                }
+            }
+            missing::fill_gaps(&mut values, cfg.fill, per_day).map_err(|e| e.to_string())?;
+            let screened = TimeSeries::new(series.start(), series.resolution(), values)
+                .map_err(|e| e.to_string())?;
+            report.screened_kwh = screened
+                .values()
+                .iter()
+                .zip(series.values())
+                .map(|(a, b)| (a - b).abs())
+                .sum();
+            series = screened;
+        }
+    }
+    Ok((series, report))
+}
+
+/// `clean` and the oracle agree on Ok/Err, the error text, every value
+/// bit and every report field (`screened_kwh` by its bits). Returns
+/// the agreed report.
+fn assert_clean_matches_oracle(
+    measured: &MeasuredSeries,
+    cfg: &CleaningConfig,
+) -> Result<Option<CleaningReport>, TestCaseError> {
+    let got = ingest::clean(measured.clone(), cfg).map_err(|e| e.to_string());
+    let want = oracle_clean(measured.clone(), cfg);
+    match (got, want) {
+        (Ok((series, report)), Ok((want_series, want_report))) => {
+            prop_assert_eq!(series.start(), want_series.start());
+            prop_assert_eq!(series.resolution(), want_series.resolution());
+            let bits = |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&series), bits(&want_series), "{:?}", cfg);
+            prop_assert_eq!(report.gaps_filled, want_report.gaps_filled);
+            prop_assert_eq!(report.anomalies_screened, want_report.anomalies_screened);
+            prop_assert_eq!(report.anomalous_intervals, want_report.anomalous_intervals);
+            prop_assert_eq!(
+                report.screened_kwh.to_bits(),
+                want_report.screened_kwh.to_bits(),
+                "screened_kwh {} vs {}",
+                report.screened_kwh,
+                want_report.screened_kwh
+            );
+            Ok(Some(report))
+        }
+        (Err(got), Err(want)) => {
+            prop_assert!(got.ends_with(&want), "{} vs {}", got, want);
+            Ok(None)
+        }
+        (got, want) => Err(TestCaseError::fail(format!(
+            "clean {:?} but the oracle {:?}",
+            got.map(|(_, r)| r),
+            want.map(|(_, r)| r)
+        ))),
+    }
+}
+
+/// A deterministic week of 1-min readings on a 0.001 kWh grid: a
+/// day/night base load with noise, spikes and dropouts, and gap runs.
+/// The last three readings are a spike, so a screened run touches the
+/// series end, and one spike run straddles a gap run.
+fn metered_week_1min() -> MeasuredSeries {
+    let mut state = 0x2545_F491_4F6C_DD1D_u64;
+    let mut uniform = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1_u64 << 53) as f64
+    };
+    let n = 7 * 1440;
+    let mut values: Vec<f64> = (0..n)
+        .map(|i| {
+            let base = if (420..1380).contains(&(i % 1440)) {
+                0.02
+            } else {
+                0.004
+            };
+            let kwh = match uniform() {
+                u if u < 0.002 => 0.0,
+                u if u > 0.998 => 0.5 + 2.0 * uniform(),
+                _ => base + 0.006 * uniform(),
+            };
+            (kwh / 0.001_f64).round() * 0.001
+        })
+        .collect();
+    for (i, v) in values.iter_mut().enumerate() {
+        if uniform() < 0.002 || (3000..3025).contains(&i) {
+            *v = f64::NAN;
+        }
+    }
+    // A spike run with a gap in its middle, well past the warm-up day.
+    values[5000..5006].copy_from_slice(&[3.0, 3.0, f64::NAN, f64::NAN, 3.0, 3.0]);
+    values[n - 3..].fill(3.0);
+    MeasuredSeries::new(Timestamp::from_minutes(0), Resolution::MIN_1, values).unwrap()
+}
+
+#[test]
+fn clean_matches_the_copying_oracle_on_a_metered_week() {
+    let week = metered_week_1min();
+    let len = week.len();
+    let screen = |anomaly_window, anomaly_z, noise_floor_kwh| CleaningConfig {
+        screen_anomalies: true,
+        anomaly_window,
+        anomaly_z,
+        noise_floor_kwh,
+        ..CleaningConfig::default()
+    };
+    for fill in [
+        FillStrategy::Linear,
+        FillStrategy::Previous,
+        FillStrategy::SeasonalDaily,
+        FillStrategy::Zero,
+    ] {
+        let cases = [
+            (screen(0, 4.0, 0.05), true),
+            (screen(60, 1.0, 0.0), true),
+            (screen(len, 4.0, 0.05), false),
+            (screen(len + 7, 1.0, 0.0), false),
+            (CleaningConfig::default(), false),
+        ];
+        for (cfg, screens) in cases {
+            let cfg = CleaningConfig { fill, ..cfg };
+            let report = assert_clean_matches_oracle(&week, &cfg)
+                .unwrap()
+                .expect("the week has observed values under every strategy");
+            assert!(report.gaps_filled > 25, "{fill:?}: {report:?}");
+            assert_eq!(report.anomalies_screened > 0, screens, "{fill:?} {cfg:?}");
+        }
+        // The corpus reaches the edges it is meant to: a screened run
+        // ending at the last interval and, under the strategies that
+        // fill from the neighbours, one covering a filled gap.
+        let (filled, _) = week.clone().fill(fill).unwrap();
+        let runs = oracle_rolling_anomalies(&filled, 1440, 4.0, 0.05);
+        assert!(
+            runs.iter()
+                .any(|a| filled.index_of(a.start).unwrap() + a.intervals == len),
+            "{fill:?}: no run touches the end"
+        );
+        assert!(
+            runs.iter().any(|a| {
+                let at = filled.index_of(a.start).unwrap();
+                (at..at + a.intervals).contains(&5002)
+            }) || matches!(fill, FillStrategy::SeasonalDaily | FillStrategy::Zero),
+            "{fill:?}: no run covers the filled gap"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn clean_matches_the_copying_oracle(
+        values in proptest::collection::vec(
+            prop_oneof![
+                6 => (0_i64..60).prop_map(|k| 0.2 + k as f64 * 0.001),
+                1 => 1.0_f64..5.0,
+                1 => Just(0.0),
+                1 => Just(f64::NAN),
+            ],
+            1..400,
+        ),
+        fill in arb_fill(),
+        screen_anomalies in prop_oneof![4 => Just(true), 1 => Just(false)],
+        anomaly_window in prop_oneof![Just(0_usize), 1_usize..80, 300_usize..500],
+        anomaly_z in 0.5_f64..6.0,
+        noise_floor_kwh in prop_oneof![Just(0.0), 0.0_f64..0.2],
+    ) {
+        let measured = MeasuredSeries::new(start(), Resolution::MIN_15, values).unwrap();
+        let cfg = CleaningConfig {
+            fill,
+            screen_anomalies,
+            anomaly_window,
+            anomaly_z,
+            noise_floor_kwh,
+        };
+        assert_clean_matches_oracle(&measured, &cfg)?;
     }
 }

@@ -25,6 +25,7 @@
 use crate::fxm::{ChunkMeta, Frame};
 use crate::stats::ChunkStats;
 use crate::{FrameError, MeasuredSeries};
+use flextract_series::recycle;
 use flextract_time::{Resolution, TimeRange, Timestamp};
 use std::sync::Arc;
 
@@ -557,12 +558,20 @@ impl Scan {
     /// the ranged-read primitive. Only chunks overlapping the slice
     /// are decoded. Errors if the scan carries predicates (a filtered
     /// selection is not contiguous).
+    ///
+    /// The series' buffer and the chunk decode scratch come from this
+    /// thread's [`recycle`] free list; the scratch goes back to it.
     pub fn materialize(&self, frame: &Frame) -> Result<(MeasuredSeries, ScanReport), FrameError> {
-        self.materialize_with(frame, &mut Vec::new())
+        let h = frame.header();
+        let mut scratch = recycle::take(h.chunk_len.min(h.len));
+        let materialized = self.materialize_with(frame, &mut scratch);
+        recycle::recycle(scratch);
+        materialized
     }
 
     /// [`Scan::materialize`] with a caller-supplied decode buffer (see
-    /// [`Scan::aggregates_with`]).
+    /// [`Scan::aggregates_with`]). The series' buffer still comes from
+    /// this thread's [`recycle`] free list.
     pub fn materialize_with(
         &self,
         frame: &Frame,
@@ -582,7 +591,7 @@ impl Scan {
             bytes_read: frame.disk_bytes(),
             ..ScanReport::default()
         };
-        let mut out = Vec::with_capacity(hi - lo);
+        let mut out = recycle::take(hi - lo);
         for (ci, meta) in frame.chunks().iter().enumerate() {
             let Some((a, b)) = chunk_overlap(meta, lo, hi) else {
                 report.chunks_skipped_slice += 1;

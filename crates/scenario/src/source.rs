@@ -22,7 +22,7 @@ use flextract_dataset::{
     ingest, CleaningConfig, CleaningReport, ConsumerKind, Dataset, ResidentStore,
 };
 use flextract_disagg::{disaggregate, DisaggConfig};
-use flextract_series::{resample, TimeSeries};
+use flextract_series::{recycle, resample, TimeSeries};
 use flextract_sim::{
     simulate_household_with_catalog, simulate_industrial, simulate_tariff_pair, FleetConfig,
     HouseholdArchetype, IndustrialConfig, SimulatedHousehold, TariffResponse,
@@ -463,32 +463,26 @@ impl<'a> DatasetSource<'a> {
         }
 
         // Only appliance-level extraction needs the fine series; when
-        // it doesn't, move `cleaned` into the resample so the identity
-        // path (on-disk resolution == market resolution) stays
-        // allocation-free, as on the simulated path.
+        // it doesn't, `cleaned` moves into the resample, so the
+        // identity path (on-disk resolution == market resolution)
+        // stays allocation-free, as on the simulated path.
         let (market, fine) = if self.disaggregate {
             (resample::to_resolution(&cleaned, self.res)?, Some(cleaned))
         } else {
-            (resample::to_resolution_owned(cleaned, self.res)?, None)
+            (to_market(cleaned, self.res)?, None)
         };
-        let truth = match (&record.truth_flex, nilm_estimate) {
-            (Some(flex), _) => resample::to_resolution(flex, self.res)?,
+        let truth = match (record.truth_flex, nilm_estimate) {
+            (Some(flex), _) => to_market(flex, self.res)?,
             (None, Some(estimate)) => resample::to_resolution_owned(estimate, self.res)?,
             (None, None) => TimeSeries::zeros_like(&market),
         };
-        let fidelity_market = if self.fidelity {
-            record
-                .truth_total
-                .as_ref()
-                .map(|t| resample::to_resolution(t, self.res))
-                .transpose()?
-        } else {
-            None
-        };
-        let fidelity_fine = if self.fidelity && self.disaggregate {
-            record.truth_total
-        } else {
-            None
+        let (fidelity_market, fidelity_fine) = match record.truth_total {
+            Some(total) if self.fidelity && self.disaggregate => (
+                Some(resample::to_resolution(&total, self.res)?),
+                Some(total),
+            ),
+            Some(total) if self.fidelity => (Some(to_market(total, self.res)?), None),
+            _ => (None, None),
         };
         Ok(ConsumerInput {
             market,
@@ -502,6 +496,18 @@ impl<'a> DatasetSource<'a> {
             disagg_explained_kwh,
         })
     }
+}
+
+/// Resample a loaded horizon series to the market resolution, handing
+/// its buffer back to this thread's [`recycle`] free list, where the
+/// next consumer's ranged loads take it, unless it *is* the result.
+fn to_market(series: TimeSeries, res: Resolution) -> Result<TimeSeries, ScenarioError> {
+    if series.resolution() == res {
+        return Ok(series);
+    }
+    let market = resample::to_resolution(&series, res)?;
+    recycle::recycle(series.into_values());
+    Ok(market)
 }
 
 /// Materialise household configs for a scenario's fleet parameters.
@@ -524,4 +530,45 @@ fn fleet_configs(
     fleet
         .try_household_configs()
         .expect("scenario validation covers the fleet config")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    /// `ds_clean_1min` (the committed 1-min FXM3 dataset with ground
+    /// truth, a 15-min market) with its dataset path made absolute.
+    fn dataset_scenario() -> Scenario {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut scenario =
+            crate::spec::load_file(&root.join("scenarios/ds_clean_1min.json")).unwrap();
+        if let Workload::Dataset { path, .. } = &mut scenario.workload {
+            *path = root.join(&*path).display().to_string();
+        }
+        scenario
+    }
+
+    #[test]
+    fn dataset_consumers_after_the_first_are_served_from_recycled_buffers() {
+        let scenario = dataset_scenario();
+        let catalog = Catalog::extended();
+        let horizon = scenario.horizon().unwrap();
+        let res = scenario.resolution().unwrap();
+        let source = ConsumerSource::new(&scenario, horizon, res, &catalog).unwrap();
+        assert!(source.len() >= 2);
+        source.consumer(0).unwrap();
+        recycle::stats::reset();
+        for idx in 1..source.len() {
+            let input = source.consumer(idx).unwrap();
+            assert!(input.fidelity_market.is_some(), "the truth files load");
+            let stats = recycle::stats::get();
+            assert_eq!(stats.hits, stats.takes, "consumer {idx}: {stats:?}");
+            assert!(stats.retained <= recycle::RETAINED, "{stats:?}");
+        }
+        // Measured, truth-total and flexible files: a series buffer and
+        // a decode scratch each.
+        let takes = recycle::stats::get().takes;
+        assert_eq!(takes, 6 * (source.len() as u64 - 1));
+    }
 }

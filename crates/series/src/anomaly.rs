@@ -9,8 +9,9 @@
 
 use crate::segment::{day_profile_std, typical_day_profile, DayKind};
 use crate::{rolling, SeriesError, TimeSeries};
-use flextract_time::Timestamp;
+use flextract_time::{Resolution, Timestamp};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Direction of a detected deviation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,45 +90,82 @@ pub fn rolling_anomalies(
     if series.len() <= window {
         return Vec::new();
     }
-    let med = rolling::rolling_median(series.values(), window);
-    let std = rolling::rolling_std(series.values(), window);
+    let xs = series.values();
+    let med = rolling::rolling_median(xs, window);
+    // The trailing population std of [`rolling::rolling_std`], one step
+    // at a time with the same float operations in the same order, so
+    // no horizon-length std vector is built.
+    let leaving = std::iter::repeat_n(None, window).chain(xs.iter().map(Some));
+    let std = xs.iter().zip(leaving).enumerate().scan(
+        (0.0, 0.0),
+        |(sum, sum_sq): &mut (f64, f64), (i, (&x, leaving))| {
+            *sum += x;
+            *sum_sq += x * x;
+            if let Some(&y) = leaving {
+                *sum -= y;
+                *sum_sq -= y * y;
+            }
+            let n = (i + 1).min(window) as f64;
+            let mean = *sum / n;
+            Some((*sum_sq / n - mean * mean).max(0.0).sqrt())
+        },
+    );
     // Interval `i` is judged against the baseline of the *previous*
     // window, so a step is measured against history that excludes it.
     let baseline = med
         .iter()
-        .zip(&std)
+        .zip(std)
         .skip(window - 1)
-        .map(|(&m, &s)| (m, (z_threshold * s).max(noise_floor_kwh)));
+        .map(|(&m, s)| (m, (z_threshold * s).max(noise_floor_kwh)));
     collect_runs(series, window, baseline)
 }
 
-/// Replace every interval covered by `anomalies` with `NaN` in a copy
-/// of the series' values — the hand-off from detection to the gap-fill
+/// The index range each anomaly covers in a series of `len` intervals
+/// starting at `start` with `resolution`, clipped to the series.
+/// Anomalies starting off-grid are skipped; runs entirely outside the
+/// span yield empty ranges.
+pub fn anomaly_spans<'a>(
+    anomalies: &'a [Anomaly],
+    start: Timestamp,
+    resolution: Resolution,
+    len: usize,
+) -> impl Iterator<Item = Range<usize>> + 'a {
+    let res_min = resolution.minutes();
+    let len = len as i64;
+    anomalies.iter().filter_map(move |a| {
+        let offset_min = (a.start - start).as_minutes();
+        if offset_min.rem_euclid(res_min) != 0 {
+            return None;
+        }
+        let idx = offset_min.div_euclid(res_min);
+        let begin = idx.clamp(0, len);
+        let end = idx.saturating_add(a.intervals as i64).clamp(begin, len);
+        Some(begin as usize..end as usize)
+    })
+}
+
+/// Replace every interval covered by `anomalies` with `NaN`, in place:
+/// `values` are the values of a series starting at `start` with
+/// `resolution`. This is the hand-off from detection to the gap-fill
 /// machinery ([`crate::missing`]). Screening an anomaly means treating
 /// it as if the meter had not reported at all: the masked intervals
 /// become gaps and are re-filled from the surrounding signal, which is
 /// how the dataset ingestion pipeline neutralises spikes and dropouts.
 ///
 /// Anomalies entirely outside the series span (or starting off-grid)
-/// are ignored; runs overhanging either end are clipped to the overlap.
-pub fn mask_anomalies(series: &TimeSeries, anomalies: &[Anomaly]) -> Vec<f64> {
-    let mut values = series.values().to_vec();
-    let res_min = series.resolution().minutes();
-    for a in anomalies {
-        let offset_min = (a.start - series.start()).as_minutes();
-        if offset_min.rem_euclid(res_min) != 0 {
-            continue;
-        }
-        let idx = offset_min.div_euclid(res_min);
-        let begin = idx.clamp(0, series.len() as i64);
-        let end = idx
-            .saturating_add(a.intervals as i64)
-            .clamp(begin, series.len() as i64);
-        for v in &mut values[begin as usize..end as usize] {
-            *v = f64::NAN;
+/// are ignored; runs overhanging either end are clipped to the overlap
+/// (see [`anomaly_spans`]).
+pub fn mask_anomalies(
+    values: &mut [f64],
+    start: Timestamp,
+    resolution: Resolution,
+    anomalies: &[Anomaly],
+) {
+    for span in anomaly_spans(anomalies, start, resolution, values.len()) {
+        if let Some(run) = values.get_mut(span) {
+            run.fill(f64::NAN);
         }
     }
-    values
 }
 
 /// Fold intervals `first..` of `series`, each paired with its
@@ -268,11 +306,17 @@ mod tests {
         assert!(seasonal_anomalies(&s, 2.0, 0.05).is_err()); // no whole day
     }
 
+    fn mask_copy(s: &TimeSeries, anomalies: &[Anomaly]) -> Vec<f64> {
+        let mut values = s.values().to_vec();
+        mask_anomalies(&mut values, s.start(), s.resolution(), anomalies);
+        values
+    }
+
     #[test]
     fn mask_anomalies_turns_runs_into_gaps() {
         let s = series_with_block();
         let anomalies = seasonal_anomalies(&s, 2.0, 0.05).unwrap();
-        let masked = mask_anomalies(&s, &anomalies);
+        let masked = mask_copy(&s, &anomalies);
         let nan_count = masked.iter().filter(|v| v.is_nan()).count();
         assert_eq!(nan_count, 4, "exactly the planted block is masked");
         for (i, v) in masked.iter().enumerate() {
@@ -300,7 +344,7 @@ mod tests {
                 max_z: 2.0,
             },
         ];
-        let masked = mask_anomalies(&s, &wild);
+        let masked = mask_copy(&s, &wild);
         assert_eq!(masked.iter().filter(|v| v.is_nan()).count(), 1);
         assert!(masked[8 * 96 - 1].is_nan());
         // A run overhanging the *start* is clipped symmetrically: the
@@ -312,7 +356,7 @@ mod tests {
             deviation_kwh: 1.0,
             max_z: 2.0,
         }];
-        let masked = mask_anomalies(&s, &overhang);
+        let masked = mask_copy(&s, &overhang);
         assert!(masked[0].is_nan());
         assert!(masked[1].is_nan());
         assert_eq!(masked.iter().filter(|v| v.is_nan()).count(), 2);

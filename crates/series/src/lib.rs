@@ -27,6 +27,8 @@
 //! * [`resample`] — exact down-sampling and uniform up-sampling between
 //!   resolutions (ref \[14\] motivates reasoning across granularities).
 //! * [`missing`] — gap handling: detection and fill strategies.
+//! * [`recycle`] — per-thread reuse of horizon-length value buffers
+//!   across dataset consumers.
 //!
 //! ```
 //! use flextract_series::TimeSeries;
@@ -50,6 +52,7 @@ pub mod decompose;
 pub mod forecast;
 pub mod missing;
 pub mod peaks;
+pub mod recycle;
 pub mod resample;
 pub mod rolling;
 pub mod sax;
