@@ -93,17 +93,26 @@ impl LoadProfile {
     }
 
     /// [`LoadProfile::power_curve_kw`] into a reusable buffer (cleared
-    /// first). This loop is the single owner of the phase-expansion
-    /// math — every other per-minute realisation derives from it, so
-    /// the simulator's cycle energies and the disaggregator's matching
-    /// templates can never diverge.
+    /// first).
     pub fn fill_power_curve_kw(&self, intensity: f64, out: &mut Vec<f64>) {
+        self.fill_per_phase(intensity, out, |kw| kw);
+    }
+
+    /// Expand the phases at `intensity` into `out` (cleared first), one
+    /// value per minute: `per_minute` of the phase's power, computed
+    /// once per phase. This is the single owner of the phase-expansion
+    /// math — every per-minute realisation derives from it, so the
+    /// simulator's cycle energies and the disaggregator's matching
+    /// templates can never diverge. Every minute of a phase draws the
+    /// same power, so mapping it once per phase gives the same bits as
+    /// mapping each minute.
+    fn fill_per_phase(&self, intensity: f64, out: &mut Vec<f64>, per_minute: impl Fn(f64) -> f64) {
         let x = intensity.clamp(0.0, 1.0);
         out.clear();
         out.reserve(self.phases.iter().map(|p| p.duration_min as usize).sum());
         for p in &self.phases {
             let kw = p.min_kw + (p.max_kw - p.min_kw) * x;
-            out.extend(std::iter::repeat_n(kw, p.duration_min as usize));
+            out.extend(std::iter::repeat_n(per_minute(kw), p.duration_min as usize));
         }
     }
 
@@ -118,10 +127,7 @@ impl LoadProfile {
     /// [`LoadProfile::to_energy_series`]. `out` is cleared first, so a
     /// caller can reuse one scratch buffer across many cycles.
     pub fn fill_energy_values(&self, intensity: f64, out: &mut Vec<f64>) {
-        self.fill_power_curve_kw(intensity, out);
-        for v in out.iter_mut() {
-            *v /= 60.0; // 1 minute of kW → kWh
-        }
+        self.fill_per_phase(intensity, out, |kw| kw / 60.0); // 1 minute of kW → kWh
     }
 
     /// Realise one cycle starting at `start` as a 1-minute energy
@@ -235,6 +241,26 @@ mod tests {
             // Per-minute values are the power curve scaled to kWh.
             let kw = p.power_curve_kw(x);
             assert!(scratch.iter().zip(&kw).all(|(e, k)| *e == k / 60.0));
+        }
+    }
+
+    #[test]
+    fn energy_values_are_the_power_curve_over_sixty_bit_for_bit() {
+        let (mut kwh, mut kw) = (Vec::new(), Vec::new());
+        for spec in crate::Catalog::extended().iter() {
+            for &x in &[0.0, 0.25, 0.5, 1.0, -1.0, 2.0] {
+                spec.profile.fill_energy_values(x, &mut kwh);
+                spec.profile.fill_power_curve_kw(x, &mut kw);
+                assert_eq!(kwh.len(), kw.len(), "{} at {x}", spec.name);
+                for (i, (e, k)) in kwh.iter().zip(&kw).enumerate() {
+                    assert_eq!(
+                        e.to_bits(),
+                        (k / 60.0).to_bits(),
+                        "{} at {x}, minute {i}",
+                        spec.name
+                    );
+                }
+            }
         }
     }
 

@@ -76,13 +76,17 @@ impl TimeSeries {
     }
 
     /// An all-zero series covering `range` at `resolution`.
+    ///
+    /// The outward-aligned start is on the grid and zeros are finite,
+    /// so, like [`TimeSeries::zeros_like`], this skips
+    /// [`TimeSeries::new`]'s per-value scan; it does not fail.
     pub fn zeros_over(range: TimeRange, resolution: Resolution) -> Result<Self, SeriesError> {
         let aligned = range.align_outward(resolution);
-        Self::new(
-            aligned.start(),
+        Ok(TimeSeries {
+            start: aligned.start(),
             resolution,
-            vec![0.0; aligned.interval_count(resolution)],
-        )
+            values: vec![0.0; aligned.interval_count(resolution)],
+        })
     }
 
     /// First instant covered by the series.

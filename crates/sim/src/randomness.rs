@@ -9,6 +9,8 @@
 
 use rand::Rng;
 
+#[cfg(test)]
+mod oracle;
 mod tables;
 
 /// `r`, the right edge of the ziggurat's base layer: draws beyond it
@@ -29,22 +31,47 @@ const TAIL_EDGE: f64 = tables::X[1];
 /// that one word, one multiply and one compare. The rest test the
 /// wedge under the curve with one `exp`, or, in the base layer, draw
 /// from the tail by Marsaglia's exponential method.
+///
+/// Only that fast path is inlined into callers; the wedge and tail
+/// branches live in a cold function that continues the same loop, so
+/// the split changes no draw (`randomness/oracle.rs` keeps the
+/// single-loop form, and the tests compare the two bit for bit).
+#[inline]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let (i, u, x) = layer_pick(rng.next_u64());
+    if x.abs() < tables::X[i + 1] {
+        return x;
+    }
+    standard_normal_slow(rng, i, u, x)
+}
+
+/// Split one word into a layer `i`, a uniform `u` in `[-1, 1)` and the
+/// candidate `x = u · X[i]`.
+#[inline(always)]
+fn layer_pick(bits: u64) -> (usize, f64, f64) {
+    let i = (bits & 0xff) as usize;
+    // 52 mantissa bits under exponent 0 give [1, 2); map to [-1, 1).
+    let u = 2.0 * f64::from_bits((bits >> 12) | 1f64.to_bits()) - 3.0;
+    (i, u, u * tables::X[i])
+}
+
+/// The rest of [`standard_normal`]'s loop after a draw `(i, u, x)` fell
+/// outside its layer's inner rectangle: the tail for the base layer, a
+/// wedge test otherwise, and on rejection a fresh layer pick.
+#[cold]
+#[inline(never)]
+fn standard_normal_slow<R: Rng + ?Sized>(rng: &mut R, mut i: usize, mut u: f64, mut x: f64) -> f64 {
     use tables::{F, X};
     loop {
-        let bits = rng.next_u64();
-        let i = (bits & 0xff) as usize;
-        // 52 mantissa bits under exponent 0 give [1, 2); map to [-1, 1).
-        let u = 2.0 * f64::from_bits((bits >> 12) | 1f64.to_bits()) - 3.0;
-        let x = u * X[i];
-        if x.abs() < X[i + 1] {
-            return x;
-        }
         if i == 0 {
             return normal_tail(rng, u < 0.0);
         }
         let y = F[i] + (F[i + 1] - F[i]) * rng.gen::<f64>();
         if y < (-0.5 * x * x).exp() {
+            return x;
+        }
+        (i, u, x) = layer_pick(rng.next_u64());
+        if x.abs() < X[i + 1] {
             return x;
         }
     }
@@ -74,6 +101,7 @@ fn open_unit<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// A normal draw with the given mean and standard deviation.
+#[inline]
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     mean + std_dev * standard_normal(rng)
 }
@@ -148,6 +176,7 @@ pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
 /// speed).
 ///
 /// `theta` is the mean-reversion rate per step, `sigma` the noise scale.
+#[inline]
 pub fn ou_step<R: Rng + ?Sized>(
     rng: &mut R,
     current: f64,
@@ -162,7 +191,7 @@ pub fn ou_step<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xF1E57)
@@ -313,6 +342,55 @@ mod tests {
             assert!(normal_tail(&mut r, false) > R);
             assert!(normal_tail(&mut r, true) < -R);
         }
+    }
+
+    #[test]
+    fn standard_normal_matches_the_loop_form_oracle_bit_for_bit() {
+        let mut branches = oracle::Branches::default();
+        for seed in [1, 7, 0xF1E57] {
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = a.clone();
+            for k in 0..2_000_000 {
+                let (x, y) = (
+                    standard_normal(&mut a),
+                    oracle::standard_normal(&mut b, &mut branches),
+                );
+                assert_eq!(x.to_bits(), y.to_bits(), "seed {seed}, draw {k}");
+            }
+            // Same words consumed: the generators agree afterwards.
+            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}");
+        }
+        assert!(branches.wedge > 0 && branches.tail > 0, "{branches:?}");
+    }
+
+    #[test]
+    fn normal_wrappers_match_the_oracle_bit_for_bit() {
+        let mut branches = oracle::Branches::default();
+        for seed in [2, 42] {
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = a.clone();
+            let (mut level_a, mut level_b) = (0.4, 0.4);
+            for k in 0..600_000u32 {
+                let (x, y) = match k % 3 {
+                    0 => (
+                        normal(&mut a, 3.0, 0.7),
+                        oracle::normal(&mut b, 3.0, 0.7, &mut branches),
+                    ),
+                    1 => (
+                        clamped_normal(&mut a, 0.5, 0.25, 0.0, 1.0),
+                        oracle::clamped_normal(&mut b, 0.5, 0.25, 0.0, 1.0, &mut branches),
+                    ),
+                    _ => {
+                        level_a = ou_step(&mut a, level_a, 0.4, 0.02, 0.02);
+                        level_b = oracle::ou_step(&mut b, level_b, 0.4, 0.02, 0.02, &mut branches);
+                        (level_a, level_b)
+                    }
+                };
+                assert_eq!(x.to_bits(), y.to_bits(), "seed {seed}, draw {k}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}");
+        }
+        assert!(branches.wedge > 0 && branches.tail > 0, "{branches:?}");
     }
 
     #[test]

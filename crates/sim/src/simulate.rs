@@ -111,14 +111,17 @@ pub fn simulate_household_with_catalog(
     }
 
     // --- Measurement noise, applied last so it does not enter the
-    // ground-truth flexible series.
+    // ground-truth flexible series. Negative readings are clipped to
+    // zero in the same pass, exactly as `clip_negative` would.
     let noise_kwh = config.noise_level * base_kw / 60.0;
     if noise_kwh > 0.0 {
-        for v in series.values_mut().iter_mut() {
-            *v += normal(&mut rng, 0.0, noise_kwh);
+        for v in series.values_mut() {
+            let noisy = *v + normal(&mut rng, 0.0, noise_kwh);
+            *v = if noisy < 0.0 { 0.0 } else { noisy };
         }
+    } else {
+        series.clip_negative();
     }
-    series.clip_negative();
 
     log.sort_by_key(|a| a.start);
     SimulatedHousehold {
@@ -152,13 +155,23 @@ fn add_cycle_values(target: &mut TimeSeries, start: Timestamp, values: &[f64]) -
     let n = values.len() as i64;
     let j0 = (-off).clamp(0, n) as usize;
     let j1 = (target.len() as i64 - off).clamp(0, n) as usize;
+    if j0 >= j1 {
+        // Entirely before or after the span; `off + j0` may lie past
+        // the end here, so no slice is taken.
+        return (0.0, 0);
+    }
+    // j0 ≥ −off and j1 ≤ len − off, so the target run is in bounds.
+    let t0 = (off + j0 as i64) as usize;
+    let in_range = &values[j0..j1];
     let mut energy = 0.0;
-    let target_values = target.values_mut();
-    for (j, v) in values[j0..j1].iter().enumerate() {
-        target_values[(off + (j0 + j) as i64) as usize] += v;
+    for (t, v) in target.values_mut()[t0..t0 + in_range.len()]
+        .iter_mut()
+        .zip(in_range)
+    {
+        *t += v;
         energy += v;
     }
-    (energy, j1 - j0)
+    (energy, in_range.len())
 }
 
 /// Chain duty cycles of a continuous appliance (e.g. refrigerator
@@ -478,6 +491,90 @@ mod tests {
         });
         let sim = simulate_household(&cfg, week());
         assert!(sim.activations.iter().all(|a| !a.was_shifted()));
+    }
+
+    /// `add_cycle_values` as an index loop over the clamped cycle
+    /// range: the reference for the slice walk.
+    fn add_cycle_values_indexed(
+        target: &mut TimeSeries,
+        start: Timestamp,
+        values: &[f64],
+    ) -> (f64, usize) {
+        let off = (start - target.start()).as_minutes();
+        let n = values.len() as i64;
+        let j0 = (-off).clamp(0, n) as usize;
+        let j1 = (target.len() as i64 - off).clamp(0, n) as usize;
+        let mut energy = 0.0;
+        let target_values = target.values_mut();
+        for (j, v) in values[j0..j1].iter().enumerate() {
+            target_values[(off + (j0 + j) as i64) as usize] += v;
+            energy += v;
+        }
+        (energy, j1 - j0)
+    }
+
+    #[test]
+    fn add_cycle_values_matches_the_indexed_loop_at_every_overlap() {
+        let day: Timestamp = "2013-03-18".parse().unwrap();
+        let len = 100;
+        let base: Vec<f64> = (0..len).map(|i| 0.01 + i as f64 * 0.003).collect();
+        // Values whose sum depends on the order they are added in.
+        let cycle: Vec<f64> = (0..10).map(|j| 0.1 / (j as f64 + 3.0) + 1e-9).collect();
+        let n = cycle.len() as i64;
+        // off < −n, off = −n, −n < off < 0, inside, off + n > len,
+        // off = len − 1, off = len, off > len.
+        for off in [
+            -25,
+            -n,
+            -4,
+            0,
+            37,
+            len as i64 - n,
+            95,
+            len as i64 - 1,
+            len as i64,
+            130,
+        ] {
+            let start = day + Duration::minutes(off);
+            let mut got = TimeSeries::new(day, Resolution::MIN_1, base.clone()).unwrap();
+            let mut want = got.clone();
+            let (e_got, n_got) = add_cycle_values(&mut got, start, &cycle);
+            let (e_want, n_want) = add_cycle_values_indexed(&mut want, start, &cycle);
+            assert_eq!(n_got, n_want, "off {off}");
+            assert_eq!(e_got.to_bits(), e_want.to_bits(), "off {off}");
+            let bits = |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "off {off}");
+        }
+        // The edges place what they should.
+        let mut s = TimeSeries::zeros_over(
+            TimeRange::starting_at(day, Duration::minutes(len as i64)).unwrap(),
+            Resolution::MIN_1,
+        )
+        .unwrap();
+        assert_eq!(
+            add_cycle_values(&mut s, day + Duration::minutes(-4), &cycle).1,
+            6
+        );
+        assert_eq!(
+            add_cycle_values(&mut s, day + Duration::minutes(95), &cycle).1,
+            5
+        );
+        assert_eq!(
+            add_cycle_values(&mut s, day + Duration::minutes(100), &cycle),
+            (0.0, 0)
+        );
+        assert_eq!(
+            add_cycle_values(&mut s, day + Duration::minutes(-10), &cycle),
+            (0.0, 0)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a MIN_1 target")]
+    fn add_cycle_values_refuses_a_coarser_grid() {
+        let day: Timestamp = "2013-03-18".parse().unwrap();
+        let mut s = TimeSeries::constant(day, Resolution::MIN_15, 0.0, 8);
+        add_cycle_values(&mut s, day, &[1.0]);
     }
 
     #[test]

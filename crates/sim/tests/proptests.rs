@@ -16,6 +16,13 @@
 //!    correct sampler fails one of CI's 1 024 rotating cases less than
 //!    once in 10⁶ runs.
 //!
+//! 3. **Rotating seeds against the loop-form oracle** — the production
+//!    sampler splits its fast path from the wedge and tail branches;
+//!    `src/randomness/oracle.rs` keeps the single-loop form, and every
+//!    case checks that both return the same bits through
+//!    `standard_normal`, `normal`, `clamped_normal` and `ou_step` and
+//!    leave the generator in the same state.
+//!
 //! Every bound is a finite-sample inequality, not an asymptotic
 //! approximation, so the stated α is an upper bound on the flake rate:
 //! the sample mean of normals is exactly normal (Gaussian tail bound);
@@ -23,10 +30,15 @@
 //! KS uses the Dvoretzky–Kiefer–Wolfowitz inequality with Massart's
 //! constant; counts use Bernstein's inequality.
 
-use flextract_sim::randomness::standard_normal;
+use flextract_sim::randomness::{clamped_normal, normal, ou_step, standard_normal};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+
+#[path = "../src/randomness/oracle.rs"]
+mod oracle;
+#[path = "../src/randomness/tables.rs"]
+mod tables;
 
 /// The ziggurat's base-layer edge: draws beyond it come from the tail
 /// branch.
@@ -255,5 +267,32 @@ proptest! {
         let alpha = ROTATING_FLAKE_RATE / (ROTATING_CASES * ROTATING_STATISTICS);
         let result = screen(seed, 100_000, alpha, &[3.0]);
         prop_assert!(result.is_ok(), "seed {seed}: {}", result.err().unwrap_or_default());
+    }
+
+    #[test]
+    fn rotating_seed_draws_match_the_loop_form_oracle(seed in any::<u64>()) {
+        let mut branches = oracle::Branches::default();
+        let mut a = StdRng::seed_from_u64(seed);
+        let mut b = a.clone();
+        let (mut level_a, mut level_b) = (1.0, 1.0);
+        for k in 0..20_000u32 {
+            let (x, y) = match k % 4 {
+                0 => (standard_normal(&mut a), oracle::standard_normal(&mut b, &mut branches)),
+                1 => (normal(&mut a, -2.0, 0.3), oracle::normal(&mut b, -2.0, 0.3, &mut branches)),
+                2 => (
+                    clamped_normal(&mut a, 0.5, 0.2, 0.0, 1.0),
+                    oracle::clamped_normal(&mut b, 0.5, 0.2, 0.0, 1.0, &mut branches),
+                ),
+                _ => {
+                    level_a = ou_step(&mut a, level_a, 1.0, 0.02, 0.05);
+                    level_b = oracle::ou_step(&mut b, level_b, 1.0, 0.02, 0.05, &mut branches);
+                    (level_a, level_b)
+                }
+            };
+            prop_assert!(x.to_bits() == y.to_bits(), "seed {seed}, draw {k}: {x} vs {y}");
+        }
+        prop_assert!(a.next_u64() == b.next_u64(), "seed {seed}: generator state differs");
+        // ~1.2 % of draws test the wedge, so 20 000 always reach it.
+        prop_assert!(branches.wedge > 0, "seed {seed}: {branches:?}");
     }
 }
