@@ -75,14 +75,8 @@ fn bench_rolling(c: &mut Criterion) {
     let series = family_market_series(28, 6);
     let values = series.values().to_vec();
     group.throughput(Throughput::Elements(values.len() as u64));
-    group.bench_function("mean_w96_28d", |b| {
-        b.iter(|| flextract_series::rolling::rolling_mean(black_box(&values), 96))
-    });
     group.bench_function("median_w96_28d", |b| {
         b.iter(|| flextract_series::rolling::rolling_median(black_box(&values), 96))
-    });
-    group.bench_function("max_w96_28d", |b| {
-        b.iter(|| flextract_series::rolling::rolling_max(black_box(&values), 96))
     });
     // The cleaning stage's default anomaly window: one day at 1-min
     // resolution, where a per-step O(w) median would dominate.
@@ -133,6 +127,23 @@ fn bench_forecast_and_anomaly(c: &mut Criterion) {
     group.bench_function("rolling_anomalies_w1440_7d_1min", |b| {
         b.iter(|| {
             flextract_series::anomaly::rolling_anomalies(black_box(&week_1min), 1440, 4.0, 0.05)
+        })
+    });
+    // The same screen over the week on a 0.001 kWh register grid, the
+    // traffic metered exports carry.
+    let quantized = TimeSeries::new(
+        week_1min.start(),
+        week_1min.resolution(),
+        week_1min
+            .values()
+            .iter()
+            .map(|v| (v / 0.001).round() * 0.001)
+            .collect(),
+    )
+    .unwrap();
+    group.bench_function("rolling_anomalies_w1440_7d_1min_q001", |b| {
+        b.iter(|| {
+            flextract_series::anomaly::rolling_anomalies(black_box(&quantized), 1440, 4.0, 0.05)
         })
     });
     group.finish();

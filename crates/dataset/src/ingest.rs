@@ -23,9 +23,11 @@
 //! [`crate::Dataset::consumer_in`], which assembles only the chunks
 //! overlapping the window), never the whole stored series. For `n`
 //! scanned intervals gap-fill costs `O(n)` and the rolling-z screen
-//! `O(n·log w)` (`w` = `anomaly_window`; each `w`-block is sorted once).
-//! The trailing median is the only horizon-length buffer cleaning
-//! allocates; the trailing std is computed as the screen walks.
+//! `O(n·log w)` (`w` = `anomaly_window`): each `w`-block is sorted
+//! once, and each step then moves a cursor over the distinct readings
+//! of two adjacent blocks, a few dozen on a metering register's grid.
+//! The screen streams median, std and runs in one pass and allocates
+//! no horizon-length buffer, only scratch of a few block lengths.
 
 use crate::{DatasetError, MeasuredSeries};
 use flextract_series::{anomaly, missing, FillStrategy, TimeSeries};

@@ -348,9 +348,33 @@ proptest! {
     }
 }
 
+/// A sorted insert/remove buffer's trailing median — O(n·w), and no
+/// code shared with `rolling::rolling_median` or the screen's kernel.
+fn sorted_buffer_median(xs: &[f64], window: usize) -> Vec<f64> {
+    let mut out = Vec::with_capacity(xs.len());
+    let mut sorted: Vec<f64> = Vec::with_capacity(window);
+    for (i, &x) in xs.iter().enumerate() {
+        let pos = sorted.partition_point(|v| v.total_cmp(&x).is_lt());
+        sorted.insert(pos, x);
+        if i >= window {
+            let old = xs[i - window];
+            let pos = sorted.partition_point(|v| v.total_cmp(&old).is_lt());
+            sorted.remove(pos);
+        }
+        let n = sorted.len();
+        out.push(if n % 2 == 1 {
+            sorted[n / 2]
+        } else {
+            0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+        });
+    }
+    out
+}
+
 /// The rolling screen as the copying pipeline ran it: the whole
-/// trailing median and the whole trailing std (`rolling_std`), then
-/// each interval judged against the previous window's baseline.
+/// trailing median (from [`sorted_buffer_median`]) and the whole
+/// trailing std (`rolling_std`), then each interval judged against the
+/// previous window's baseline.
 fn oracle_rolling_anomalies(
     series: &TimeSeries,
     window: usize,
@@ -361,7 +385,7 @@ fn oracle_rolling_anomalies(
     if xs.len() <= window {
         return Vec::new();
     }
-    let med = rolling::rolling_median(xs, window);
+    let med = sorted_buffer_median(xs, window);
     let std = rolling::rolling_std(xs, window);
     let mut runs: Vec<Anomaly> = Vec::new();
     let mut open = false;

@@ -64,7 +64,8 @@ pub fn seasonal_anomalies(
     let (week_t, week_s) = per_kind(DayKind::Weekend);
     let per_day = series.resolution().intervals_per_day();
 
-    let baseline = (0..series.len()).map(|i| {
+    let mut runs = Runs::default();
+    for (i, &x) in series.values().iter().enumerate() {
         let t = series.timestamp_of(i);
         let (typ, sig) = if t.day_of_week().is_weekend() {
             (&week_t, &week_s)
@@ -72,52 +73,62 @@ pub fn seasonal_anomalies(
             (&work_t, &work_s)
         };
         let idx = (t.minute_of_day() as i64 / series.resolution().minutes()) as usize % per_day;
-        (typ[idx], (z_threshold * sig[idx]).max(noise_floor_kwh))
-    });
-    Ok(collect_runs(series, 0, baseline))
+        let band = (z_threshold * sig[idx]).max(noise_floor_kwh);
+        runs.judge(series, i, x, typ[idx], band);
+    }
+    Ok(runs.found)
 }
 
 /// Detect runs deviating from a *rolling* baseline: trailing median ±
 /// `z_threshold` × trailing std over `window` intervals. Works on any
 /// series length (no whole-day requirement); the leading `window`
 /// intervals are never flagged (the baseline is still warming up).
+///
+/// Interval `i` is judged against the window `i - window .. i`. One pass
+/// streams [`rolling::full_window_medians`] (no warm-up window is ever
+/// built), the std's sums as [`rolling::rolling_std`] runs them, and
+/// the runs. The std is only taken for an interval more than
+/// `noise_floor_kwh` from its median, which is exact: the band
+/// `(z · std).max(floor)` is never below the floor, and a `NaN` floor
+/// fails the test, so every interval it skips is unflagged.
 pub fn rolling_anomalies(
     series: &TimeSeries,
     window: usize,
     z_threshold: f64,
     noise_floor_kwh: f64,
 ) -> Vec<Anomaly> {
-    if series.len() <= window {
-        return Vec::new();
-    }
     let xs = series.values();
-    let med = rolling::rolling_median(xs, window);
-    // The trailing population std of [`rolling::rolling_std`], one step
-    // at a time with the same float operations in the same order, so
-    // no horizon-length std vector is built.
-    let leaving = std::iter::repeat_n(None, window).chain(xs.iter().map(Some));
-    let std = xs.iter().zip(leaving).enumerate().scan(
-        (0.0, 0.0),
-        |(sum, sum_sq): &mut (f64, f64), (i, (&x, leaving))| {
-            *sum += x;
-            *sum_sq += x * x;
-            if let Some(&y) = leaving {
-                *sum -= y;
-                *sum_sq -= y * y;
-            }
-            let n = (i + 1).min(window) as f64;
-            let mean = *sum / n;
-            Some((*sum_sq / n - mean * mean).max(0.0).sqrt())
-        },
-    );
-    // Interval `i` is judged against the baseline of the *previous*
-    // window, so a step is measured against history that excludes it.
-    let baseline = med
-        .iter()
-        .zip(std)
-        .skip(window - 1)
-        .map(|(&m, s)| (m, (z_threshold * s).max(noise_floor_kwh)));
-    collect_runs(series, window, baseline)
+    let Some((_, history)) = xs.split_last().filter(|_| xs.len() > window) else {
+        return Vec::new();
+    };
+    let (n, head) = (window as f64, window.saturating_sub(1));
+    let primer = xs.iter().take(head);
+    let (mut sum, mut sum_sq) = primer.fold((0.0, 0.0), |(s, q), &x| (s + x, q + x * x));
+    // The window ending at `k` takes in sample `k`, drops `k - window`
+    // (nothing on the first step) and judges sample `k + 1`.
+    let leaving = std::iter::once(None).chain(xs.iter().map(Some));
+    let judged = xs.iter().enumerate().skip(window);
+    let mut steps = xs.iter().skip(head).zip(leaving).zip(judged);
+    let mut runs = Runs::default();
+    rolling::full_window_medians(history, window, |median| {
+        let Some(((&came, gone), (i, &x))) = steps.next() else {
+            return;
+        };
+        sum += came;
+        sum_sq += came * came;
+        if let Some(&y) = gone {
+            sum -= y;
+            sum_sq -= y * y;
+        }
+        if (x - median).abs() <= noise_floor_kwh {
+            runs.open = false;
+        } else {
+            let mean = sum / n;
+            let band = z_threshold * (sum_sq / n - mean * mean).max(0.0).sqrt();
+            runs.judge(series, i, x, median, band.max(noise_floor_kwh));
+        }
+    });
+    runs.found
 }
 
 /// The index range each anomaly covers in a series of `len` intervals
@@ -168,54 +179,49 @@ pub fn mask_anomalies(
     }
 }
 
-/// Fold intervals `first..` of `series`, each paired with its
-/// `(expected, band)` baseline, into runs of one direction. An interval
-/// without a finite expectation is never anomalous.
-fn collect_runs(
-    series: &TimeSeries,
-    first: usize,
-    baseline: impl Iterator<Item = (f64, f64)>,
-) -> Vec<Anomaly> {
-    let mut out = Vec::new();
-    let mut run: Option<(usize, AnomalyDirection, f64, f64)> = None;
-    let judged = series.values().iter().enumerate().skip(first).zip(baseline);
-    // The trailing `None` closes the last run at the end of the series.
-    for step in judged.map(Some).chain([None]) {
-        let (i, status) = match step {
-            Some(((i, &x), (expected, band))) if expected.is_finite() => {
-                let diff = x - expected;
-                let status = if diff > band {
-                    Some((AnomalyDirection::High, diff, diff / band.max(1e-12)))
-                } else if diff < -band {
-                    Some((AnomalyDirection::Low, diff, -diff / band.max(1e-12)))
-                } else {
-                    None
-                };
-                (i, status)
-            }
-            Some(((i, _), _)) => (i, None),
-            None => (series.len(), None),
+/// Folds judged intervals, in index order, into runs of one direction.
+#[derive(Default)]
+struct Runs {
+    found: Vec<Anomaly>,
+    /// Whether the last run reaches the last judged interval.
+    open: bool,
+}
+
+impl Runs {
+    /// Judge interval `i` of `series`, value `x`, against `expected ±
+    /// band`. A value outside extends the last run when that run is
+    /// open and keeps its direction, or starts a run. An interval
+    /// without a finite expectation is never anomalous.
+    fn judge(&mut self, series: &TimeSeries, i: usize, x: f64, expected: f64, band: f64) {
+        let diff = x - expected;
+        let verdict = if !expected.is_finite() {
+            None
+        } else if diff > band {
+            Some((AnomalyDirection::High, diff / band.max(1e-12)))
+        } else if diff < -band {
+            Some((AnomalyDirection::Low, -diff / band.max(1e-12)))
+        } else {
+            None
         };
-        match (&mut run, status) {
-            (None, Some((dir, diff, z))) => run = Some((i, dir, diff, z)),
-            (Some((_, dir, dev, max_z)), Some((d2, diff, z))) if *dir == d2 => {
-                *dev += diff;
-                *max_z = max_z.max(z);
+        let open = std::mem::replace(&mut self.open, verdict.is_some());
+        let Some((direction, z)) = verdict else {
+            return;
+        };
+        match self.found.last_mut() {
+            Some(run) if open && run.direction == direction => {
+                run.intervals += 1;
+                run.deviation_kwh += diff;
+                run.max_z = run.max_z.max(z);
             }
-            (Some((start, dir, dev, max_z)), next) => {
-                out.push(Anomaly {
-                    start: series.timestamp_of(*start),
-                    intervals: i - *start,
-                    direction: *dir,
-                    deviation_kwh: *dev,
-                    max_z: *max_z,
-                });
-                run = next.map(|(d, diff, z)| (i, d, diff, z));
-            }
-            (None, None) => {}
+            _ => self.found.push(Anomaly {
+                start: series.timestamp_of(i),
+                intervals: 1,
+                direction,
+                deviation_kwh: diff,
+                max_z: z,
+            }),
         }
     }
-    out
 }
 
 #[cfg(test)]

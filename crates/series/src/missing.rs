@@ -114,17 +114,20 @@ pub fn fill_gaps(
         FillStrategy::SeasonalDaily => {
             let period = intervals_per_day.max(1);
             // Per-phase means over finite values.
-            let mut sums = vec![0.0; period];
-            let mut counts = vec![0usize; period];
-            for (i, v) in values.iter().enumerate() {
-                if !v.is_nan() {
-                    sums[i % period] += v;
-                    counts[i % period] += 1;
+            let mut sums = vec![(0.0, 0usize); period];
+            for day in values.chunks(period) {
+                for ((sum, count), v) in sums.iter_mut().zip(day) {
+                    if !v.is_nan() {
+                        *sum += v;
+                        *count += 1;
+                    }
                 }
             }
-            for (i, v) in values.iter_mut().enumerate() {
-                if v.is_nan() && counts[i % period] > 0 {
-                    *v = sums[i % period] / counts[i % period] as f64;
+            for day in values.chunks_mut(period) {
+                for (v, &(sum, count)) in day.iter_mut().zip(&sums) {
+                    if v.is_nan() && count > 0 {
+                        *v = sum / count as f64;
+                    }
                 }
             }
             // Phases missing everywhere: fall back to linear.
@@ -139,33 +142,26 @@ pub fn fill_gaps(
 /// Errors with [`SeriesError::Empty`] when the slice holds no finite
 /// value at all (nothing to interpolate from).
 fn fill_linear(values: &mut [f64]) -> Result<(), SeriesError> {
-    let n = values.len();
-    let mut i = 0;
-    while i < n {
-        if !values[i].is_nan() {
-            i += 1;
-            continue;
-        }
-        // Find the gap run [i, j).
-        let mut j = i;
-        while j < n && values[j].is_nan() {
-            j += 1;
-        }
-        let left = if i > 0 { Some(values[i - 1]) } else { None };
-        let right = if j < n { Some(values[j]) } else { None };
-        match (left, right) {
+    let mut rest = values;
+    while let Some(gap) = rest.iter().position(|v| v.is_nan()) {
+        // Past the first run `rest` starts on the previous run's right
+        // neighbour, so only a leading run has nothing on its left.
+        let (before, tail) = std::mem::take(&mut rest).split_at_mut(gap);
+        let run = tail.iter().position(|v| !v.is_nan()).unwrap_or(tail.len());
+        let (holes, after) = tail.split_at_mut(run);
+        match (before.last().copied(), after.first().copied()) {
             (Some(l), Some(r)) => {
-                let run = (j - i) as f64 + 1.0;
-                for (k, idx) in (i..j).enumerate() {
+                let run = run as f64 + 1.0;
+                for (k, v) in holes.iter_mut().enumerate() {
                     let frac = (k + 1) as f64 / run;
-                    values[idx] = l + (r - l) * frac;
+                    *v = l + (r - l) * frac;
                 }
             }
-            (Some(l), None) => values[i..j].iter_mut().for_each(|v| *v = l),
-            (None, Some(r)) => values[i..j].iter_mut().for_each(|v| *v = r),
+            (Some(l), None) => holes.fill(l),
+            (None, Some(r)) => holes.fill(r),
             (None, None) => return Err(SeriesError::Empty),
         }
-        i = j;
+        rest = after;
     }
     Ok(())
 }

@@ -1,32 +1,12 @@
-//! Rolling-window statistics.
+//! Rolling-window statistics for the anomaly screen.
 //!
-//! Online baselines are everywhere in this workspace: the real-time
-//! generator tracks a rolling median of recent power, the multi-tariff
-//! detector needs local level estimates, and plotting smoothed series
-//! is the first thing any analyst does with metering data. These
-//! helpers compute trailing-window statistics in one pass.
-//!
-//! All functions use a *trailing* window: `out[i]` summarises
-//! `xs[i.saturating_sub(window-1) ..= i]`, so the result is causal
-//! (usable online) and output length equals input length.
-
-use std::collections::VecDeque;
-
-/// Trailing-window mean.
-pub fn rolling_mean(xs: &[f64], window: usize) -> Vec<f64> {
-    assert!(window > 0, "window must be positive");
-    let mut out = Vec::with_capacity(xs.len());
-    let mut sum = 0.0;
-    for i in 0..xs.len() {
-        sum += xs[i];
-        if i >= window {
-            sum -= xs[i - window];
-        }
-        let n = (i + 1).min(window) as f64;
-        out.push(sum / n);
-    }
-    out
-}
+//! The cleaning stage judges each metered interval against the median
+//! and the population std of the `window` intervals before it
+//! ([`crate::anomaly::rolling_anomalies`]). This module holds the
+//! median's block kernel and the trailing std the screen reproduces.
+//! Both use a *trailing* window: `out[i]` summarises
+//! `xs[i.saturating_sub(window-1) ..= i]`, and output length equals
+//! input length.
 
 /// Trailing-window population standard deviation.
 pub fn rolling_std(xs: &[f64], window: usize) -> Vec<f64> {
@@ -49,113 +29,233 @@ pub fn rolling_std(xs: &[f64], window: usize) -> Vec<f64> {
     out
 }
 
-/// Trailing-window minimum (monotonic-deque algorithm, O(n) total).
-pub fn rolling_min(xs: &[f64], window: usize) -> Vec<f64> {
-    rolling_extreme(xs, window, |a, b| a <= b)
-}
-
-/// Trailing-window maximum (monotonic-deque algorithm, O(n) total).
-pub fn rolling_max(xs: &[f64], window: usize) -> Vec<f64> {
-    rolling_extreme(xs, window, |a, b| a >= b)
-}
-
-fn rolling_extreme(xs: &[f64], window: usize, keep: impl Fn(f64, f64) -> bool) -> Vec<f64> {
-    assert!(window > 0, "window must be positive");
+/// Trailing-window median, exact under [`f64::total_cmp`]: the middle
+/// sample of the window, or `0.5 * (lower + upper)` of the two middle
+/// samples of an even count. [`full_window_medians`]'s kernel, walking
+/// the warm-up windows too.
+pub fn rolling_median(xs: &[f64], window: usize) -> Vec<f64> {
     let mut out = Vec::with_capacity(xs.len());
-    let mut deque: VecDeque<usize> = VecDeque::new();
-    for i in 0..xs.len() {
-        while let Some(&back) = deque.back() {
-            if keep(xs[i], xs[back]) {
-                deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        deque.push_back(i);
-        if let Some(&front) = deque.front() {
-            if i >= window && front <= i - window {
-                deque.pop_front();
-            }
-        }
-        // `i` was just pushed, so the deque is never empty here; fall
-        // back to `i` rather than panicking on the impossible case.
-        let front = deque.front().copied().unwrap_or(i);
-        out.push(xs[front]);
-    }
+    block_medians(xs, window, true, |median| out.push(median));
     out
 }
 
-/// Trailing-window median, exact under [`f64::total_cmp`]: the middle
-/// sample of the window, or `0.5 * (lower + upper)` of the two middle
-/// samples when the window holds an even count. Each sample is sorted
-/// once, in a block of `window` samples, and each step then costs
-/// amortized O(1): O(n·log w) in total, with the log only in the sorts.
+/// Visit the median of every *full* trailing window of `xs`, in order:
+/// the windows ending at `window - 1`, `window`, …, `xs.len() - 1`.
+/// The warm-up windows before them are never built.
 ///
-/// Every trailing window is a suffix of one block plus a prefix of the
-/// next, so each pair of adjacent sorted blocks is merged into one rank
-/// space of at most `2 * window` ranks and the window is the set of its
-/// live ranks, a bitset. A step clears the rank of the sample leaving
-/// and sets the rank of the sample entering; a cursor on the lower
-/// median's rank, holding the count of live ranks below it, then moves
-/// to its new place by trailing/leading-zero scans of the bitset words.
-/// During warm-up the first block is paired with an empty one and the
-/// window grows from zero. The block scheme is Suomela's ("Median
-/// filtering is equivalent to sorting", arXiv 1406.1717).
-pub fn rolling_median(xs: &[f64], window: usize) -> Vec<f64> {
+/// Each sample is sorted once, in a block of `window` samples: O(n·log
+/// w) in total, the log only in the sorts. Every window is a suffix of
+/// one block plus a prefix of the next (Suomela, arXiv 1406.1717), so
+/// each adjacent pair's *distinct* keys are merged into one list and
+/// the window is a live count per key. A step moves one count down and
+/// one up, and the cursor on the lower median — a key and the live
+/// samples below it — moves at most one nonzero key. Metered readings
+/// sit on a register grid: a block holds a few dozen distinct keys, so
+/// the merge is short and the cursor mostly stays put.
+pub fn full_window_medians(xs: &[f64], window: usize, visit: impl FnMut(f64)) {
+    block_medians(xs, window, false, visit);
+}
+
+fn block_medians(xs: &[f64], window: usize, warm_up: bool, mut visit: impl FnMut(f64)) {
     assert!(window > 0, "window must be positive");
-    let block_len = window.min(xs.len());
-    let mut out = Vec::with_capacity(xs.len());
-    // `(key, offset in block)` of the previous and the current block,
-    // sorted by key.
-    let mut older: Vec<(i64, usize)> = Vec::with_capacity(block_len);
-    let mut newer: Vec<(i64, usize)> = Vec::with_capacity(block_len);
-    // The pair's rank space: `value[r]` is the sample of rank `r`, and
-    // `rank[j]` the rank of the pair's `j`-th sample, the older block's
-    // samples first.
-    let mut value: Vec<f64> = Vec::with_capacity(2 * block_len);
-    let mut rank: Vec<usize> = Vec::with_capacity(2 * block_len);
-    let mut live: Vec<u64> = Vec::with_capacity((2 * block_len).div_ceil(64));
-    for block in xs.chunks(window) {
-        newer.clear();
-        newer.extend(block.iter().enumerate().map(|(j, &x)| (order_key(x), j)));
-        newer.sort_unstable_by_key(|&(key, _)| key);
-        merge_ranks(&older, &newer, &mut value, &mut rank);
-
-        // Before this block's first step the window is the whole older
-        // block (empty during warm-up), and the cursor sits on the
-        // older block's own lower median.
-        let held = older.len();
-        live.clear();
-        live.resize(value.len().div_ceil(64), 0);
-        for &r in rank.iter().take(held) {
-            toggle_live(&mut live, r);
-        }
-        let mut count = held;
-        let mut below = held.saturating_sub(1) / 2;
-        let mut cursor = older
-            .get(below)
-            .and_then(|&(_, j)| rank.get(j).copied())
-            .unwrap_or(0);
-
-        for t in 0..block.len() {
-            if t < held {
-                if let Some(&gone) = rank.get(t) {
-                    toggle_live(&mut live, gone);
-                    below -= usize::from(gone < cursor);
-                }
+    let mut blocks = xs.chunks(window);
+    let (mut older, mut newer, mut live) = (Block::default(), Block::default(), Live::default());
+    let mut sorted = Vec::new();
+    // Without warm-up the first block only yields its full window's
+    // median, straight from its sorted samples; with it, the first
+    // block's steps grow the window from an empty older block.
+    if !warm_up {
+        let Some(first) = blocks.next() else {
+            return;
+        };
+        older.regroup(first, &mut sorted);
+        if first.len() == window {
+            let middle = |r: usize| sorted.get(r).map_or(f64::NAN, |&(key, _)| key_value(key));
+            let (lower, upper) = (middle((window - 1) / 2), middle(window / 2));
+            visit(if window % 2 == 1 {
+                lower
             } else {
-                count += 1;
-            }
-            if let Some(&came) = rank.get(held + t) {
-                toggle_live(&mut live, came);
-                below += usize::from(came < cursor);
-            }
-            (cursor, below) = settle(&live, cursor, below, (count - 1) / 2);
-            out.push(median_at(&live, &value, cursor, count));
+                0.5 * (lower + upper)
+            });
+        }
+    }
+    for block in blocks {
+        newer.regroup(block, &mut sorted);
+        live.pair(&older, &newer);
+        let held = older.group.len();
+        for (t, &came) in newer.group.iter().enumerate() {
+            let count = held.max(t + 1);
+            live.step(older.group.get(t).copied(), came, count);
+            visit(live.median(count));
         }
         std::mem::swap(&mut older, &mut newer);
     }
-    out
+}
+
+/// One block of samples, grouped by distinct key: the distinct `keys`
+/// ascending, one past the last rank of each key's samples, and each
+/// sample's key, in arrival order.
+#[derive(Default)]
+struct Block {
+    keys: Vec<i64>,
+    ends: Vec<usize>,
+    group: Vec<usize>,
+}
+
+impl Block {
+    /// Group `samples`, leaving their `(key, offset)` pairs in `sorted`,
+    /// sorted by key.
+    fn regroup(&mut self, samples: &[f64], sorted: &mut Vec<(i64, usize)>) {
+        let n = samples.len();
+        sorted.clear();
+        sorted.extend(samples.iter().enumerate().map(|(j, &x)| (order_key(x), j)));
+        sorted.sort_unstable_by_key(|&(key, _)| key);
+        // Each sample writes its key's slots, so a new key costs no
+        // branch; the last write leaves the key's last rank. Every slot
+        // kept is written, so stale contents need no clearing.
+        self.keys.resize(n, 0);
+        self.ends.resize(n, 0);
+        self.group.resize(n, 0);
+        let mut g = 0;
+        let mut last = sorted.first().map_or(0, |&(key, _)| key);
+        for (r, &(key, j)) in sorted.iter().enumerate() {
+            g += usize::from(key != last);
+            last = key;
+            put(&mut self.keys, g, key);
+            put(&mut self.ends, g, r + 1);
+            put(&mut self.group, j, g);
+        }
+        self.keys.truncate((g + 1).min(n));
+        self.ends.truncate((g + 1).min(n));
+    }
+}
+
+/// The live window over a pair of adjacent blocks, on the pair's
+/// merged distinct keys.
+#[derive(Default)]
+struct Live {
+    /// The sample of each merged key, ascending.
+    value: Vec<f64>,
+    /// The merged key of each of the older and the newer block's keys.
+    from_older: Vec<usize>,
+    from_newer: Vec<usize>,
+    /// Live samples per merged key, and a bitset of the nonzero ones.
+    count: Vec<usize>,
+    nonzero: Vec<u64>,
+    /// The merged key holding the lower median and the live samples below it.
+    cursor: usize,
+    below: usize,
+}
+
+impl Live {
+    /// Merge the two blocks' keys and make the window the whole older
+    /// block, the cursor on its lower median.
+    fn pair(&mut self, older: &Block, newer: &Block) {
+        let (na, nb) = (older.keys.len(), newer.keys.len());
+        self.from_older.resize(na, 0);
+        self.from_newer.resize(nb, 0);
+        self.value.resize(na + nb, 0.0);
+        self.count.resize(na + nb, 0);
+        // Both heads are read and all slots written every step, so the
+        // data-dependent merge order compiles to selects, not
+        // mispredicted branches; a head's slot keeps the write made as
+        // its key is taken.
+        let (mut a, mut b, mut merged, mut held) = (0, 0, 0, 0);
+        while a < na || b < nb {
+            let ka = older.keys.get(a).copied().unwrap_or_default();
+            let kb = newer.keys.get(b).copied().unwrap_or_default();
+            let take_a = a < na && (b >= nb || ka <= kb);
+            let take_b = b < nb && (a >= na || kb <= ka);
+            let end = older.ends.get(a).copied().unwrap_or(held);
+            put(&mut self.from_older, a, merged);
+            put(&mut self.from_newer, b, merged);
+            let key = if take_a { ka } else { kb };
+            put(&mut self.value, merged, key_value(key));
+            put(&mut self.count, merged, if take_a { end - held } else { 0 });
+            held = if take_a { end } else { held };
+            a += usize::from(take_a);
+            b += usize::from(take_b);
+            merged += 1;
+        }
+        self.value.truncate(merged);
+        self.count.truncate(merged);
+        let word = |live: &[usize]| live.iter().rev().fold(0, |w, &c| w << 1 | u64::from(c > 0));
+        self.nonzero.clear();
+        self.nonzero.extend(self.count.chunks(64).map(word));
+        let target = older.group.len().saturating_sub(1) / 2;
+        let median = older.ends.partition_point(|&end| end <= target);
+        self.cursor = self.from_older.get(median).copied().unwrap_or(0);
+        let below = median.checked_sub(1).and_then(|g| older.ends.get(g));
+        self.below = below.copied().unwrap_or(0);
+    }
+
+    /// The older block's key `gone` (if any) leaves the window, the
+    /// newer block's key `came` joins it, and the cursor moves to the
+    /// window's new lower median; the window then holds `count`
+    /// samples. One sample in and at most one out moves the lower
+    /// median to, at most, the nearest nonzero key on one side.
+    #[inline]
+    fn step(&mut self, gone: Option<usize>, came: usize, count: usize) {
+        if let Some(g) = gone.and_then(|g| self.from_older.get(g).copied()) {
+            self.shift(g, false);
+        }
+        if let Some(&g) = self.from_newer.get(came) {
+            self.shift(g, true);
+        }
+        let target = (count - 1) / 2;
+        if self.below > target {
+            if let Some(g) = prev_nonzero(&self.nonzero, self.cursor) {
+                self.cursor = g;
+                self.below -= self.count_at(g);
+            }
+        } else if self.below + self.count_at(self.cursor) <= target {
+            if let Some(g) = next_nonzero(&self.nonzero, self.cursor + 1) {
+                self.below += self.count_at(self.cursor);
+                self.cursor = g;
+            }
+        }
+    }
+
+    /// One sample of merged key `g` joins (`came`) or leaves the window.
+    fn shift(&mut self, g: usize, came: bool) {
+        if let Some(count) = self.count.get_mut(g) {
+            *count = if came { *count + 1 } else { *count - 1 };
+            if *count == usize::from(came) {
+                toggle(&mut self.nonzero, g);
+            }
+        }
+        let moved = usize::from(g < self.cursor);
+        self.below = if came {
+            self.below + moved
+        } else {
+            self.below - moved
+        };
+    }
+
+    fn count_at(&self, g: usize) -> usize {
+        self.count.get(g).copied().unwrap_or(0)
+    }
+
+    /// The median of a window of `count` samples. The upper median
+    /// shares the lower's key unless that key's samples end at the
+    /// lower median. The `NaN` fallbacks are never taken: the cursor's
+    /// key is live, and so is a key above it when an even count's upper
+    /// median lies past the cursor's key.
+    #[inline]
+    fn median(&self, count: usize) -> f64 {
+        let lower = self.value.get(self.cursor).copied().unwrap_or(f64::NAN);
+        if count % 2 == 1 {
+            return lower;
+        }
+        let upper = if self.below + self.count_at(self.cursor) > count / 2 {
+            lower
+        } else {
+            next_nonzero(&self.nonzero, self.cursor + 1)
+                .and_then(|g| self.value.get(g).copied())
+                .unwrap_or(f64::NAN)
+        };
+        0.5 * (lower + upper)
+    }
 }
 
 /// Integer key ordered exactly like [`f64::total_cmp`].
@@ -174,111 +274,40 @@ fn flip_negatives(bits: i64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// Merge two key-sorted blocks into one rank space: `value[r]` gets the
-/// sample of rank `r` and `rank[j]` the rank of the pair's `j`-th
-/// sample, `older`'s offsets first and `newer`'s after them. Equal keys
-/// are equal bits, so which of two tied samples ranks first is free.
-fn merge_ranks(
-    older: &[(i64, usize)],
-    newer: &[(i64, usize)],
-    value: &mut Vec<f64>,
-    rank: &mut Vec<usize>,
-) {
-    let (held, len) = (older.len(), older.len() + newer.len());
-    value.clear();
-    value.resize(len, 0.0);
-    rank.clear();
-    rank.resize(len, 0);
-    // Both heads are read every step so that the pick can compile to a
-    // select: a branch on the data-dependent merge order mispredicts.
-    let (mut a, mut b) = (0, 0);
-    for (r, v) in value.iter_mut().enumerate() {
-        let (ka, ja) = older.get(a).copied().unwrap_or_default();
-        let (kb, jb) = newer.get(b).copied().unwrap_or_default();
-        let from_older = a < held && (b >= newer.len() || ka <= kb);
-        let (key, j) = if from_older {
-            (ka, ja)
-        } else {
-            (kb, held + jb)
-        };
-        a += usize::from(from_older);
-        b += usize::from(!from_older);
-        *v = key_value(key);
-        if let Some(slot) = rank.get_mut(j) {
-            *slot = r;
-        }
+/// `slots[i] = v`, or nothing past the end.
+fn put<T>(slots: &mut [T], i: usize, v: T) {
+    if let Some(slot) = slots.get_mut(i) {
+        *slot = v;
     }
 }
 
-/// Move rank `r` into or out of the window.
-fn toggle_live(live: &mut [u64], r: usize) {
-    if let Some(word) = live.get_mut(r / 64) {
-        *word ^= 1 << (r % 64);
+fn toggle(bits: &mut [u64], i: usize) {
+    if let Some(word) = bits.get_mut(i / 64) {
+        *word ^= 1 << (i % 64);
     }
 }
 
-fn is_live(live: &[u64], r: usize) -> bool {
-    live.get(r / 64)
-        .is_some_and(|word| word >> (r % 64) & 1 == 1)
-}
-
-/// The smallest live rank at or above `from`.
-fn next_live(live: &[u64], from: usize) -> Option<usize> {
+/// The smallest set bit at or above `from`.
+fn next_nonzero(bits: &[u64], from: usize) -> Option<usize> {
     let mut w = from / 64;
-    let mut bits = live.get(w)? & (!0 << (from % 64));
-    while bits == 0 {
+    let mut word = bits.get(w)? & (!0 << (from % 64));
+    while word == 0 {
         w += 1;
-        bits = *live.get(w)?;
+        word = *bits.get(w)?;
     }
-    Some(w * 64 + bits.trailing_zeros() as usize)
+    Some(w * 64 + word.trailing_zeros() as usize)
 }
 
-/// The largest live rank below `before`.
-fn prev_live(live: &[u64], before: usize) -> Option<usize> {
+/// The largest set bit below `before`.
+fn prev_nonzero(bits: &[u64], before: usize) -> Option<usize> {
     let last = before.checked_sub(1)?;
     let mut w = last / 64;
-    let mut bits = live.get(w)? & (!0 >> (63 - last % 64));
-    while bits == 0 {
+    let mut word = bits.get(w)? & (!0 >> (63 - last % 64));
+    while word == 0 {
         w = w.checked_sub(1)?;
-        bits = *live.get(w)?;
+        word = *bits.get(w)?;
     }
-    Some(w * 64 + 63 - bits.leading_zeros() as usize)
-}
-
-/// Move the cursor to the live rank with exactly `target` live ranks
-/// below it. `below` counts the live ranks below `cursor`, which may
-/// itself have just left the window. The window always holds more than
-/// `target` live ranks, so every scan finds one.
-fn settle(live: &[u64], mut cursor: usize, mut below: usize, target: usize) -> (usize, usize) {
-    loop {
-        let step = if below > target {
-            prev_live(live, cursor).map(|r| (r, below - 1))
-        } else if !is_live(live, cursor) {
-            next_live(live, cursor).map(|r| (r, below))
-        } else if below < target {
-            next_live(live, cursor + 1).map(|r| (r, below + 1))
-        } else {
-            return (cursor, below);
-        };
-        match step {
-            Some(moved) => (cursor, below) = moved,
-            None => return (cursor, below),
-        }
-    }
-}
-
-/// The median of `count` live ranks whose lower median is at `cursor`.
-/// The `NaN` fallbacks are never taken: the cursor is live, and an even
-/// count leaves a live rank above it.
-fn median_at(live: &[u64], value: &[f64], cursor: usize, count: usize) -> f64 {
-    let lower = value.get(cursor).copied().unwrap_or(f64::NAN);
-    if count % 2 == 1 {
-        return lower;
-    }
-    let upper = next_live(live, cursor + 1)
-        .and_then(|r| value.get(r).copied())
-        .unwrap_or(f64::NAN);
-    0.5 * (lower + upper)
+    Some(w * 64 + 63 - word.leading_zeros() as usize)
 }
 
 #[cfg(test)]
@@ -286,17 +315,6 @@ mod tests {
     use super::*;
 
     const EPS: f64 = 1e-12;
-
-    #[test]
-    fn mean_warms_up_then_slides() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let m = rolling_mean(&xs, 3);
-        assert!((m[0] - 1.0).abs() < EPS);
-        assert!((m[1] - 1.5).abs() < EPS);
-        assert!((m[2] - 2.0).abs() < EPS);
-        assert!((m[3] - 3.0).abs() < EPS);
-        assert!((m[4] - 4.0).abs() < EPS);
-    }
 
     #[test]
     fn std_matches_direct_computation() {
@@ -314,21 +332,6 @@ mod tests {
         // Flat window → zero std, not NaN.
         let flat = rolling_std(&[2.0; 5], 3);
         assert!(flat.iter().all(|v| v.abs() < EPS));
-    }
-
-    #[test]
-    fn min_max_track_extremes() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mn = rolling_min(&xs, 3);
-        let mx = rolling_max(&xs, 3);
-        for i in 0..xs.len() {
-            let lo = i.saturating_sub(2);
-            let w = &xs[lo..=i];
-            let dmn = w.iter().cloned().fold(f64::INFINITY, f64::min);
-            let dmx = w.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            assert_eq!(mn[i], dmn, "min at {i}");
-            assert_eq!(mx[i], dmx, "max at {i}");
-        }
     }
 
     #[test]
@@ -350,17 +353,13 @@ mod tests {
     #[test]
     fn window_one_is_identity() {
         let xs = [4.0, 2.0, 7.0];
-        assert_eq!(rolling_mean(&xs, 1), xs.to_vec());
         assert_eq!(rolling_median(&xs, 1), xs.to_vec());
-        assert_eq!(rolling_min(&xs, 1), xs.to_vec());
-        assert_eq!(rolling_max(&xs, 1), xs.to_vec());
+        assert_eq!(rolling_std(&xs, 1), vec![0.0; 3]);
     }
 
     #[test]
     fn window_larger_than_input_uses_all_history() {
         let xs = [1.0, 2.0, 3.0];
-        let m = rolling_mean(&xs, 100);
-        assert!((m[2] - 2.0).abs() < EPS);
         let md = rolling_median(&xs, 100);
         assert!((md[2] - 2.0).abs() < EPS);
     }
@@ -368,14 +367,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_window_panics() {
-        rolling_mean(&[1.0], 0);
+        rolling_median(&[1.0], 0);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        assert!(rolling_mean(&[], 3).is_empty());
         assert!(rolling_std(&[], 3).is_empty());
-        assert!(rolling_min(&[], 3).is_empty());
         assert!(rolling_median(&[], 3).is_empty());
     }
 }

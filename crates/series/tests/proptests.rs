@@ -6,6 +6,7 @@ use flextract_series::{
 };
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Non-negative kWh values like real consumption intervals.
 fn arb_values(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -270,7 +271,10 @@ fn oracle_rolling_anomalies(
     for i in window..xs.len() {
         let band = (z_threshold * std[i - 1]).max(noise_floor_kwh);
         let diff = xs[i] - med[i - 1];
-        let status = if diff > band {
+        // A median that overflowed to ±∞ is no expectation at all.
+        let status = if !med[i - 1].is_finite() {
+            None
+        } else if diff > band {
             Some((AnomalyDirection::High, diff / band.max(1e-12)))
         } else if diff < -band {
             Some((AnomalyDirection::Low, -diff / band.max(1e-12)))
@@ -313,32 +317,151 @@ proptest! {
         );
     }
 
+    /// The screen's visitor sees exactly the full-window medians.
+    #[test]
+    fn full_window_medians_are_rolling_medians_past_warm_up((xs, window) in arb_median_case()) {
+        let mut full = Vec::new();
+        rolling::full_window_medians(&xs, window, |m| full.push(m));
+        let tail = rolling::rolling_median(&xs, window).split_off((window - 1).min(xs.len()));
+        prop_assert_eq!(bits(&full), bits(&tail), "window {} over {:?}", window, xs);
+    }
+
     #[test]
     fn rolling_anomalies_match_oracle_median_runs(
         start in arb_start(),
-        xs in prop::collection::vec(
-            prop_oneof![
-                3 => (0_i64..400).prop_map(|k| k as f64 * 0.001),
-                1 => 0.0_f64..3.0,
-            ],
-            2..300,
-        ),
-        window in 1_usize..=64,
-        z in 0.5_f64..6.0,
-        floor in prop_oneof![Just(0.0), 0.0_f64..0.2],
+        (xs, window) in arb_screen_case(),
+        z in prop_oneof![1 => Just(0.0), 1 => -3.0_f64..0.0, 4 => 0.5_f64..6.0],
+        floor in prop_oneof![
+            2 => Just(0.0),
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NAN),
+            4 => (0_i64..200).prop_map(|k| k as f64 * 0.001),
+            2 => 0.0_f64..0.2,
+        ],
     ) {
-        prop_assume!(xs.len() > window);
         let s = TimeSeries::new(start, Resolution::MIN_15, xs).unwrap();
-        let got = anomaly::rolling_anomalies(&s, window, z, floor);
-        let want = oracle_rolling_anomalies(&s, window, z, floor);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert_eq!(g.start, w.start);
-            prop_assert_eq!(g.intervals, w.intervals);
-            prop_assert_eq!(g.direction, w.direction);
-            prop_assert_eq!(g.deviation_kwh.to_bits(), w.deviation_kwh.to_bits());
-            prop_assert_eq!(g.max_z.to_bits(), w.max_z.to_bits());
-        }
+        assert_screen_matches_oracle(&s, window, z, floor)?;
+    }
+}
+
+/// A screen sample: mostly on the 0.001 grid (so `|x − median|` can
+/// tie a grid floor exactly), some plain reals, and rarely one within a
+/// factor of two of `±f64::MAX`, where the std's sums overflow.
+fn arb_screen_sample() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        12 => (0_i64..400).prop_map(|k| k as f64 * 0.001),
+        4 => 0.0_f64..3.0,
+        1 => (0.5_f64..=1.0).prop_map(|f| f * f64::MAX),
+        1 => (0.5_f64..=1.0).prop_map(|f| -f * f64::MAX),
+    ]
+}
+
+/// A series longer than its window, and the window (1 to 64). The
+/// length is random, `window + 1`, `k·window` or `k·window + 1`, so the
+/// screen meets every block boundary. Sometimes a run of `±f64::MAX`
+/// is painted over it, long enough to push the median to ±∞.
+fn arb_screen_case() -> impl Strategy<Value = (Vec<f64>, usize)> {
+    (
+        prop::collection::vec(arb_screen_sample(), 5 * 64 + 1),
+        1_usize..=64,
+        0_usize..4,
+        1_usize..=4,
+        any::<usize>(),
+        prop_oneof![
+            3 => Just(None),
+            1 => (any::<usize>(), 1_usize..100, prop_oneof![Just(f64::MAX), Just(-f64::MAX)])
+                .prop_map(Some),
+        ],
+    )
+        .prop_map(|(mut xs, window, shape, k, extra, paint)| {
+            let len = match shape {
+                0 => window + 1 + extra % 250,
+                1 => window + 1,
+                2 => (k + 1) * window,
+                _ => k * window + 1,
+            };
+            xs.truncate(len);
+            if let Some((at, run, value)) = paint {
+                let at = at % xs.len();
+                let end = (at + run).min(xs.len());
+                xs[at..end].fill(value);
+            }
+            (xs, window)
+        })
+}
+
+/// `rolling_anomalies` and the oracle agree run for run, bit for bit.
+fn assert_screen_matches_oracle(
+    s: &TimeSeries,
+    window: usize,
+    z: f64,
+    floor: f64,
+) -> Result<(), TestCaseError> {
+    let got = anomaly::rolling_anomalies(s, window, z, floor);
+    let want = oracle_rolling_anomalies(s, window, z, floor);
+    prop_assert_eq!(
+        got.len(),
+        want.len(),
+        "window {} z {} floor {}",
+        window,
+        z,
+        floor
+    );
+    for (g, w) in got.iter().zip(&want) {
+        prop_assert_eq!(g.start, w.start);
+        prop_assert_eq!(g.intervals, w.intervals);
+        prop_assert_eq!(g.direction, w.direction);
+        prop_assert_eq!(g.deviation_kwh.to_bits(), w.deviation_kwh.to_bits());
+        prop_assert_eq!(g.max_z.to_bits(), w.max_z.to_bits());
+    }
+    Ok(())
+}
+
+/// `len` samples on the 0.001 grid from a seeded generator: `distinct`
+/// levels above `base`, with rare spikes and dropouts.
+fn quantized_samples(seed: u64, len: usize, distinct: u64, base: u64) -> Vec<f64> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 11
+    };
+    (0..len)
+        .map(|_| match next() % 1000 {
+            0 => 0.0,
+            1 => (base + 400 + next() % 2000) as f64 * 0.001,
+            _ => (base + next() % distinct) as f64 * 0.001,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The production block shape: windows of 65 to 2 048 samples over
+    /// two to eight blocks plus a remainder, on quantized data, so the
+    /// kernel's distinct-key lists stay far shorter than its blocks.
+    #[test]
+    fn rolling_screen_matches_oracles_on_long_windows(
+        seed in any::<u64>(),
+        window in 65_usize..=2048,
+        blocks in 2_usize..=8,
+        rem in any::<usize>(),
+        distinct in prop_oneof![Just(1_u64), 2_u64..=64, 64_u64..=4000],
+        base in 0_u64..5000,
+        z in 0.5_f64..6.0,
+        floor in prop_oneof![Just(0.0), (0_i64..100).prop_map(|k| k as f64 * 0.001)],
+    ) {
+        let len = blocks * window + rem % window;
+        let xs = quantized_samples(seed, len, distinct, base);
+        prop_assert_eq!(
+            bits(&rolling::rolling_median(&xs, window)),
+            bits(&sorted_buffer_median(&xs, window)),
+            "window {}", window
+        );
+        let s = TimeSeries::new(Timestamp::from_minutes(0), Resolution::MIN_1, xs).unwrap();
+        assert_screen_matches_oracle(&s, window, z, floor)?;
     }
 }
 
