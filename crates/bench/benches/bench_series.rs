@@ -112,11 +112,6 @@ fn bench_forecast_and_anomaly(c: &mut Criterion) {
             .unwrap()
         })
     });
-    group.bench_function("seasonal_anomalies_28d", |b| {
-        b.iter(|| {
-            flextract_series::anomaly::seasonal_anomalies(black_box(&series), 2.0, 0.02).unwrap()
-        })
-    });
     group.bench_function("rolling_anomalies_28d", |b| {
         b.iter(|| flextract_series::anomaly::rolling_anomalies(black_box(&series), 96, 3.0, 0.02))
     });

@@ -1,14 +1,13 @@
-//! Seasonal anomaly detection.
+//! Rolling-baseline anomaly detection: the cleaning stage's screen.
 //!
 //! The related work the paper builds on includes "time series data
 //! mining techniques, which stress … anomaly detection" (§5, ref \[13\]).
-//! In this workspace anomalies are the multi-tariff signal: intervals
-//! where a day deviates from the consumer's typical day beyond the
-//! noise band. This module generalises that detector into a reusable
-//! primitive (and adds the plain rolling z-score variant).
+//! Here a metered interval is anomalous when it leaves the band of a
+//! trailing median ± z × trailing std, and runs of such intervals are
+//! masked back into gaps ([`mask_anomalies`]) for the gap fill to
+//! replace.
 
-use crate::segment::{day_profile_std, typical_day_profile, DayKind};
-use crate::{rolling, SeriesError, TimeSeries};
+use crate::{rolling, TimeSeries};
 use flextract_time::{Resolution, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -38,51 +37,10 @@ pub struct Anomaly {
     pub max_z: f64,
 }
 
-/// Detect runs deviating from the series' own *seasonal expectation*:
-/// the per-interval-of-day mean ± `z_threshold` standard deviations
-/// (computed per day-kind from the series itself).
-///
-/// Requires at least two whole days. This is the standalone version of
-/// the multi-tariff comparison, applicable to a single series.
-pub fn seasonal_anomalies(
-    series: &TimeSeries,
-    z_threshold: f64,
-    noise_floor_kwh: f64,
-) -> Result<Vec<Anomaly>, SeriesError> {
-    let all_t = typical_day_profile(series, DayKind::All)?;
-    let all_s = day_profile_std(series, DayKind::All)?;
-    let per_kind = |kind: DayKind| -> (Vec<f64>, Vec<f64>) {
-        match (
-            typical_day_profile(series, kind),
-            day_profile_std(series, kind),
-        ) {
-            (Ok(t), Ok(s)) => (t, s),
-            _ => (all_t.clone(), all_s.clone()),
-        }
-    };
-    let (work_t, work_s) = per_kind(DayKind::Workday);
-    let (week_t, week_s) = per_kind(DayKind::Weekend);
-    let per_day = series.resolution().intervals_per_day();
-
-    let mut runs = Runs::default();
-    for (i, &x) in series.values().iter().enumerate() {
-        let t = series.timestamp_of(i);
-        let (typ, sig) = if t.day_of_week().is_weekend() {
-            (&week_t, &week_s)
-        } else {
-            (&work_t, &work_s)
-        };
-        let idx = (t.minute_of_day() as i64 / series.resolution().minutes()) as usize % per_day;
-        let band = (z_threshold * sig[idx]).max(noise_floor_kwh);
-        runs.judge(series, i, x, typ[idx], band);
-    }
-    Ok(runs.found)
-}
-
 /// Detect runs deviating from a *rolling* baseline: trailing median ±
 /// `z_threshold` × trailing std over `window` intervals. Works on any
-/// series length (no whole-day requirement); the leading `window`
-/// intervals are never flagged (the baseline is still warming up).
+/// series length; the leading `window` intervals are never flagged (the
+/// baseline is still warming up).
 ///
 /// Interval `i` is judged against the window `i - window .. i`. One pass
 /// streams [`rolling::full_window_medians`] (no warm-up window is ever
@@ -109,7 +67,9 @@ pub fn rolling_anomalies(
     let leaving = std::iter::once(None).chain(xs.iter().map(Some));
     let judged = xs.iter().enumerate().skip(window);
     let mut steps = xs.iter().skip(head).zip(leaving).zip(judged);
-    let mut runs = Runs::default();
+    let mut found: Vec<Anomaly> = Vec::new();
+    // Whether the last run reaches the last judged interval.
+    let mut open = false;
     rolling::full_window_medians(history, window, |median| {
         let Some(((&came, gone), (i, &x))) = steps.next() else {
             return;
@@ -120,15 +80,44 @@ pub fn rolling_anomalies(
             sum -= y;
             sum_sq -= y * y;
         }
-        if (x - median).abs() <= noise_floor_kwh {
-            runs.open = false;
+        // A value outside `median ± band` extends the last run when that
+        // run is open and keeps its direction, or starts a run. A median
+        // that overflowed to ±∞ is no expectation at all.
+        let diff = x - median;
+        let verdict = if diff.abs() <= noise_floor_kwh || !median.is_finite() {
+            None
         } else {
             let mean = sum / n;
-            let band = z_threshold * (sum_sq / n - mean * mean).max(0.0).sqrt();
-            runs.judge(series, i, x, median, band.max(noise_floor_kwh));
+            let std = (sum_sq / n - mean * mean).max(0.0).sqrt();
+            let band = (z_threshold * std).max(noise_floor_kwh);
+            if diff > band {
+                Some((AnomalyDirection::High, diff / band.max(1e-12)))
+            } else if diff < -band {
+                Some((AnomalyDirection::Low, -diff / band.max(1e-12)))
+            } else {
+                None
+            }
+        };
+        let extends = std::mem::replace(&mut open, verdict.is_some());
+        let Some((direction, z)) = verdict else {
+            return;
+        };
+        match found.last_mut() {
+            Some(run) if extends && run.direction == direction => {
+                run.intervals += 1;
+                run.deviation_kwh += diff;
+                run.max_z = run.max_z.max(z);
+            }
+            _ => found.push(Anomaly {
+                start: series.timestamp_of(i),
+                intervals: 1,
+                direction,
+                deviation_kwh: diff,
+                max_z: z,
+            }),
         }
     });
-    runs.found
+    found
 }
 
 /// The index range each anomaly covers in a series of `len` intervals
@@ -179,51 +168,6 @@ pub fn mask_anomalies(
     }
 }
 
-/// Folds judged intervals, in index order, into runs of one direction.
-#[derive(Default)]
-struct Runs {
-    found: Vec<Anomaly>,
-    /// Whether the last run reaches the last judged interval.
-    open: bool,
-}
-
-impl Runs {
-    /// Judge interval `i` of `series`, value `x`, against `expected ±
-    /// band`. A value outside extends the last run when that run is
-    /// open and keeps its direction, or starts a run. An interval
-    /// without a finite expectation is never anomalous.
-    fn judge(&mut self, series: &TimeSeries, i: usize, x: f64, expected: f64, band: f64) {
-        let diff = x - expected;
-        let verdict = if !expected.is_finite() {
-            None
-        } else if diff > band {
-            Some((AnomalyDirection::High, diff / band.max(1e-12)))
-        } else if diff < -band {
-            Some((AnomalyDirection::Low, -diff / band.max(1e-12)))
-        } else {
-            None
-        };
-        let open = std::mem::replace(&mut self.open, verdict.is_some());
-        let Some((direction, z)) = verdict else {
-            return;
-        };
-        match self.found.last_mut() {
-            Some(run) if open && run.direction == direction => {
-                run.intervals += 1;
-                run.deviation_kwh += diff;
-                run.max_z = run.max_z.max(z);
-            }
-            _ => self.found.push(Anomaly {
-                start: series.timestamp_of(i),
-                intervals: 1,
-                direction,
-                deviation_kwh: diff,
-                max_z: z,
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,42 +187,17 @@ mod tests {
     }
 
     #[test]
-    fn seasonal_detector_finds_the_block() {
-        let s = series_with_block();
-        let anomalies = seasonal_anomalies(&s, 2.0, 0.05).unwrap();
-        // Exactly one high run of 4 intervals at the planted position.
-        let highs: Vec<&Anomaly> = anomalies
-            .iter()
-            .filter(|a| a.direction == AnomalyDirection::High)
-            .collect();
-        assert_eq!(highs.len(), 1, "{anomalies:?}");
-        assert_eq!(highs[0].intervals, 4);
-        assert_eq!(highs[0].start, ts("2013-03-25 10:00"));
-        assert!(highs[0].deviation_kwh > 3.0, "{}", highs[0].deviation_kwh);
-        assert!(highs[0].max_z > 1.0);
-    }
-
-    #[test]
-    fn seasonal_detector_is_quiet_on_clean_data() {
-        let s = TimeSeries::new(ts("2013-03-18"), Resolution::MIN_15, vec![0.5; 5 * 96]).unwrap();
-        let anomalies = seasonal_anomalies(&s, 2.0, 0.05).unwrap();
-        assert!(anomalies.is_empty(), "{anomalies:?}");
-    }
-
-    #[test]
     fn low_anomalies_are_signed_negative() {
         let mut values = vec![0.5; 8 * 96];
         for v in values.iter_mut().skip(7 * 96 + 20).take(3) {
             *v = 0.0;
         }
         let s = TimeSeries::new(ts("2013-03-18"), Resolution::MIN_15, values).unwrap();
-        let anomalies = seasonal_anomalies(&s, 2.0, 0.05).unwrap();
-        let lows: Vec<&Anomaly> = anomalies
-            .iter()
-            .filter(|a| a.direction == AnomalyDirection::Low)
-            .collect();
-        assert_eq!(lows.len(), 1);
-        assert!(lows[0].deviation_kwh < -1.0);
+        let anomalies = rolling_anomalies(&s, 96, 2.0, 0.05);
+        assert_eq!(anomalies.len(), 1, "{anomalies:?}");
+        assert_eq!(anomalies[0].direction, AnomalyDirection::Low);
+        assert_eq!(anomalies[0].intervals, 3);
+        assert!(anomalies[0].deviation_kwh < -1.0);
     }
 
     #[test]
@@ -309,7 +228,7 @@ mod tests {
     fn short_series_yield_nothing_or_error() {
         let s = TimeSeries::new(ts("2013-03-18"), Resolution::MIN_15, vec![0.5; 10]).unwrap();
         assert!(rolling_anomalies(&s, 24, 3.0, 0.05).is_empty());
-        assert!(seasonal_anomalies(&s, 2.0, 0.05).is_err()); // no whole day
+        assert!(rolling_anomalies(&s, 10, 3.0, 0.05).is_empty());
     }
 
     fn mask_copy(s: &TimeSeries, anomalies: &[Anomaly]) -> Vec<f64> {
@@ -321,7 +240,7 @@ mod tests {
     #[test]
     fn mask_anomalies_turns_runs_into_gaps() {
         let s = series_with_block();
-        let anomalies = seasonal_anomalies(&s, 2.0, 0.05).unwrap();
+        let anomalies = rolling_anomalies(&s, 96, 2.0, 0.05);
         let masked = mask_copy(&s, &anomalies);
         let nan_count = masked.iter().filter(|v| v.is_nan()).count();
         assert_eq!(nan_count, 4, "exactly the planted block is masked");
@@ -373,7 +292,7 @@ mod tests {
         let mut values = vec![0.5; 6 * 96];
         values[300] = 0.52; // 0.02 above — inside a 0.05 floor
         let s = TimeSeries::new(ts("2013-03-18"), Resolution::MIN_15, values).unwrap();
-        let anomalies = seasonal_anomalies(&s, 2.0, 0.05).unwrap();
+        let anomalies = rolling_anomalies(&s, 96, 2.0, 0.05);
         assert!(anomalies.is_empty(), "{anomalies:?}");
     }
 }

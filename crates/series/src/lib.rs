@@ -17,16 +17,18 @@
 //!   ("correlation, sparseness, autocorrelation", §3.1).
 //! * [`decompose`] — classical trend/seasonal/remainder decomposition
 //!   ("the time series is composed of the trend, seasonal, and error
-//!   components", §5 ref \[12\]).
+//!   components", §5 ref \[12\]); no pipeline stage calls it.
 //! * [`peaks`] — contiguous-run peak detection with pluggable
 //!   thresholds, the engine of the peak-based approach (§3.2, Fig. 5).
 //! * [`segment`] — day segmentation and typical-day profiles, the
 //!   engine of the multi-tariff approach's baseline estimation (§3.3).
 //! * [`sax`] — SAX discretisation and motif discovery ("finding motifs
-//!   in time series", §5 ref \[13\]), used by schedule mining.
+//!   in time series", §5 ref \[13\]); no pipeline stage calls it.
 //! * [`resample`] — exact down-sampling and uniform up-sampling between
 //!   resolutions (ref \[14\] motivates reasoning across granularities).
 //! * [`missing`] — gap handling: detection and fill strategies.
+//! * [`anomaly`] over [`rolling`] — the cleaning stage's rolling-z
+//!   screen on an exact trailing median.
 //! * [`recycle`] — per-thread reuse of horizon-length value buffers
 //!   across dataset consumers.
 //!

@@ -465,6 +465,56 @@ proptest! {
     }
 }
 
+/// A window (1 to 64) and a length of two to five whole windows plus a
+/// remainder.
+fn arb_window_and_len() -> impl Strategy<Value = (usize, usize)> {
+    (1_usize..=64, 2_usize..=5, any::<usize>())
+        .prop_map(|(window, k, rem)| (window, k * window + rem % window))
+}
+
+proptest! {
+    /// Every window holds more distinct readings than it has samples to
+    /// spare: the series-wide ranks far outnumber any window's.
+    #[test]
+    fn rolling_median_with_more_distinct_readings_than_the_window(
+        (window, len) in arb_window_and_len(),
+        mut xs in prop::collection::vec(-5.0_f64..5.0, 6 * 64),
+        z in 0.5_f64..6.0,
+    ) {
+        xs.truncate(len);
+        let mut sorted = xs.clone();
+        sorted.sort_by(f64::total_cmp);
+        sorted.dedup();
+        prop_assume!(sorted.len() > window);
+        let med = rolling::rolling_median(&xs, window);
+        prop_assert_eq!(bits(&med), bits(&sorted_buffer_median(&xs, window)));
+        let mut full = Vec::new();
+        rolling::full_window_medians(&xs, window, |m| full.push(m));
+        prop_assert_eq!(bits(&full), bits(&med[window - 1..]));
+        let s = TimeSeries::new(Timestamp::from_minutes(0), Resolution::MIN_1, xs).unwrap();
+        assert_screen_matches_oracle(&s, window, z, 0.0)?;
+    }
+
+    /// One reading, signed zeros and subnormals included, across several
+    /// windows: every median is that reading and nothing is screened.
+    #[test]
+    fn rolling_median_of_one_distinct_reading_across_several_windows(
+        (window, len) in arb_window_and_len(),
+        x in arb_median_sample(),
+    ) {
+        let xs = vec![x; len];
+        let med = rolling::rolling_median(&xs, window);
+        prop_assert_eq!(bits(&med), vec![x.to_bits(); len]);
+        prop_assert_eq!(bits(&med), bits(&sorted_buffer_median(&xs, window)));
+        let mut full = Vec::new();
+        rolling::full_window_medians(&xs, window, |m| full.push(m));
+        prop_assert_eq!(bits(&full), vec![x.to_bits(); len - window + 1]);
+        let s = TimeSeries::new(Timestamp::from_minutes(0), Resolution::MIN_1, xs).unwrap();
+        prop_assert!(anomaly::rolling_anomalies(&s, window, 3.0, 0.0).is_empty());
+        assert_screen_matches_oracle(&s, window, 3.0, 0.0)?;
+    }
+}
+
 /// A deterministic week of 1-min readings on a 0.001 kWh grid: a
 /// day/night base load, sub-kWh noise, and rare spikes and dropouts.
 fn quantized_week_1min() -> TimeSeries {
