@@ -2,9 +2,9 @@
 //! the dimension that matters when MIRABEL scales to "thousands of
 //! consumers" (§6).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flextract_agg::{aggregate_offers, schedule_offers, AggregationConfig, ScheduleConfig};
 use flextract_bench::epoch;
+use flextract_bench::sample::bench;
 use flextract_flexoffer::{EnergyRange, FlexOffer};
 use flextract_series::TimeSeries;
 use flextract_time::{Duration, Resolution};
@@ -34,21 +34,18 @@ fn offer_population(n: usize, seed: u64) -> Vec<FlexOffer> {
         .collect()
 }
 
-fn bench_aggregation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("agg/aggregate");
+fn bench_aggregation() {
     for n in [100_usize, 1000, 5000] {
         let offers = offer_population(n, 1);
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("grid_default", n), &offers, |b, o| {
-            b.iter(|| aggregate_offers(black_box(o), &AggregationConfig::default()).unwrap())
-        });
+        bench(
+            &format!("agg/aggregate/grid_default/{n}"),
+            Some(n as u64),
+            || aggregate_offers(black_box(&offers), &AggregationConfig::default()).unwrap(),
+        );
     }
-    group.finish();
 }
 
-fn bench_scheduling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("agg/schedule");
-    group.sample_size(10);
+fn bench_scheduling() {
     let demand = TimeSeries::constant(epoch(), Resolution::MIN_15, 10.0, 2 * 96);
     let mut prod = vec![0.0; 2 * 96];
     for (i, v) in prod.iter_mut().enumerate() {
@@ -62,26 +59,24 @@ fn bench_scheduling(c: &mut Criterion) {
         let offers = offer_population(n, 2);
         let aggregates = aggregate_offers(&offers, &AggregationConfig::default()).unwrap();
         let agg_offers: Vec<FlexOffer> = aggregates.iter().map(|a| a.offer.clone()).collect();
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(
-            BenchmarkId::new("greedy_plus_climb", n),
-            &agg_offers,
-            |b, o| {
-                b.iter(|| {
-                    schedule_offers(
-                        black_box(o),
-                        &demand,
-                        &production,
-                        &ScheduleConfig { iterations: 200 },
-                        &mut StdRng::seed_from_u64(3),
-                    )
-                    .unwrap()
-                })
+        bench(
+            &format!("agg/schedule/greedy_plus_climb/{n}"),
+            Some(n as u64),
+            || {
+                schedule_offers(
+                    black_box(&agg_offers),
+                    &demand,
+                    &production,
+                    &ScheduleConfig { iterations: 200 },
+                    &mut StdRng::seed_from_u64(3),
+                )
+                .unwrap()
             },
         );
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_aggregation, bench_scheduling);
-criterion_main!(benches);
+fn main() {
+    bench_aggregation();
+    bench_scheduling();
+}

@@ -1,18 +1,16 @@
 //! Disaggregation throughput: signature matching versus resolution and
 //! catalog size, plus the two mining steps.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flextract_appliance::{ApplianceSpec, Catalog};
 use flextract_bench::horizon;
+use flextract_bench::sample::bench;
 use flextract_disagg::{detect_activations, FrequencyTable, MatchConfig, MinedSchedule};
 use flextract_series::resample;
 use flextract_sim::{simulate_household, HouseholdArchetype, HouseholdConfig};
 use flextract_time::Resolution;
 use std::hint::black_box;
 
-fn bench_matching(c: &mut Criterion) {
-    let mut group = c.benchmark_group("disagg/matching");
-    group.sample_size(10);
+fn bench_matching() {
     let sim = simulate_household(
         &HouseholdConfig::new(21, HouseholdArchetype::FamilyWithChildren),
         horizon(7),
@@ -21,31 +19,24 @@ fn bench_matching(c: &mut Criterion) {
     for res in [Resolution::MIN_1, Resolution::MIN_5, Resolution::MIN_15] {
         let series = resample::to_resolution(&sim.series, res).unwrap();
         let specs: Vec<&ApplianceSpec> = catalog.shiftable();
-        group.throughput(Throughput::Elements(series.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("week_full_catalog", res.to_string()),
-            &series,
-            |b, s| b.iter(|| detect_activations(black_box(s), &specs, &MatchConfig::default())),
+        bench(
+            &format!("disagg/matching/week_full_catalog/{res}"),
+            Some(series.len() as u64),
+            || detect_activations(black_box(&series), &specs, &MatchConfig::default()),
         );
     }
     // Catalog-size sweep at 1-min resolution.
     for n_specs in [2_usize, 4, 8] {
         let specs: Vec<&ApplianceSpec> = catalog.shiftable().into_iter().take(n_specs).collect();
-        group.bench_with_input(
-            BenchmarkId::new("week_catalog_size", n_specs),
-            &n_specs,
-            |b, _| {
-                b.iter(|| {
-                    detect_activations(black_box(&sim.series), &specs, &MatchConfig::default())
-                })
-            },
+        bench(
+            &format!("disagg/matching/week_catalog_size/{n_specs}"),
+            Some(sim.series.len() as u64),
+            || detect_activations(black_box(&sim.series), &specs, &MatchConfig::default()),
         );
     }
-    group.finish();
 }
 
-fn bench_mining(c: &mut Criterion) {
-    let mut group = c.benchmark_group("disagg/mining");
+fn bench_mining() {
     let sim = simulate_household(
         &HouseholdConfig::new(22, HouseholdArchetype::FamilyWithChildren),
         horizon(28),
@@ -53,15 +44,16 @@ fn bench_mining(c: &mut Criterion) {
     let catalog = Catalog::extended();
     let specs: Vec<&ApplianceSpec> = catalog.shiftable();
     let (detections, _) = detect_activations(&sim.series, &specs, &MatchConfig::default());
-    group.throughput(Throughput::Elements(detections.len() as u64));
-    group.bench_function("frequency_table_28d", |b| {
-        b.iter(|| FrequencyTable::mine(black_box(&detections), 28.0, &catalog))
+    let elements = Some(detections.len() as u64);
+    bench("disagg/mining/frequency_table_28d", elements, || {
+        FrequencyTable::mine(black_box(&detections), 28.0, &catalog)
     });
-    group.bench_function("schedule_mining_28d", |b| {
-        b.iter(|| MinedSchedule::mine_all(black_box(&detections), 20.0, 8.0, 60))
+    bench("disagg/mining/schedule_mining_28d", elements, || {
+        MinedSchedule::mine_all(black_box(&detections), 20.0, 8.0, 60)
     });
-    group.finish();
 }
 
-criterion_group!(benches, bench_matching, bench_mining);
-criterion_main!(benches);
+fn main() {
+    bench_matching();
+    bench_mining();
+}

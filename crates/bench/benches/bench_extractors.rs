@@ -1,8 +1,8 @@
 //! Throughput of the six extraction approaches versus input length —
 //! the scalability dimension of every table/figure reproduction.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flextract_appliance::Catalog;
+use flextract_bench::sample::bench;
 use flextract_bench::{family_market_series, horizon};
 use flextract_core::{
     BasicExtractor, ExtractionConfig, ExtractionInput, FlexibilityExtractor,
@@ -15,57 +15,52 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-fn bench_household_level(c: &mut Criterion) {
-    let mut group = c.benchmark_group("extract/household_level");
+fn bench_household_level() {
     let cfg = ExtractionConfig::default();
     for days in [7_i64, 28] {
         let series = family_market_series(days, 11);
-        group.throughput(Throughput::Elements(series.len() as u64));
         let extractors: Vec<(&str, Box<dyn FlexibilityExtractor>)> = vec![
             ("random", Box::new(RandomExtractor::new(cfg.clone()))),
             ("basic", Box::new(BasicExtractor::new(cfg.clone()))),
             ("peak", Box::new(PeakExtractor::new(cfg.clone()))),
         ];
         for (name, ex) in extractors {
-            group.bench_with_input(BenchmarkId::new(name, days), &series, |b, s| {
-                b.iter(|| {
+            bench(
+                &format!("extract/household_level/{name}/{days}"),
+                Some(series.len() as u64),
+                || {
                     ex.extract(
-                        &ExtractionInput::household(black_box(s)),
+                        &ExtractionInput::household(black_box(&series)),
                         &mut StdRng::seed_from_u64(1),
                     )
                     .unwrap()
-                })
-            });
+                },
+            );
         }
     }
-    group.finish();
 }
 
-fn bench_multi_tariff(c: &mut Criterion) {
-    let mut group = c.benchmark_group("extract/multi_tariff");
-    let cfg = ExtractionConfig::default();
-    let mt = MultiTariffExtractor::new(cfg);
+fn bench_multi_tariff() {
+    let mt = MultiTariffExtractor::new(ExtractionConfig::default());
     for days in [7_i64, 28] {
         let observed = family_market_series(days, 12);
         let reference = family_market_series(days, 13);
-        group.throughput(Throughput::Elements(observed.len() as u64));
-        group.bench_with_input(BenchmarkId::new("compare", days), &days, |b, _| {
-            b.iter(|| {
+        bench(
+            &format!("extract/multi_tariff/compare/{days}"),
+            Some(observed.len() as u64),
+            || {
                 mt.extract(
                     &ExtractionInput::household(black_box(&observed))
                         .with_reference(black_box(&reference)),
                     &mut StdRng::seed_from_u64(1),
                 )
                 .unwrap()
-            })
-        });
+            },
+        );
     }
-    group.finish();
 }
 
-fn bench_appliance_level(c: &mut Criterion) {
-    let mut group = c.benchmark_group("extract/appliance_level");
-    group.sample_size(10);
+fn bench_appliance_level() {
     let cfg = ExtractionConfig::default();
     let catalog = Catalog::extended();
     for days in [7_i64, 14] {
@@ -74,40 +69,37 @@ fn bench_appliance_level(c: &mut Criterion) {
             horizon(days),
         );
         let market = sim.series_at(Resolution::MIN_15);
-        group.throughput(Throughput::Elements(sim.series.len() as u64));
-        let freq = FrequencyBasedExtractor::new(cfg.clone());
-        group.bench_with_input(BenchmarkId::new("frequency", days), &days, |b, _| {
-            b.iter(|| {
-                freq.extract(
-                    &ExtractionInput::household(black_box(&market))
-                        .with_fine_series(black_box(&sim.series))
-                        .with_catalog(&catalog),
-                    &mut StdRng::seed_from_u64(1),
-                )
-                .unwrap()
-            })
-        });
-        let sched = ScheduleBasedExtractor::new(cfg.clone());
-        group.bench_with_input(BenchmarkId::new("schedule", days), &days, |b, _| {
-            b.iter(|| {
-                sched
-                    .extract(
+        let elements = Some(sim.series.len() as u64);
+        let extractors: Vec<(&str, Box<dyn FlexibilityExtractor>)> = vec![
+            (
+                "frequency",
+                Box::new(FrequencyBasedExtractor::new(cfg.clone())),
+            ),
+            (
+                "schedule",
+                Box::new(ScheduleBasedExtractor::new(cfg.clone())),
+            ),
+        ];
+        for (name, ex) in extractors {
+            bench(
+                &format!("extract/appliance_level/{name}/{days}"),
+                elements,
+                || {
+                    ex.extract(
                         &ExtractionInput::household(black_box(&market))
                             .with_fine_series(black_box(&sim.series))
                             .with_catalog(&catalog),
                         &mut StdRng::seed_from_u64(1),
                     )
                     .unwrap()
-            })
-        });
+                },
+            );
+        }
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_household_level,
-    bench_multi_tariff,
-    bench_appliance_level
-);
-criterion_main!(benches);
+fn main() {
+    bench_household_level();
+    bench_multi_tariff();
+    bench_appliance_level();
+}

@@ -3,12 +3,15 @@
 //! Unlike the micro benches, this harness measures the whole
 //! simulate→extract→aggregate pipeline through [`ScenarioRunner`] at
 //! several `consumer_threads` settings and **writes the measurements to
-//! `BENCH_pipeline.json`** at the workspace root (mean µs/iter per
-//! bench, git revision, thread count, host parallelism), so the perf
-//! trajectory across PRs has data points instead of folklore. Run it
+//! `BENCH_pipeline.json`** at the workspace root (per row: the
+//! sampler's batch count, min, median, interquartile spread and tail
+//! percentile in µs/iter, plus thread count and host parallelism; the
+//! git revision once), so the perf trajectory across PRs has
+//! distributions instead of folklore. Run it
 //! with `cargo bench -p flextract-bench --bench bench_pipeline`; commit
 //! the regenerated JSON when the numbers move for a reason.
 
+use flextract_bench::sample::{sample, Sample};
 use flextract_dataset::{
     ConsumerKind, Dataset, DatasetWriter, Degradation, MeasuredSeries, Predicate, ResidentStore,
     Scan, SeriesCodec, ShardedWriter,
@@ -20,15 +23,14 @@ use flextract_scenario::{
 use flextract_series::FillStrategy;
 use flextract_sim::HouseholdArchetype;
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// One measured configuration.
 struct Record {
     name: String,
     consumer_threads: usize,
-    iters: u32,
-    mean_us: f64,
+    sample: Sample,
     /// Free-form context recorded next to the timing (e.g. the
     /// shard-prune ratio a sharded-store query achieved).
     note: Option<String>,
@@ -63,26 +65,6 @@ fn fleet_scenario(name: &str, households: usize) -> Scenario {
         res_capacity_share: 0.0,
         seed: 2013,
     }
-}
-
-/// Time `runner.run(scenario)` for `iters` iterations after `warmup`
-/// untimed ones; returns the mean µs per iteration.
-fn measure(runner: &ScenarioRunner, scenario: &Scenario, warmup: u32, iters: u32) -> f64 {
-    measure_fn(warmup, iters, || {
-        std::hint::black_box(runner.run(scenario).expect("benchmark scenario runs"));
-    })
-}
-
-/// Time an arbitrary closure; returns the mean µs per iteration.
-fn measure_fn(warmup: u32, iters: u32, mut f: impl FnMut()) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1e6 / f64::from(iters)
 }
 
 fn workspace_root() -> PathBuf {
@@ -225,30 +207,27 @@ fn query_benches(records: &mut Vec<Record>) {
             format!("{disk} B on disk")
         };
         let ds = Dataset::open(&dir).expect("benchmark dataset opens");
-        let iters = 30;
-        let mean = measure_fn(3, iters, || {
+        let timed = sample(|| {
             for c in 0..ds.len() {
-                std::hint::black_box(ds.consumer_slice(c, day15).expect("slice reads"));
+                black_box(ds.consumer_slice(c, day15).expect("slice reads"));
             }
         });
         records.push(Record {
             name: format!("query/time_slice_1d_of_30d/{tag}"),
             consumer_threads: 1,
-            iters,
-            mean_us: mean,
+            sample: timed,
             note: Some(size_note.clone()),
         });
         let scan = Scan::new();
-        let mean = measure_fn(3, iters, || {
+        let timed = sample(|| {
             for c in 0..ds.len() {
-                std::hint::black_box(ds.consumer_aggregates(c, &scan).expect("aggregates"));
+                black_box(ds.consumer_aggregates(c, &scan).expect("aggregates"));
             }
         });
         records.push(Record {
             name: format!("query/full_scan_agg/{tag}"),
             consumer_threads: 1,
-            iters,
-            mean_us: mean,
+            sample: timed,
             note: Some(size_note),
         });
         // Print the pushdown audit once per codec so the skip ratio is
@@ -283,19 +262,17 @@ fn cold_open_benches(records: &mut Vec<Record>) {
         .chunks()
         .len();
     let disk = series_disk_bytes(&dir);
-    let iters = 30;
 
-    let mean = measure_fn(3, iters, || {
+    let timed = sample(|| {
         for f in &files {
             let frame = flextract_frame::fxm::open_file(f).expect("read-ahead open");
-            std::hint::black_box(frame.chunks().len());
+            black_box(frame.chunks().len());
         }
     });
     records.push(Record {
         name: "cold_open/readahead_single_read/fxm3".into(),
         consumer_threads: 1,
-        iters,
-        mean_us: mean,
+        sample: timed,
         note: Some(format!(
             "4 files, {chunks} chunks each, {disk} B total — one buffered read per file"
         )),
@@ -331,21 +308,19 @@ fn committed_storage_bench(records: &mut Vec<Record>) {
         ratio >= 2.0,
         "the committed 1-min dataset must compress at least 2x ({v3_bytes} B vs {v2_bytes} B)"
     );
-    let iters = 30;
-    let mean = measure_fn(3, iters, || {
+    let timed = sample(|| {
         for f in &files {
             let series = flextract_frame::fxm::open_file(f)
                 .expect("committed frame opens")
                 .into_measured()
                 .expect("committed frame decodes");
-            std::hint::black_box(series.len());
+            black_box(series.len());
         }
     });
     records.push(Record {
         name: "storage/committed_ds_household_1min/fxm3".into(),
         consumer_threads: 1,
-        iters,
-        mean_us: mean,
+        sample: timed,
         note: Some(format!(
             "measured files {v3_bytes} B on disk vs {v2_bytes} B as fxm2 — {ratio:.2}x compression"
         )),
@@ -404,20 +379,18 @@ fn shard_store_benches(records: &mut Vec<Record>) {
         .expect("12 h slice");
     let target = consumers / 2;
     let scan = Scan::new().time_slice(midday);
-    let iters = 20;
     let (_, point_report) = Dataset::open(&dir)
         .expect("store opens")
         .consumer_aggregates(target, &scan)
         .expect("point query");
-    let mean = measure_fn(2, iters, || {
+    let timed = sample(|| {
         let ds = Dataset::open(&dir).expect("store opens");
-        std::hint::black_box(ds.consumer_aggregates(target, &scan).expect("point query"));
+        ds.consumer_aggregates(target, &scan).expect("point query")
     });
     records.push(Record {
         name: format!("shard_store/point_query_sliced/{consumers}c"),
         consumer_threads: 1,
-        iters,
-        mean_us: mean,
+        sample: timed,
         note: Some(format!(
             "opens 1/{shards} shard manifests ({:.1} % pruned); {} B read, {} B of payload decoded",
             100.0 * (shards - 1) as f64 / shards as f64,
@@ -433,15 +406,14 @@ fn shard_store_benches(records: &mut Vec<Record>) {
     let (_, report) = ds.fleet_aggregates(&fleet_scan).expect("fleet roll-up");
     assert_eq!(report.shards_opened(), 0, "stats-only fleet scan");
     assert_eq!(report.shards_stats_only, shards);
-    let mean = measure_fn(2, iters, || {
+    let timed = sample(|| {
         let ds = Dataset::open(&dir).expect("store opens");
-        std::hint::black_box(ds.fleet_aggregates(&fleet_scan).expect("fleet roll-up"));
+        ds.fleet_aggregates(&fleet_scan).expect("fleet roll-up")
     });
     records.push(Record {
         name: format!("shard_store/fleet_stats_only/{consumers}c"),
         consumer_threads: 1,
-        iters,
-        mean_us: mean,
+        sample: timed,
         note: Some(format!(
             "opens 0/{shards} shards (100.0 % answered from roll-ups); {} B read, {} B of payload decoded",
             report.bytes_read, report.bytes_decoded
@@ -452,15 +424,14 @@ fn shard_store_benches(records: &mut Vec<Record>) {
     let prune_scan = Scan::new().with_predicate(Predicate::MaxAbove(1e9));
     let (_, report) = ds.fleet_aggregates(&prune_scan).expect("pruned scan");
     assert_eq!(report.shards_pruned, shards, "statistics prune every shard");
-    let mean = measure_fn(2, iters, || {
+    let timed = sample(|| {
         let ds = Dataset::open(&dir).expect("store opens");
-        std::hint::black_box(ds.fleet_aggregates(&prune_scan).expect("pruned scan"));
+        ds.fleet_aggregates(&prune_scan).expect("pruned scan")
     });
     records.push(Record {
         name: format!("shard_store/fleet_predicate_prune/{consumers}c"),
         consumer_threads: 1,
-        iters,
-        mean_us: mean,
+        sample: timed,
         note: Some(format!(
             "prunes {shards}/{shards} shards (100.0 % pruned); {} B read, {} B of payload decoded",
             report.bytes_read, report.bytes_decoded
@@ -473,19 +444,16 @@ fn shard_store_benches(records: &mut Vec<Record>) {
     //    re-query one long-lived `ResidentStore` whose caches are
     //    primed, so only the fingerprint revalidation and the fold
     //    itself remain.
-    let cold_mean = measure_fn(2, iters, || {
+    let cold = sample(|| {
         let store = ResidentStore::open(&dir).expect("resident store opens");
-        std::hint::black_box(
-            store
-                .consumer_aggregates(target, &scan)
-                .expect("point query"),
-        );
+        store
+            .consumer_aggregates(target, &scan)
+            .expect("point query")
     });
     records.push(Record {
         name: format!("query_cache/cold/{consumers}c"),
         consumer_threads: 1,
-        iters,
-        mean_us: cold_mean,
+        sample: cold,
         note: Some("fresh ResidentStore per query: full root.json parse, empty caches".into()),
     });
 
@@ -498,24 +466,20 @@ fn shard_store_benches(records: &mut Vec<Record>) {
         .expect("warm point query");
     assert!(warm_report.cache_hits > 0, "warm point query must hit");
     assert_eq!(warm_report.bytes_read, 0, "warm point query re-read bytes");
-    let warm_iters = 1000;
-    let warm_mean = measure_fn(100, warm_iters, || {
-        std::hint::black_box(
-            store
-                .consumer_aggregates(target, &scan)
-                .expect("warm query"),
-        );
+    let warm = sample(|| {
+        store
+            .consumer_aggregates(target, &scan)
+            .expect("warm query")
     });
     records.push(Record {
         name: format!("query_cache/warm/{consumers}c"),
         consumer_threads: 1,
-        iters: warm_iters,
-        mean_us: warm_mean,
+        sample: warm,
         note: Some(format!(
             "resident frame + chunk pool: {} B saved per query; {:.0}x faster than cold ({:.1} ms)",
             warm_report.bytes_saved,
-            cold_mean / warm_mean,
-            cold_mean / 1e3
+            cold.median_us / warm.median_us,
+            cold.median_us / 1e3
         )),
     });
 
@@ -527,14 +491,11 @@ fn shard_store_benches(records: &mut Vec<Record>) {
         warm_fleet_report.bytes_read_index, 0,
         "warm fleet roll-up re-read the index"
     );
-    let warm_fleet_mean = measure_fn(100, warm_iters, || {
-        std::hint::black_box(store.fleet_aggregates(&fleet_scan).expect("warm roll-up"));
-    });
+    let warm_fleet = sample(|| store.fleet_aggregates(&fleet_scan).expect("warm roll-up"));
     records.push(Record {
         name: format!("query_cache/warm_fleet/{consumers}c"),
         consumer_threads: 1,
-        iters: warm_iters,
-        mean_us: warm_fleet_mean,
+        sample: warm_fleet,
         note: Some(format!(
             "resident roll-ups over {shards} shard summaries, 0 B re-read; {} B of index saved",
             warm_fleet_report.bytes_saved
@@ -561,33 +522,37 @@ fn analyze_benches(records: &mut Vec<Record>) {
         cache_path: Some(cache.clone()),
     };
 
-    let t = Instant::now();
-    let cold = flextract_analyze::analyze_tree_with(&root, &allowlist, &opts)
-        .expect("the committed workspace scans");
-    let cold_us = t.elapsed().as_secs_f64() * 1e6;
+    // Each cold pass deletes the cache first, so every pass lexes and
+    // item-parses every file.
+    let mut cold = None;
+    let timed = sample(|| {
+        let _ = std::fs::remove_file(&cache);
+        cold = Some(
+            flextract_analyze::analyze_tree_with(&root, &allowlist, &opts)
+                .expect("the committed workspace scans"),
+        );
+    });
+    let cold = cold.expect("sampled at least once");
     records.push(Record {
         name: "analyze/cold".into(),
         consumer_threads: 1,
-        iters: 1,
-        mean_us: cold_us,
+        sample: timed,
         note: Some(format!(
             "{} files scanned, {} re-parsed",
             cold.files_scanned, cold.files_reparsed
         )),
     });
 
-    let iters = 5;
-    let mean = measure_fn(1, iters, || {
+    let timed = sample(|| {
         let a = flextract_analyze::analyze_tree_with(&root, &allowlist, &opts)
             .expect("the committed workspace scans");
         assert_eq!(a.files_reparsed, 0, "warm runs must hit the cache");
-        std::hint::black_box(a);
+        a
     });
     records.push(Record {
         name: "analyze/warm".into(),
         consumer_threads: 1,
-        iters,
-        mean_us: mean,
+        sample: timed,
         note: Some("file-hash cache hit on every file; semantic pass re-runs".into()),
     });
     let _ = std::fs::remove_file(&cache);
@@ -604,32 +569,26 @@ fn main() {
     let mut records: Vec<Record> = Vec::new();
     for consumer_threads in [1_usize, 8] {
         let runner = ScenarioRunner::with_threads(1).with_consumer_threads(consumer_threads);
-        let mean = measure(&runner, &mid, 1, 5);
+        let run =
+            |scenario: &Scenario| sample(|| runner.run(scenario).expect("benchmark scenario runs"));
         records.push(Record {
             name: "pipeline/mid_fleet_48hh_1d".into(),
             consumer_threads,
-            iters: 5,
-            mean_us: mean,
+            sample: run(&mid),
             note: None,
         });
         // The measured-data leg: ingest (load + gap-fill + anomaly
         // screen) → extract → evaluate, fidelity leg included.
-        let mean = measure(&runner, &ingest, 1, 5);
         records.push(Record {
             name: "pipeline/ingest_clean_extract_48hh_1d".into(),
             consumer_threads,
-            iters: 5,
-            mean_us: mean,
+            sample: run(&ingest),
             note: Some("dataset leg reads fxm3 (the default export codec)".into()),
         });
-        // The stress fleet costs ~1 s per iteration in release: keep
-        // the sample count low, skip the warm-up.
-        let mean = measure(&runner, &stress, 0, 2);
         records.push(Record {
             name: "pipeline/stress_10k_households_1d".into(),
             consumer_threads,
-            iters: 2,
-            mean_us: mean,
+            sample: run(&stress),
             note: None,
         });
     }
@@ -648,37 +607,42 @@ fn main() {
         "  \"generated_by\": \"cargo bench -p flextract-bench --bench bench_pipeline\",\n",
     );
     json.push_str(&format!("  \"git_rev\": \"{}\",\n", git_rev(&root)));
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str("  \"benches\": [\n");
     for (i, r) in records.iter().enumerate() {
+        let s = &r.sample;
+        let tail = s
+            .tail
+            .map(|(pct, us)| format!(", \"p{pct}_us\": {us:.3}"))
+            .unwrap_or_default();
         let note = r
             .note
             .as_ref()
             .map(|n| format!(", \"note\": \"{n}\""))
             .unwrap_or_default();
         json.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"consumer_threads\": {}, \"iters\": {}, \"mean_us\": {:.1}{note} }}{}\n",
+            "    {{ \"name\": \"{}\", \"consumer_threads\": {}, \"host_cpus\": {host_cpus}, \
+             \"samples\": {}, \"batch\": {}, \"min_us\": {:.3}, \"median_us\": {:.3}, \
+             \"spread\": {:.3}{tail}{note} }}{}\n",
             r.name,
             r.consumer_threads,
-            r.iters,
-            r.mean_us,
+            s.samples,
+            s.batch,
+            s.min_us,
+            s.median_us,
+            s.spread,
             if i + 1 < records.len() { "," } else { "" }
         ));
-    }
-    json.push_str("  ]\n}\n");
-
-    for r in &records {
         println!(
-            "{:<44} ct={} {:>14.1} µs/iter{}",
+            "{:<44} ct={} {s}{}",
             r.name,
             r.consumer_threads,
-            r.mean_us,
             r.note
                 .as_ref()
                 .map(|n| format!("  [{n}]"))
                 .unwrap_or_default()
         );
     }
+    json.push_str("  ]\n}\n");
     let out = root.join("BENCH_pipeline.json");
     std::fs::write(&out, &json).expect("BENCH_pipeline.json is writable");
     println!("wrote {}", out.display());

@@ -1,8 +1,8 @@
 //! Simulator throughput: single households, wind production, and fleet
-//! parallelism (serial vs crossbeam workers).
+//! parallelism (one worker thread vs four).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flextract_bench::horizon;
+use flextract_bench::sample::bench;
 use flextract_sim::{
     simulate_fleet, simulate_household, simulate_wind_production, FleetConfig, HouseholdArchetype,
     HouseholdConfig, WindFarmConfig,
@@ -10,44 +10,34 @@ use flextract_sim::{
 use flextract_time::Resolution;
 use std::hint::black_box;
 
-fn bench_household(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim/household");
+fn bench_household() {
     for days in [7_i64, 28] {
-        group.throughput(Throughput::Elements((days * 1440) as u64));
         for arch in [
             HouseholdArchetype::SingleResident,
             HouseholdArchetype::SuburbanWithEv,
         ] {
             let cfg = HouseholdConfig::new(31, arch);
-            group.bench_with_input(BenchmarkId::new(format!("{arch}"), days), &days, |b, &d| {
-                b.iter(|| simulate_household(black_box(&cfg), horizon(d)))
-            });
+            bench(
+                &format!("sim/household/{arch}/{days}"),
+                Some((days * 1440) as u64),
+                || simulate_household(black_box(&cfg), horizon(days)),
+            );
         }
     }
-    group.finish();
 }
 
-fn bench_wind(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim/wind");
+fn bench_wind() {
     let farm = WindFarmConfig::default();
     for days in [7_i64, 28] {
-        group.throughput(Throughput::Elements((days * 96) as u64));
-        group.bench_with_input(
-            BenchmarkId::new("production_15min", days),
-            &days,
-            |b, &d| {
-                b.iter(|| {
-                    simulate_wind_production(black_box(&farm), horizon(d), Resolution::MIN_15)
-                })
-            },
+        bench(
+            &format!("sim/wind/production_15min/{days}"),
+            Some((days * 96) as u64),
+            || simulate_wind_production(black_box(&farm), horizon(days), Resolution::MIN_15),
         );
     }
-    group.finish();
 }
 
-fn bench_fleet(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim/fleet");
-    group.sample_size(10);
+fn bench_fleet() {
     for threads in [1_usize, 4] {
         let cfg = FleetConfig {
             households: 20,
@@ -55,15 +45,16 @@ fn bench_fleet(c: &mut Criterion) {
             threads,
             ..FleetConfig::default()
         };
-        group.throughput(Throughput::Elements(20));
-        group.bench_with_input(
-            BenchmarkId::new("households_20_week", threads),
-            &cfg,
-            |b, cfg| b.iter(|| simulate_fleet(black_box(cfg), horizon(7))),
+        bench(
+            &format!("sim/fleet/households_20_week/{threads}"),
+            Some(20),
+            || simulate_fleet(black_box(&cfg), horizon(7)),
         );
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_household, bench_wind, bench_fleet);
-criterion_main!(benches);
+fn main() {
+    bench_household();
+    bench_wind();
+    bench_fleet();
+}

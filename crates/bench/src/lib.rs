@@ -2,6 +2,11 @@
 //!
 //! Benchmark harness and per-figure/table experiment binaries.
 //!
+//! [`sample`] is the one timing loop: every row of the micro benches
+//! and of `bench_pipeline` (which writes `BENCH_pipeline.json`) is a
+//! [`sample::Sample`] — min, median, interquartile spread and a tail
+//! percentile over batches sized to a fixed time budget.
+//!
 //! Binaries (each regenerates one artefact of the paper; see
 //! `EXPERIMENTS.md` for the paper-vs-measured record):
 //!
@@ -17,12 +22,14 @@
 //! | `exp_aggregation` | E8 — aggregation + RES scheduling |
 //! | `exp_tariff` | E9 — multi-tariff sensitivity sweep |
 //!
-//! Criterion benches (`cargo bench -p flextract-bench`):
-//! `bench_series`, `bench_extractors`, `bench_disagg`, `bench_agg`,
-//! `bench_sim`.
+//! Micro benches (`cargo bench -p flextract-bench`), one row per
+//! `group/function/parameter` label: `bench_series`,
+//! `bench_extractors`, `bench_disagg`, `bench_agg`, `bench_sim`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod sample;
 
 use flextract_series::TimeSeries;
 use flextract_sim::{simulate_household, HouseholdArchetype, HouseholdConfig};

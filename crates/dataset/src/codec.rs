@@ -19,7 +19,6 @@
 //! no concept of.
 
 use crate::{DatasetError, MeasuredSeries, SeriesCodec};
-use bytes::Bytes;
 use flextract_frame::fxm;
 use flextract_series::SeriesError;
 use flextract_time::{Resolution, Timestamp};
@@ -30,9 +29,9 @@ pub use flextract_frame::fxm::{sniff, FxmVersion, DEFAULT_CHUNK_LEN};
 /// formats chunked at [`DEFAULT_CHUNK_LEN`] intervals. Other chunk
 /// lengths are a frame-layer concern: call [`flextract_frame::fxm`]
 /// directly.
-pub fn encode(series: &MeasuredSeries, codec: SeriesCodec) -> Bytes {
+pub fn encode(series: &MeasuredSeries, codec: SeriesCodec) -> Vec<u8> {
     match codec {
-        SeriesCodec::Csv => Bytes::from(to_csv(series).into_bytes()),
+        SeriesCodec::Csv => to_csv(series).into_bytes(),
         SeriesCodec::Binary => fxm::encode(series),
         SeriesCodec::BinaryV1 => fxm::encode_v1(series),
         SeriesCodec::BinaryV3 => fxm::encode_v3(series),
@@ -204,7 +203,7 @@ mod tests {
         BINARY
             .iter()
             .map(|&c| {
-                let mut raw = encode(&sample(), c).to_vec();
+                let mut raw = encode(&sample(), c);
                 corrupt(&mut raw);
                 let err = decode(&raw, "bad.fxm").unwrap_err();
                 assert!(matches!(err, DatasetError::Codec { .. }), "{c:?}: {err}");
@@ -273,7 +272,7 @@ mod tests {
         // value sits after FXM1's count word or FXM2's 32-byte stats.
         for bad in [f64::INFINITY, f64::NEG_INFINITY] {
             for c in [SeriesCodec::Binary, SeriesCodec::BinaryV1] {
-                let mut raw = encode(&sample(), c).to_vec();
+                let mut raw = encode(&sample(), c);
                 let at = fxm::HEADER_LEN
                     + match c {
                         SeriesCodec::BinaryV1 => 4,

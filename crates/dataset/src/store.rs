@@ -36,7 +36,6 @@ use crate::codec;
 use crate::degrade::Degradation;
 use crate::sharded::{RootIndex, ROOT_FILE};
 use crate::{DatasetError, MeasuredSeries};
-use bytes::Bytes;
 use flextract_frame::{Aggregates, Frame, Scan, ScanReport};
 use flextract_time::{Resolution, TimeRange, Timestamp};
 use serde::{Deserialize, Serialize};
@@ -256,7 +255,7 @@ pub(crate) fn index_file(dir: &Path) -> PathBuf {
 /// virtually on the same partitioning.
 pub(crate) fn frame_from_raw(raw: Vec<u8>, display: &str) -> Result<Frame, DatasetError> {
     if codec::sniff(&raw).is_some() {
-        Frame::from_fxm_bytes(Bytes::from(raw), display).map_err(Into::into)
+        Frame::from_fxm_bytes(raw, display).map_err(Into::into)
     } else {
         let text = String::from_utf8(raw).map_err(|_| DatasetError::Invalid {
             file: display.to_string(),

@@ -86,7 +86,6 @@
 
 use crate::stats::ChunkStats;
 use crate::{FrameError, MeasuredSeries};
-use bytes::{BufMut, Bytes, BytesMut};
 use flextract_series::SeriesError;
 use flextract_time::{Resolution, Timestamp};
 
@@ -155,14 +154,22 @@ fn codec_err(file: &str, what: impl Into<String>) -> FrameError {
     }
 }
 
-fn put_value(buf: &mut BytesMut, v: f64) {
-    buf.put_u64_le(if v.is_nan() { GAP_BITS } else { v.to_bits() });
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_value(buf: &mut Vec<u8>, v: f64) {
+    put_u64(buf, if v.is_nan() { GAP_BITS } else { v.to_bits() });
 }
 
 /// Encode a measured series as `FXM2` using
 /// [`DEFAULT_CHUNK_LEN`]-interval chunks.
-pub fn encode(series: &MeasuredSeries) -> Bytes {
-    encode_impl(series, DEFAULT_CHUNK_LEN)
+pub fn encode(series: &MeasuredSeries) -> Vec<u8> {
+    encode_impl(series, DEFAULT_CHUNK_LEN, FxmVersion::V2)
 }
 
 /// Encode a measured series as `FXM2` with an explicit chunk length.
@@ -170,79 +177,96 @@ pub fn encode(series: &MeasuredSeries) -> Bytes {
 /// Errors with [`FrameError::ZeroChunkLen`] for `chunk_len == 0` — a
 /// zero-interval chunk grid is undefined and is never silently
 /// clamped.
-pub fn encode_chunked(series: &MeasuredSeries, chunk_len: usize) -> Result<Bytes, FrameError> {
-    if chunk_len == 0 {
-        return Err(FrameError::ZeroChunkLen);
-    }
-    Ok(encode_impl(series, chunk_len))
-}
-
-/// `FXM2` encoding over a validated (non-zero) chunk length.
-fn encode_impl(series: &MeasuredSeries, chunk_len: usize) -> Bytes {
-    let n = series.len();
-    let chunks = n.div_ceil(chunk_len);
-    let mut buf =
-        BytesMut::with_capacity(HEADER_LEN + chunks * (V2_CHUNK_HEADER_LEN + 8) + 8 * n + 12);
-    buf.put_slice(&MAGIC_V2);
-    buf.put_i64_le(series.start().as_minutes());
-    buf.put_u32_le(series.resolution().minutes() as u32);
-    buf.put_u64_le(n as u64);
-    buf.put_u32_le(chunk_len as u32);
-    let mut offsets = Vec::with_capacity(chunks);
-    for chunk in series.values().chunks(chunk_len) {
-        offsets.push(buf.len() as u64);
-        let stats = ChunkStats::from_values(chunk);
-        buf.put_u32_le(chunk.len() as u32);
-        buf.put_u32_le(stats.gaps);
-        put_value(&mut buf, stats.min);
-        put_value(&mut buf, stats.max);
-        put_value(&mut buf, stats.sum);
-        for &v in chunk {
-            put_value(&mut buf, v);
-        }
-    }
-    let footer = buf.len() as u64;
-    for o in offsets {
-        buf.put_u64_le(o);
-    }
-    buf.put_u64_le(footer);
-    buf.put_slice(&END_MAGIC_V2);
-    buf.freeze()
+pub fn encode_chunked(series: &MeasuredSeries, chunk_len: usize) -> Result<Vec<u8>, FrameError> {
+    encode_checked(series, chunk_len, FxmVersion::V2)
 }
 
 /// Encode a measured series as legacy `FXM1` using
 /// [`DEFAULT_CHUNK_LEN`]-interval chunks.
-pub fn encode_v1(series: &MeasuredSeries) -> Bytes {
-    encode_impl_v1(series, DEFAULT_CHUNK_LEN)
+pub fn encode_v1(series: &MeasuredSeries) -> Vec<u8> {
+    encode_impl(series, DEFAULT_CHUNK_LEN, FxmVersion::V1)
 }
 
 /// Encode a measured series as legacy `FXM1` with an explicit chunk
 /// length (same [`FrameError::ZeroChunkLen`] contract as
 /// [`encode_chunked`]).
-pub fn encode_chunked_v1(series: &MeasuredSeries, chunk_len: usize) -> Result<Bytes, FrameError> {
+pub fn encode_chunked_v1(series: &MeasuredSeries, chunk_len: usize) -> Result<Vec<u8>, FrameError> {
+    encode_checked(series, chunk_len, FxmVersion::V1)
+}
+
+/// Encode a measured series as `FXM3` using
+/// [`DEFAULT_CHUNK_LEN`]-interval chunks.
+pub fn encode_v3(series: &MeasuredSeries) -> Vec<u8> {
+    encode_impl(series, DEFAULT_CHUNK_LEN, FxmVersion::V3)
+}
+
+/// Encode a measured series as `FXM3` with an explicit chunk length
+/// (same [`FrameError::ZeroChunkLen`] contract as [`encode_chunked`]).
+pub fn encode_chunked_v3(series: &MeasuredSeries, chunk_len: usize) -> Result<Vec<u8>, FrameError> {
+    encode_checked(series, chunk_len, FxmVersion::V3)
+}
+
+fn encode_checked(
+    series: &MeasuredSeries,
+    chunk_len: usize,
+    version: FxmVersion,
+) -> Result<Vec<u8>, FrameError> {
     if chunk_len == 0 {
         return Err(FrameError::ZeroChunkLen);
     }
-    Ok(encode_impl_v1(series, chunk_len))
+    Ok(encode_impl(series, chunk_len, version))
 }
 
-/// `FXM1` encoding over a validated (non-zero) chunk length.
-fn encode_impl_v1(series: &MeasuredSeries, chunk_len: usize) -> Bytes {
+/// The one writer behind every `encode*`, over a validated (non-zero)
+/// chunk length. Every chunk frame opens with its interval count;
+/// `FXM2`/`FXM3` follow it with the chunk's statistics and close the
+/// buffer with the footer chunk index and end marker, which `FXM1`
+/// lacks. `FXM3` compresses the payload; the others write raw words.
+fn encode_impl(series: &MeasuredSeries, chunk_len: usize, version: FxmVersion) -> Vec<u8> {
     let n = series.len();
     let chunks = n.div_ceil(chunk_len);
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + 4 * chunks + 8 * n);
-    buf.put_slice(&MAGIC_V1);
-    buf.put_i64_le(series.start().as_minutes());
-    buf.put_u32_le(series.resolution().minutes() as u32);
-    buf.put_u64_le(n as u64);
-    buf.put_u32_le(chunk_len as u32);
+    let (magic, end) = match version {
+        FxmVersion::V1 => (MAGIC_V1, None),
+        FxmVersion::V2 => (MAGIC_V2, Some(END_MAGIC_V2)),
+        FxmVersion::V3 => (MAGIC_V3, Some(END_MAGIC_V3)),
+    };
+    // The `FXM2` size: exact for `FXM2`, a guess for the others
+    // (`FXM1` is smaller; `FXM3` usually is).
+    let mut buf =
+        Vec::with_capacity(HEADER_LEN + chunks * (V2_CHUNK_HEADER_LEN + 8) + 8 * n + V2_TAIL_LEN);
+    buf.extend_from_slice(&magic);
+    put_u64(&mut buf, series.start().as_minutes() as u64);
+    put_u32(&mut buf, series.resolution().minutes() as u32);
+    put_u64(&mut buf, n as u64);
+    put_u32(&mut buf, chunk_len as u32);
+    let mut offsets = Vec::with_capacity(chunks);
     for chunk in series.values().chunks(chunk_len) {
-        buf.put_u32_le(chunk.len() as u32);
-        for &v in chunk {
-            put_value(&mut buf, v);
+        offsets.push(buf.len() as u64);
+        put_u32(&mut buf, chunk.len() as u32);
+        if version != FxmVersion::V1 {
+            let stats = ChunkStats::from_values(chunk);
+            put_u32(&mut buf, stats.gaps);
+            put_value(&mut buf, stats.min);
+            put_value(&mut buf, stats.max);
+            put_value(&mut buf, stats.sum);
+        }
+        if version == FxmVersion::V3 {
+            put_v3_payload(&mut buf, chunk);
+        } else {
+            for &v in chunk {
+                put_value(&mut buf, v);
+            }
         }
     }
-    buf.freeze()
+    if let Some(end) = end {
+        let footer = buf.len() as u64;
+        for o in offsets {
+            put_u64(&mut buf, o);
+        }
+        put_u64(&mut buf, footer);
+        buf.extend_from_slice(&end);
+    }
+    buf
 }
 
 /// MSB-first bit accumulator for the `FXM3` compressed stream. The
@@ -297,7 +321,7 @@ impl BitWriter {
 }
 
 /// Append one chunk's `FXM3` gap bitmap + compressed stream to `buf`.
-fn put_v3_payload(buf: &mut BytesMut, chunk: &[f64]) {
+fn put_v3_payload(buf: &mut Vec<u8>, chunk: &[f64]) {
     // Gap bitmap, LSB-first within each byte; padding bits stay zero.
     for group in chunk.chunks(8) {
         let mut byte = 0u8;
@@ -306,7 +330,7 @@ fn put_v3_payload(buf: &mut BytesMut, chunk: &[f64]) {
                 byte |= 1 << bit;
             }
         }
-        buf.put_slice(&[byte]);
+        buf.push(byte);
     }
     let mut w = BitWriter::new();
     let mut prev: Option<u64> = None;
@@ -346,55 +370,7 @@ fn put_v3_payload(buf: &mut BytesMut, chunk: &[f64]) {
         }
         prev = Some(bits);
     }
-    buf.put_slice(&w.finish());
-}
-
-/// Encode a measured series as `FXM3` using
-/// [`DEFAULT_CHUNK_LEN`]-interval chunks.
-pub fn encode_v3(series: &MeasuredSeries) -> Bytes {
-    encode_impl_v3(series, DEFAULT_CHUNK_LEN)
-}
-
-/// Encode a measured series as `FXM3` with an explicit chunk length
-/// (same [`FrameError::ZeroChunkLen`] contract as [`encode_chunked`]).
-pub fn encode_chunked_v3(series: &MeasuredSeries, chunk_len: usize) -> Result<Bytes, FrameError> {
-    if chunk_len == 0 {
-        return Err(FrameError::ZeroChunkLen);
-    }
-    Ok(encode_impl_v3(series, chunk_len))
-}
-
-/// `FXM3` encoding over a validated (non-zero) chunk length.
-fn encode_impl_v3(series: &MeasuredSeries, chunk_len: usize) -> Bytes {
-    let n = series.len();
-    let chunks = n.div_ceil(chunk_len);
-    // Capacity is a guess (the stream compresses); worst case per value
-    // is < 80 bits, so the uncompressed size is a safe reservation.
-    let mut buf =
-        BytesMut::with_capacity(HEADER_LEN + chunks * (V2_CHUNK_HEADER_LEN + 8) + 10 * n + 12);
-    buf.put_slice(&MAGIC_V3);
-    buf.put_i64_le(series.start().as_minutes());
-    buf.put_u32_le(series.resolution().minutes() as u32);
-    buf.put_u64_le(n as u64);
-    buf.put_u32_le(chunk_len as u32);
-    let mut offsets = Vec::with_capacity(chunks);
-    for chunk in series.values().chunks(chunk_len) {
-        offsets.push(buf.len() as u64);
-        let stats = ChunkStats::from_values(chunk);
-        buf.put_u32_le(chunk.len() as u32);
-        buf.put_u32_le(stats.gaps);
-        put_value(&mut buf, stats.min);
-        put_value(&mut buf, stats.max);
-        put_value(&mut buf, stats.sum);
-        put_v3_payload(&mut buf, chunk);
-    }
-    let footer = buf.len() as u64;
-    for o in offsets {
-        buf.put_u64_le(o);
-    }
-    buf.put_u64_le(footer);
-    buf.put_slice(&END_MAGIC_V3);
-    buf.freeze()
+    buf.extend_from_slice(&w.finish());
 }
 
 /// Parsed fixed header (identical in both versions).
@@ -460,9 +436,10 @@ pub enum FrameKind {
 
 /// A chunk-addressable view over one measured series.
 ///
-/// `FXM2` buffers open lazily — the constructor reads only the header,
-/// the footer index and the 32-byte per-chunk statistics headers;
-/// payloads decode on demand through [`Frame::chunk_values`]. `FXM1`
+/// `FXM2` and `FXM3` buffers open lazily — the constructor reads only
+/// the header, the footer index and the 32-byte per-chunk statistics
+/// headers; payloads decode (for `FXM3`, decompress) on demand through
+/// [`Frame::chunk_values`]. `FXM1`
 /// and in-memory series degrade gracefully: they are materialized up
 /// front and chunked virtually, so every scan still runs (it just
 /// cannot skip decode work it has already paid for).
@@ -472,7 +449,7 @@ pub struct Frame {
     header: FrameHeader,
     kind: FrameKind,
     /// The raw buffer (`FxmV2`/`FxmV3` only; empty otherwise).
-    buf: Bytes,
+    buf: Vec<u8>,
     /// Materialized values (`FxmV1`/`Materialized` only; empty for
     /// lazy frames).
     values: Vec<f64>,
@@ -547,7 +524,7 @@ pub fn decode_header(buf: &[u8], file: &str) -> Result<(FrameHeader, FxmVersion)
 impl Frame {
     /// Open a binary frame buffer (either version). `file` names the
     /// source in errors.
-    pub fn from_fxm_bytes(bytes: Bytes, file: &str) -> Result<Frame, FrameError> {
+    pub fn from_fxm_bytes(bytes: Vec<u8>, file: &str) -> Result<Frame, FrameError> {
         let (header, version) = decode_header(&bytes, file)?;
         match version {
             FxmVersion::V2 => Self::open_v2(bytes, header, file),
@@ -578,13 +555,13 @@ impl Frame {
             chunks: virtual_chunks(&header),
             header,
             kind: FrameKind::Materialized,
-            buf: Bytes::new(),
+            buf: Vec::new(),
             values: series.into_values(),
             disk_bytes: 0,
         })
     }
 
-    fn open_v2(bytes: Bytes, header: FrameHeader, file: &str) -> Result<Frame, FrameError> {
+    fn open_v2(bytes: Vec<u8>, header: FrameHeader, file: &str) -> Result<Frame, FrameError> {
         let chunks = parse_v2_chunks(&bytes, &header, file)?;
         Ok(Frame {
             file: file.to_string(),
@@ -597,7 +574,7 @@ impl Frame {
         })
     }
 
-    fn open_v3(bytes: Bytes, header: FrameHeader, file: &str) -> Result<Frame, FrameError> {
+    fn open_v3(bytes: Vec<u8>, header: FrameHeader, file: &str) -> Result<Frame, FrameError> {
         let chunks = parse_v3_chunks(&bytes, &header, file)?;
         Ok(Frame {
             file: file.to_string(),
@@ -651,7 +628,7 @@ impl Frame {
             chunks: virtual_chunks(&header),
             header,
             kind: FrameKind::FxmV1,
-            buf: Bytes::new(),
+            buf: Vec::new(),
             values,
             disk_bytes: buf.len(),
         })
@@ -1307,7 +1284,7 @@ pub fn open_file(path: &std::path::Path) -> Result<Frame, FrameError> {
     let mut raw = Vec::with_capacity(size);
     f.read_to_end(&mut raw)
         .map_err(|e| codec_err(&display, format!("read failed: {e}")))?;
-    Frame::from_fxm_bytes(Bytes::from(raw), &display)
+    Frame::from_fxm_bytes(raw, &display)
 }
 
 #[cfg(test)]
@@ -1555,7 +1532,7 @@ mod tests {
         let mut inf = raw.to_vec();
         let val_at = HEADER_LEN + V2_CHUNK_HEADER_LEN;
         inf[val_at..val_at + 8].copy_from_slice(&f64::INFINITY.to_bits().to_le_bytes());
-        let frame = Frame::from_fxm_bytes(Bytes::from(inf), "t.fxm").unwrap();
+        let frame = Frame::from_fxm_bytes(inf, "t.fxm").unwrap();
         let err = frame.decode().unwrap_err();
         assert!(err.to_string().contains("infinite"), "{err}");
         // Truncated v1 payload.
@@ -1574,23 +1551,23 @@ mod tests {
 
     #[test]
     fn v2_rejects_corrupt_stats_and_offsets() {
-        let raw = encode(&sample()).to_vec();
+        let raw = encode(&sample());
         // Corrupt the gap count of chunk 0 (offset HEADER_LEN + 4).
         let mut bad = raw.clone();
         bad[HEADER_LEN + 4..HEADER_LEN + 8].copy_from_slice(&99u32.to_le_bytes());
-        let err = Frame::from_fxm_bytes(Bytes::from(bad), "t.fxm").unwrap_err();
+        let err = Frame::from_fxm_bytes(bad, "t.fxm").unwrap_err();
         assert!(err.to_string().contains("gap count"), "{err}");
         // Corrupt the footer offset of chunk 0.
         let mut bad = raw.clone();
         let footer_at = raw.len() - V2_TAIL_LEN - 8;
         bad[footer_at..footer_at + 8].copy_from_slice(&7u64.to_le_bytes());
-        let err = Frame::from_fxm_bytes(Bytes::from(bad), "t.fxm").unwrap_err();
+        let err = Frame::from_fxm_bytes(bad, "t.fxm").unwrap_err();
         assert!(err.to_string().contains("offset"), "{err}");
         // Non-finite statistics.
         let mut bad = raw;
         bad[HEADER_LEN + 8..HEADER_LEN + 16]
             .copy_from_slice(&f64::INFINITY.to_bits().to_le_bytes());
-        let err = Frame::from_fxm_bytes(Bytes::from(bad), "t.fxm").unwrap_err();
+        let err = Frame::from_fxm_bytes(bad, "t.fxm").unwrap_err();
         assert!(err.to_string().contains("statistics"), "{err}");
     }
 
@@ -1598,33 +1575,24 @@ mod tests {
     fn huge_declared_lengths_fail_without_allocating() {
         // A v1 header claiming u32::MAX-interval chunks with no payload
         // must produce a codec error, not a multi-GiB allocation.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&MAGIC_V1);
-        buf.put_i64_le(0);
-        buf.put_u32_le(15);
-        buf.put_u64_le(u64::from(u32::MAX));
-        buf.put_u32_le(u32::MAX);
-        let err = decode(&buf.freeze(), "t.fxm").unwrap_err();
+        let header = |magic: [u8; 4], len: u64, chunk_len: u32| {
+            let mut buf = magic.to_vec();
+            put_u64(&mut buf, 0);
+            put_u32(&mut buf, 15);
+            put_u64(&mut buf, len);
+            put_u32(&mut buf, chunk_len);
+            buf
+        };
+        let err = decode(&header(MAGIC_V1, u64::from(u32::MAX), u32::MAX), "t.fxm").unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
         // Same for a v2 header: the footer check trips first.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&MAGIC_V2);
-        buf.put_i64_le(0);
-        buf.put_u32_le(15);
-        buf.put_u64_le(u64::from(u32::MAX));
-        buf.put_u32_le(1);
-        let err = decode(&buf.freeze(), "t.fxm").unwrap_err();
+        let err = decode(&header(MAGIC_V2, u64::from(u32::MAX), 1), "t.fxm").unwrap_err();
         assert!(err.to_string().contains("footer"), "{err}");
         // The largest length the header check admits must not overflow
         // the footer-size arithmetic (chunks·8 + tail would wrap).
-        let mut buf = BytesMut::new();
-        buf.put_slice(&MAGIC_V2);
-        buf.put_i64_le(0);
-        buf.put_u32_le(15);
-        buf.put_u64_le((usize::MAX / 8) as u64);
-        buf.put_u32_le(1);
-        buf.put_slice(&[0u8; 16]); // some plausible-looking tail bytes
-        let err = decode(&buf.freeze(), "t.fxm").unwrap_err();
+        let mut buf = header(MAGIC_V2, (usize::MAX / 8) as u64, 1);
+        buf.extend_from_slice(&[0u8; 16]); // some plausible-looking tail bytes
+        let err = decode(&buf, "t.fxm").unwrap_err();
         assert!(err.to_string().contains("footer"), "{err}");
     }
 
@@ -1715,7 +1683,7 @@ mod tests {
             })
             .collect();
         let m = MeasuredSeries::new(ts("2013-03-18"), Resolution::MIN_1, values).unwrap();
-        let raw = encode_chunked_v3(&m, 96).unwrap().to_vec();
+        let raw = encode_chunked_v3(&m, 96).unwrap();
         let bitmap_at = HEADER_LEN + V2_CHUNK_HEADER_LEN;
 
         // Flip a bitmap bit: popcount no longer matches the recorded
@@ -1728,13 +1696,13 @@ mod tests {
 
         // Corrupt the chunk-0 footer offset: the contiguity walk trips.
         let mut bad = raw.clone();
-        let chunks = Frame::from_fxm_bytes(Bytes::from(raw.clone()), "t.fxm")
+        let chunks = Frame::from_fxm_bytes(raw.clone(), "t.fxm")
             .unwrap()
             .chunks()
             .len();
         let footer_at = raw.len() - V2_TAIL_LEN - chunks * 8;
         bad[footer_at..footer_at + 8].copy_from_slice(&7u64.to_le_bytes());
-        let err = Frame::from_fxm_bytes(Bytes::from(bad), "t.fxm").unwrap_err();
+        let err = Frame::from_fxm_bytes(bad, "t.fxm").unwrap_err();
         assert!(err.to_string().contains("offset"), "{err}");
 
         // Corrupt the recorded gap count (keeping it <= len): the
@@ -1749,12 +1717,12 @@ mod tests {
         // succeeds (directory and stats parse fine); only the decode
         // of that chunk fails.
         let mut bad = raw.clone();
-        let frame = Frame::from_fxm_bytes(Bytes::from(raw.clone()), "t.fxm").unwrap();
+        let frame = Frame::from_fxm_bytes(raw.clone(), "t.fxm").unwrap();
         let chunk1_off = HEADER_LEN + V2_CHUNK_HEADER_LEN + frame.chunks()[0].payload_bytes();
         for b in &mut bad[bitmap_at..chunk1_off] {
             *b = 0xFF;
         }
-        let frame = Frame::from_fxm_bytes(Bytes::from(bad), "t.fxm").unwrap();
+        let frame = Frame::from_fxm_bytes(bad, "t.fxm").unwrap();
         let mut scratch = Vec::new();
         assert!(frame.chunk_values(0, &mut scratch).is_err());
     }
@@ -1793,7 +1761,7 @@ mod tests {
         let mut rng = Draws(0x9e37_79b9_7f4a_7c15);
         let mut push = |name: &str, values: Vec<f64>, chunk_len: usize| {
             let m = MeasuredSeries::new(ts("2013-03-18"), Resolution::MIN_1, values).unwrap();
-            let raw = encode_chunked_v3(&m, chunk_len).unwrap().to_vec();
+            let raw = encode_chunked_v3(&m, chunk_len).unwrap();
             corpus.push((name.to_string(), raw));
         };
         // Unquantized noise: nearly every XOR needs a 58–64-bit window.

@@ -438,17 +438,8 @@ impl Scan {
         &self,
         frame: &Frame,
     ) -> Result<(Option<(Timestamp, f64)>, ScanReport), FrameError> {
-        self.peak_with(frame, &mut Vec::new())
-    }
-
-    /// [`Scan::peak`] with a caller-supplied decode buffer (see
-    /// [`Scan::aggregates_with`]).
-    pub fn peak_with(
-        &self,
-        frame: &Frame,
-        scratch: &mut Vec<f64>,
-    ) -> Result<(Option<(Timestamp, f64)>, ScanReport), FrameError> {
         let (lo, hi) = self.bounds(frame);
+        let mut scratch = Vec::new();
         let h = *frame.header();
         let mut report = ScanReport {
             chunks_total: frame.chunks().len(),
@@ -476,7 +467,7 @@ impl Scan {
                         continue;
                     }
                     let max = stats.max;
-                    let values = frame.chunk_values(ci, scratch)?;
+                    let values = frame.chunk_values(ci, &mut scratch)?;
                     report.chunks_decoded += 1;
                     report.bytes_decoded += meta.payload_bytes();
                     report.intervals_selected += meta.len;
@@ -496,7 +487,7 @@ impl Scan {
                     continue;
                 }
             }
-            let values = frame.chunk_values(ci, scratch)?;
+            let values = frame.chunk_values(ci, &mut scratch)?;
             report.chunks_decoded += 1;
             report.bytes_decoded += meta.payload_bytes();
             let sliced = slice_chunk(values, a, b, frame)?;
@@ -569,10 +560,10 @@ impl Scan {
         materialized
     }
 
-    /// [`Scan::materialize`] with a caller-supplied decode buffer (see
-    /// [`Scan::aggregates_with`]). The series' buffer still comes from
-    /// this thread's [`recycle`] free list.
-    pub fn materialize_with(
+    /// [`Scan::materialize`] with a caller-supplied decode buffer. The
+    /// series' buffer still comes from this thread's [`recycle`] free
+    /// list.
+    fn materialize_with(
         &self,
         frame: &Frame,
         scratch: &mut Vec<f64>,
@@ -616,18 +607,7 @@ impl Scan {
         frame: &Frame,
         target: Resolution,
     ) -> Result<(MeasuredSeries, ScanReport), FrameError> {
-        self.materialize_resampled_with(frame, target, &mut Vec::new())
-    }
-
-    /// [`Scan::materialize_resampled`] with a caller-supplied decode
-    /// buffer (see [`Scan::aggregates_with`]).
-    pub fn materialize_resampled_with(
-        &self,
-        frame: &Frame,
-        target: Resolution,
-        scratch: &mut Vec<f64>,
-    ) -> Result<(MeasuredSeries, ScanReport), FrameError> {
-        let (fine, report) = self.materialize_with(frame, scratch)?;
+        let (fine, report) = self.materialize_with(frame, &mut Vec::new())?;
         let res = fine.resolution();
         let k = target.ratio_to(res).ok_or_else(|| FrameError::Scan {
             what: format!("cannot resample {res} to {target} (must be a coarser multiple)"),
@@ -856,13 +836,13 @@ mod tests {
     fn peak_on_corrupt_stats_is_a_codec_error_not_a_panic() {
         use crate::fxm::HEADER_LEN;
         let m = MeasuredSeries::new(ts("2013-03-18"), Resolution::MIN_15, vec![0.5; 96]).unwrap();
-        let mut raw = encode_chunked(&m, 96).unwrap().to_vec();
+        let mut raw = encode_chunked(&m, 96).unwrap();
         // Rewrite chunk 0's recorded max (finite, gap-consistent, so
         // the open-time sanity checks pass) to a value the payload
         // does not contain.
         let max_at = HEADER_LEN + 16;
         raw[max_at..max_at + 8].copy_from_slice(&5.0f64.to_bits().to_le_bytes());
-        let frame = Frame::from_fxm_bytes(bytes::Bytes::from(raw), "t.fxm").unwrap();
+        let frame = Frame::from_fxm_bytes(raw, "t.fxm").unwrap();
         let err = Scan::new().peak(&frame).unwrap_err();
         assert!(matches!(err, FrameError::Codec { .. }), "{err:?}");
         assert!(err.to_string().contains("disagree"), "{err}");
@@ -960,18 +940,6 @@ mod tests {
         let (a1, r1) = scan.aggregates_with(&frame, &mut scratch).unwrap();
         assert_eq!(a0, a1);
         assert_eq!(r0, r1);
-        let (p0, _) = Scan::new().peak(&frame).unwrap();
-        let (p1, _) = Scan::new().peak_with(&frame, &mut scratch).unwrap();
-        assert_eq!(p0, p1);
-        let slice = TimeRange::new(ts("2013-03-18 12:15"), ts("2013-03-19 00:00")).unwrap();
-        let (s0, _) = Scan::new().time_slice(slice).materialize(&frame).unwrap();
-        let (s1, _) = Scan::new()
-            .time_slice(slice)
-            .materialize_with(&frame, &mut scratch)
-            .unwrap();
-        assert_eq!(s0.start(), s1.start());
-        let bits = |s: &MeasuredSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&s0), bits(&s1));
         // Report absorption is plain counter addition; the shard-tier
         // counters stay zero for single-frame scans and fold in from
         // dataset-level audits.

@@ -299,7 +299,7 @@ proptest! {
         truncate in 0_u8..4,
     ) {
         let m = MeasuredSeries::new(start(), Resolution::MIN_15, pattern).unwrap();
-        let mut raw = encode_chunked_v3(&m, chunk_len).unwrap().to_vec();
+        let mut raw = encode_chunked_v3(&m, chunk_len).unwrap();
         for (at, mask) in flips {
             let i = (at % raw.len() as u64) as usize;
             raw[i] ^= mask.max(1);
@@ -308,7 +308,7 @@ proptest! {
         if truncate == 0 {
             raw.truncate((cut % raw.len() as u64) as usize);
         }
-        let Ok(frame) = Frame::from_fxm_bytes(bytes::Bytes::from(raw), "c.fxm") else {
+        let Ok(frame) = Frame::from_fxm_bytes(raw, "c.fxm") else {
             return Ok(());
         };
         let mut scratch = Vec::new();
