@@ -77,14 +77,24 @@ fn workspace_root() -> PathBuf {
 }
 
 fn git_rev(root: &Path) -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(root)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(root)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".into();
+    };
+    // A baseline recorded before its change is committed must not
+    // pass for the parent revision.
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.is_empty() => format!("{rev}-dirty"),
+        _ => rev,
+    }
 }
 
 /// Export a degraded 48-household dataset to a scratch directory and

@@ -48,7 +48,6 @@
 mod export;
 mod report;
 mod runner;
-pub mod shard;
 mod source;
 mod spec;
 

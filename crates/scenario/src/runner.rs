@@ -1,18 +1,20 @@
 //! Executes scenarios: (simulate | ingest) → extract → aggregate →
 //! evaluate.
 //!
-//! Parallelism happens on two levels, both deterministic:
+//! Parallelism happens on two levels, both deterministic and both
+//! through [`ordered_parallel_map`], whose workers claim indices one at
+//! a time (scenario and consumer costs are highly skewed):
 //!
 //! * **Across scenarios** — [`ScenarioRunner::run_all`] fans the corpus
-//!   out over `threads` scoped workers with a work-stealing index
-//!   queue (scenario costs are highly skewed).
+//!   out over `threads` workers and returns each scenario's own result
+//!   in input order.
 //! * **Within one scenario** — the consumers of a single workload are
-//!   fanned across `consumer_threads` shard workers (see
-//!   [`crate::shard`]), while the per-consumer results are folded into
-//!   the report in **strict consumer index order** on the merging
-//!   thread. Extraction RNGs are seeded per consumer index — never per
-//!   worker — so a report is byte-identical at every thread count,
-//!   which is what keeps the `tests/golden/` snapshots stable.
+//!   fanned across `consumer_threads` workers, while the per-consumer
+//!   results are folded into the report in **strict consumer index
+//!   order** on the merging thread. Extraction RNGs are seeded per
+//!   consumer index — never per worker — so a report is byte-identical
+//!   at every thread count, which is what keeps the `tests/golden/`
+//!   snapshots stable.
 //!
 //! Consumers come from a [`crate::source::ConsumerSource`]: simulated
 //! on demand, or ingested from an on-disk dataset (cleaned, optionally
@@ -24,13 +26,12 @@
 //! everything else in the report.
 //!
 //! Memory stays flat in the fleet size: consumers are built on demand
-//! and dropped after merging, with the shard window bounding how many
+//! and dropped after merging, with the reorder window bounding how many
 //! finished consumers can await their merge turn.
 
 use crate::report::{
     AggregationReport, IngestionReport, ScenarioOutcome, ScenarioReport, ScheduleReport,
 };
-use crate::shard::ordered_parallel_map;
 use crate::source::{ConsumerInput, ConsumerSource};
 use crate::spec::{AggregationPolicy, ExtractorChoice, Scenario};
 use crate::{ScenarioError, CONSUMER_SEED_STRIDE};
@@ -43,25 +44,27 @@ use flextract_core::{
 };
 use flextract_eval::{FidelityReport, GroundTruthScore};
 use flextract_flexoffer::FlexOffer;
+use flextract_series::shard::ordered_parallel_map;
 use flextract_series::TimeSeries;
 use flextract_sim::{simulate_wind_production, WindFarmConfig};
 use flextract_time::{Resolution, TimeRange};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// Runs scenarios, fanning out across worker threads.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioRunner {
     /// Worker threads for [`ScenarioRunner::run_all`] (1 = serial;
-    /// capped at the scenario count). Has no effect on the reports.
+    /// capped at the scenario count and the host's CPU cores). Has no
+    /// effect on the reports.
     pub threads: usize,
     /// Worker threads *inside* one scenario: the consumers of a single
     /// workload are sharded across this many workers (1 = serial;
-    /// capped at the consumer count). Has no effect on the reports —
-    /// per-consumer results merge in fixed index order.
+    /// capped at the consumer count and the host's CPU cores). Has no
+    /// effect on the reports — per-consumer results merge in fixed
+    /// index order.
     pub consumer_threads: usize,
 }
 
@@ -347,42 +350,50 @@ impl ScenarioRunner {
         Ok((Some(agg_report), Some(sched_report)))
     }
 
-    /// Execute every scenario, fanned out across `self.threads` scoped
-    /// threads; results come back in input order.
+    /// Execute every scenario, fanned out across `self.threads`
+    /// workers; results come back in input order, one per scenario.
     pub fn run_all(&self, scenarios: &[Scenario]) -> Vec<Result<ScenarioOutcome, ScenarioError>> {
-        if scenarios.is_empty() {
-            return Vec::new();
-        }
-        let results: Mutex<Vec<(usize, Result<ScenarioOutcome, ScenarioError>)>> =
-            Mutex::new(Vec::with_capacity(scenarios.len()));
-        let threads = self.threads.clamp(1, scenarios.len());
-        // Work-stealing queue rather than static chunks: scenario cost
-        // is highly skewed (a 10k-household stress run next to single
-        // consumer-days), so workers pull the next index as they free
-        // up. Results are keyed by index, so scheduling order never
-        // affects the returned order (or the reports — each run merges
-        // its consumers in index order).
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let results = &results;
-                let next = &next;
-                let runner = *self;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(scenario) = scenarios.get(i) else {
-                        break;
-                    };
-                    let outcome = runner.run(scenario);
-                    results
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push((i, outcome));
-                });
+        let mut results = Vec::with_capacity(scenarios.len());
+        // `produce` never fails: each scenario's own `Result` is the
+        // item, so one failing scenario cannot cancel the others.
+        let Ok(()) = ordered_parallel_map(
+            scenarios.len(),
+            self.threads,
+            |i| Ok::<_, Infallible>(self.run(&scenarios[i])),
+            |_, outcome| {
+                results.push(outcome);
+                Ok(())
+            },
+        );
+        results
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::tests::tiny;
+
+    #[test]
+    fn run_all_keeps_input_order_and_one_result_per_scenario() {
+        let mut peak = tiny("peak");
+        peak.extractor = ExtractorChoice::Peak;
+        peak.seed = 1;
+        let mut invalid = tiny("invalid");
+        invalid.days = 0;
+        let corpus = [peak, invalid, tiny("basic")];
+        let report = |outcome: &ScenarioOutcome| serde_json::to_string(&outcome.report).unwrap();
+        for threads in [1, 3] {
+            let results = ScenarioRunner::with_threads(threads).run_all(&corpus);
+            assert_eq!(results.len(), 3, "threads = {threads}");
+            // The invalid scenario fails alone; its neighbours still run.
+            let err = results[1].as_ref().unwrap_err().to_string();
+            assert!(err.contains("days"), "threads = {threads}: {err}");
+            for i in [0, 2] {
+                let got = results[i].as_ref().unwrap();
+                let lone = ScenarioRunner::with_threads(1).run(&corpus[i]).unwrap();
+                assert_eq!(report(got), report(&lone), "threads = {threads}, i = {i}");
             }
-        });
-        let mut indexed = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, r)| r).collect()
+        }
     }
 }

@@ -377,7 +377,7 @@ pub fn load_dir(dir: &Path) -> Result<Vec<Scenario>, ScenarioError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     pub(crate) fn tiny(name: &str) -> Scenario {

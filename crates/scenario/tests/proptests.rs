@@ -151,7 +151,7 @@ proptest! {
         // yet the consumer must observe row 0, 1, 2, … exactly once
         // each, in order, with the row contents untouched.
         let mut rows: Vec<(usize, u64)> = Vec::new();
-        flextract_scenario::shard::ordered_parallel_map(
+        flextract_series::shard::ordered_parallel_map(
             n,
             threads,
             |i| {

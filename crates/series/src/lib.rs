@@ -31,6 +31,8 @@
 //!   screen on an exact trailing median.
 //! * [`recycle`] — per-thread reuse of horizon-length value buffers
 //!   across dataset consumers.
+//! * [`shard`] — the workspace's one worker pool: an index-ordered
+//!   parallel map whose results fold exactly as a serial loop would.
 //!
 //! ```
 //! use flextract_series::TimeSeries;
@@ -60,6 +62,7 @@ pub mod rolling;
 pub mod sax;
 pub mod segment;
 mod series;
+pub mod shard;
 pub mod stats;
 
 pub use missing::FillStrategy;

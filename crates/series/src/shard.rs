@@ -1,15 +1,17 @@
-//! Deterministic fan-out of one scenario's consumers over a sharded
-//! worker pool.
+//! Deterministic fan-out over a worker pool: the one place in library
+//! code that starts threads.
 //!
-//! [`ordered_parallel_map`] is the primitive behind consumer-level
-//! parallelism: `n` items are claimed by worker threads through one
-//! atomic counter (work-stealing — a slow item never stalls the other
-//! workers), but the caller's `consume` closure observes the results in
-//! **strict index order**, one at a time, on the calling thread. Because
-//! reduction happens in index order with exactly the float operations of
-//! a serial loop, a report accumulated through this function is
-//! byte-identical at every thread count — determinism comes from seeding
-//! per consumer and merging per index, never from scheduling.
+//! [`ordered_parallel_map`] runs every parallel step of the workspace —
+//! the scenarios of a corpus, the consumers of one scenario, the
+//! households of a simulated fleet, the shards of a store. `n` items
+//! are claimed by worker threads through one atomic counter
+//! (work-stealing — a slow item never stalls the other workers), but
+//! the caller's `consume` closure observes the results in **strict
+//! index order**, one at a time, on the calling thread. Because
+//! reduction happens in index order with exactly the float operations
+//! of a serial loop, anything accumulated through this function is
+//! byte-identical at every thread count — determinism comes from
+//! seeding per item and merging per index, never from scheduling.
 //!
 //! A bounded reorder window applies backpressure: a worker that raced
 //! ahead of the merge frontier parks until the frontier catches up, so a
@@ -19,21 +21,23 @@
 //! `index < frontier + window` (the window is at least 1), so the item
 //! the merger is waiting for is always allowed to complete.
 //!
-//! The effective worker count is additionally clamped to the host's
+//! The worker count is additionally clamped, silently, to the host's
 //! [`std::thread::available_parallelism`]: oversubscribing a smaller
 //! machine is strictly slower (the recorded `BENCH_pipeline.json`
 //! baseline showed `consumer_threads: 8` regressing 20–25 % against
 //! serial on a 1-core host), and because merge order is pinned by index
-//! the clamp cannot change a single report byte — only the wall clock.
+//! the clamp cannot change a single output byte — only the wall clock.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, Once};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Shared reorder state: completed items awaiting their turn, and the
 /// merge frontier (`next index the consumer will take`).
 struct Reorder<T, E> {
-    ready: HashMap<usize, Result<T, E>>,
+    /// A ring of `window` slots; index `i` waits in slot `i % window`.
+    /// Workers only finish indices in `[frontier, frontier + window)`,
+    /// so no two waiting items share a slot.
+    ready: Vec<Option<Result<T, E>>>,
     frontier: usize,
     /// Set when the run stops early — an item errored, or a thread
     /// panicked; everyone drops pending work instead of parking
@@ -42,7 +46,7 @@ struct Reorder<T, E> {
 }
 
 /// Lock the reorder state, shrugging off mutex poisoning: the state's
-/// invariants are trivial (a map and two scalars mutated atomically
+/// invariants are trivial (a ring and two scalars mutated atomically
 /// under the lock), and cancellation must keep working *during* a
 /// panic unwind or the panic turns into a deadlock.
 fn lock<'a, T, E>(state: &'a Mutex<Reorder<T, E>>) -> MutexGuard<'a, Reorder<T, E>> {
@@ -84,37 +88,30 @@ impl<T, E> Drop for CancelOnDrop<'_, T, E> {
     }
 }
 
-/// The host's CPU core count, used as the hard ceiling on worker
-/// threads; unavailable counts (exotic platforms) leave the request
-/// unclamped rather than guessing.
-fn hardware_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(usize::MAX, |c| c.get())
-}
-
-/// The worker count [`ordered_parallel_map`] will actually use for
-/// `requested` threads over `n` items: `min(requested,
-/// available_parallelism)`, further bounded by the item count and never
-/// zero. Exposed so callers (and the regression test pinning the
-/// oversubscription fix) can predict the pool size.
-pub fn effective_workers(requested: usize, n: usize) -> usize {
-    requested.min(hardware_parallelism()).clamp(1, n.max(1))
+/// The worker count [`ordered_parallel_map`] uses for `requested`
+/// threads over `n` items: `min(requested, available_parallelism)`,
+/// further bounded by the item count and never zero. An unavailable
+/// core count (exotic platforms) leaves the request unclamped rather
+/// than guessing.
+fn effective_workers(requested: usize, n: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(usize::MAX, |c| c.get());
+    requested.min(cores).clamp(1, n.max(1))
 }
 
 /// Run `produce` over `0..n` on scoped workers, feeding the results to
 /// `consume` in strict index order on the calling thread.
 ///
-/// The pool size is [`effective_workers`]`(threads, n)`: requests beyond
-/// the host's CPU core count clamp to the core count with a one-time
-/// stderr note (the same loud-clamp policy as the CLI's corpus-size
-/// clamp), because oversubscription is pure overhead — the workers are
-/// CPU-bound and merge order is already pinned by index, so extra
-/// threads cannot help and measurably hurt on small hosts.
+/// At most `threads` workers run, and never more than the host has CPU
+/// cores or than there are items: the workers are CPU-bound and merge
+/// order is already pinned by index, so extra threads cannot help and
+/// measurably hurt on small hosts.
 ///
 /// The first `Err` — from `produce` (in index order) or from `consume`
-/// — cancels the remaining work and is returned. With an effective
-/// count of 1 (serial request, single item, or a 1-core host) no worker
-/// threads are spawned at all and the loop runs inline, so the serial
-/// path is trivially identical.
+/// — cancels the remaining work and is returned. A caller that wants
+/// every item's own result, failures included, returns `Ok(result)`
+/// from `produce`. With one worker (serial request, single item, or a
+/// 1-core host) no threads are spawned at all and the loop runs
+/// inline, so the serial path is trivially identical.
 ///
 /// # Panics
 ///
@@ -133,22 +130,7 @@ where
     P: Fn(usize) -> Result<T, E> + Sync,
     C: FnMut(usize, T) -> Result<(), E>,
 {
-    let requested = threads;
-    let threads = effective_workers(requested, n);
-    let cores = hardware_parallelism();
-    if cores < requested && cores <= n.max(1) {
-        // Note the clamp once per process, not once per scenario: a
-        // 24-scenario corpus run should explain the slowdown-avoidance
-        // once, not spam stderr. Serial defaults (requested == 1) can
-        // never reach this branch, so quiet runs stay quiet.
-        static OVERSUBSCRIBED: Once = Once::new();
-        OVERSUBSCRIBED.call_once(|| {
-            eprintln!(
-                "warning: {requested} worker thread(s) requested but the host has \
-                 {cores} CPU core(s); clamping to {cores}"
-            );
-        });
-    }
+    let threads = effective_workers(threads, n);
     if threads == 1 {
         for i in 0..n {
             consume(i, produce(i)?)?;
@@ -162,7 +144,7 @@ where
     let window = threads * 4;
     let next_claim = AtomicUsize::new(0);
     let state: Mutex<Reorder<T, E>> = Mutex::new(Reorder {
-        ready: HashMap::new(),
+        ready: std::iter::repeat_with(|| None).take(window).collect(),
         frontier: 0,
         cancelled: false,
     });
@@ -201,7 +183,10 @@ where
                 let item = produce(i);
                 sentinel.disarm();
                 let mut guard = lock(&state);
-                guard.ready.insert(i, item);
+                // A cancelled run has emptied the ring; the item drops.
+                if let Some(slot) = guard.ready.get_mut(i % window) {
+                    *slot = Some(item);
+                }
                 if i == guard.frontier {
                     arrived.notify_all();
                 }
@@ -223,7 +208,7 @@ where
             let item = {
                 let mut guard = lock(&state);
                 loop {
-                    if let Some(item) = guard.ready.remove(&i) {
+                    if let Some(item) = guard.ready.get_mut(i % window).and_then(Option::take) {
                         guard.frontier = i + 1;
                         room.notify_all();
                         break Some(item);
@@ -256,9 +241,9 @@ where
             }
         }
         // Disarming after a clean break is fine: the error path above
-        // has already cancelled and notified by hand (clearing the
-        // buffered results too), and normal completion leaves no one
-        // parked — every index gets claimed and merged.
+        // has already cancelled and notified by hand (emptying the
+        // ring too), and normal completion leaves no one parked —
+        // every index gets claimed and merged.
         merger_sentinel.disarm();
     });
     match first_error {

@@ -3,20 +3,20 @@
 //! MIRABEL aggregates flex-offers "from thousands consumers" (§6); the
 //! evaluation experiments therefore need fleets, not single households.
 //! Fleet simulation is embarrassingly parallel per household, so the
-//! work is fanned out over `std::thread` scoped threads with results
-//! collected behind a mutex.
+//! households are fanned out through [`ordered_parallel_map`] and
+//! collected in id order.
 
 use crate::household::{HouseholdArchetype, HouseholdConfig};
 use crate::randomness::weighted_index;
 use crate::simulate::{simulate_household_with_catalog, SimulatedHousehold};
 use crate::tariff::TariffResponse;
 use flextract_appliance::Catalog;
-use flextract_series::{resample, TimeSeries};
+use flextract_series::{resample, shard::ordered_parallel_map, TimeSeries};
 use flextract_time::{Resolution, TimeRange};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::{Mutex, PoisonError};
+use std::convert::Infallible;
 
 /// Why a [`FleetConfig`] cannot be materialised into households.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +65,8 @@ pub struct FleetConfig {
     pub archetype_mix: Vec<(HouseholdArchetype, f64)>,
     /// Optional shared tariff response (applies to every household).
     pub tariff_response: Option<TariffResponse>,
-    /// Worker threads (1 = serial; capped at the household count).
+    /// Worker threads (1 = serial; capped at the household count and
+    /// the host's CPU cores).
     pub threads: usize,
 }
 
@@ -168,14 +169,14 @@ impl FleetResult {
 }
 
 /// Simulate a fleet over `range`, parallelised across
-/// `config.threads` scoped threads. Panics on an unsampleable config;
+/// `config.threads` workers. Panics on an unsampleable config;
 /// use [`try_simulate_fleet`] to get a typed error instead.
 pub fn simulate_fleet(config: &FleetConfig, range: TimeRange) -> FleetResult {
     try_simulate_fleet(config, range).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Simulate a fleet over `range`, parallelised across
-/// `config.threads` scoped threads. Returns a typed error when the
+/// `config.threads` workers. Returns a typed error when the
 /// config has no households or an empty/zero-weight archetype mix.
 pub fn try_simulate_fleet(
     config: &FleetConfig,
@@ -183,30 +184,22 @@ pub fn try_simulate_fleet(
 ) -> Result<FleetResult, FleetConfigError> {
     let catalog = Catalog::extended();
     let configs = config.try_household_configs()?;
-    let results: Mutex<Vec<(usize, SimulatedHousehold)>> =
-        Mutex::new(Vec::with_capacity(configs.len()));
-
-    let threads = config.threads.clamp(1, configs.len());
-    let chunk = configs.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, batch) in configs.chunks(chunk).enumerate() {
-            let results = &results;
-            let catalog = &catalog;
-            scope.spawn(move || {
-                for (j, cfg) in batch.iter().enumerate() {
-                    let sim = simulate_household_with_catalog(cfg, range, catalog);
-                    results
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push((t * chunk + j, sim));
-                }
-            });
-        }
-    });
-
-    let mut indexed = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-    indexed.sort_by_key(|(i, _)| *i);
-    let households: Vec<SimulatedHousehold> = indexed.into_iter().map(|(_, sim)| sim).collect();
+    let mut households = Vec::with_capacity(configs.len());
+    let Ok(()) = ordered_parallel_map(
+        configs.len(),
+        config.threads,
+        |i| {
+            Ok::<_, Infallible>(simulate_household_with_catalog(
+                &configs[i],
+                range,
+                &catalog,
+            ))
+        },
+        |_, sim| {
+            households.push(sim);
+            Ok(())
+        },
+    );
 
     let mut total: Option<TimeSeries> = None;
     for h in &households {

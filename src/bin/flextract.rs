@@ -27,9 +27,8 @@ use flextract::eval::experiments::{
 };
 use flextract::eval::fig5_day;
 use flextract::flexoffer::FlexOffer;
-use flextract::scenario::shard::ordered_parallel_map;
 use flextract::scenario::{load_dir, load_file, ExportOptions, Scenario, ScenarioRunner};
-use flextract::series::{missing::FillStrategy, TimeSeries};
+use flextract::series::{missing::FillStrategy, shard::ordered_parallel_map, TimeSeries};
 use flextract::sim::{simulate_fleet, FleetConfig};
 use flextract::time::{Duration, Resolution, TimeRange, Timestamp};
 use rand::rngs::StdRng;

@@ -310,6 +310,41 @@ fn scenario_thread_flags_are_validated_at_the_cli_layer() {
 }
 
 #[test]
+fn default_thread_counts_never_warn_even_beyond_the_host_cores() {
+    // The defaults (4 workers) may exceed the host's cores; that clamp
+    // is silent. A sharded fleet query fans its shards out, and a
+    // three-scenario corpus fans its scenarios out, both at defaults.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let fleet = root.join("datasets").join("ds_sharded_fleet");
+    let query = flextract(&[
+        "query",
+        "--dataset",
+        fleet.to_str().unwrap(),
+        "--agg",
+        "sum",
+    ]);
+    let corpus = scratch_dir("default_threads");
+    for name in ["fig4_basic_day", "fig5_peak_day", "granularity_1min"] {
+        let file = format!("{name}.json");
+        std::fs::copy(root.join("scenarios").join(&file), corpus.join(&file))
+            .expect("scenario is copyable");
+    }
+    let run = flextract(&[
+        "scenario",
+        "run",
+        "--all",
+        "--dir",
+        corpus.to_str().unwrap(),
+    ]);
+    std::fs::remove_dir_all(&corpus).ok();
+    for (what, out) in [("query", query), ("scenario run --all", run)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{what}: {stderr}");
+        assert!(!stderr.contains("warning"), "{what} warned: {stderr}");
+    }
+}
+
+#[test]
 fn scenario_invalid_specs_fail_with_a_message_not_a_backtrace() {
     let dir = scratch_dir("scenario_bad");
 
