@@ -1,8 +1,10 @@
 //! End-to-end scenario-pipeline benchmark **with a recorded baseline**.
 //!
 //! Unlike the micro benches, this harness measures the whole
-//! simulate→extract→aggregate pipeline through [`ScenarioRunner`] at
-//! several `consumer_threads` settings and **writes the measurements to
+//! simulate→extract→aggregate pipeline through [`ScenarioRunner`] on
+//! one consumer thread and on as many as the host has cores (that leg
+//! is skipped on a 1-core host), times the store's read and write
+//! stages, and **writes the measurements to
 //! `BENCH_pipeline.json`** at the workspace root (per row: the
 //! sampler's batch count, min, median, interquartile spread and tail
 //! percentile in µs/iter, plus thread count and host parallelism; the
@@ -256,6 +258,66 @@ fn query_benches(records: &mut Vec<Record>) {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The write stage: `fxm::encode_v3` over one metered-shaped export's
+/// 144 series — 48 one-week 1-min households (noise, anomalies, gaps,
+/// 0.001 kWh registers), each as its measured, truth and flex series,
+/// read back from an FXM3 export. The export itself is untimed.
+fn encode_benches(records: &mut Vec<Record>) {
+    let dir = std::env::temp_dir().join(format!("flextract_bench_encode_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let source = Scenario {
+        days: 7,
+        ..fleet_scenario("bench_encode_source", 48)
+    };
+    let options = ExportOptions {
+        degradation: Degradation {
+            noise_std: 0.02,
+            anomaly_rate: 0.0005,
+            anomaly_factor: 4.0,
+            anomaly_len: 3,
+            gap_rate: 0.002,
+            mean_gap_len: 5.0,
+            quantize_kwh: 0.001,
+            ..Degradation::default()
+        },
+        codec: SeriesCodec::BinaryV3,
+        include_truth: true,
+        ..ExportOptions::default()
+    };
+    export_dataset(&source, &dir, &options).expect("benchmark dataset exports");
+    let series: Vec<MeasuredSeries> = ["consumer", "truth", "flex"]
+        .iter()
+        .flat_map(|kind| (0..48).map(move |c| format!("{kind}_{c}.fxm")))
+        .map(|name| {
+            flextract_frame::fxm::open_file(&dir.join(name))
+                .expect("exported frame opens")
+                .into_measured()
+                .expect("exported frame decodes")
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    let values: usize = series.iter().map(MeasuredSeries::len).sum();
+    let bytes: usize = series
+        .iter()
+        .map(|s| flextract_frame::fxm::encode_v3(s).len())
+        .sum();
+    let timed = sample(|| {
+        for s in &series {
+            black_box(flextract_frame::fxm::encode_v3(black_box(s)));
+        }
+    });
+    records.push(Record {
+        name: "write/encode_fxm3/48hh_1w".into(),
+        consumer_threads: 1,
+        sample: timed,
+        note: Some(format!(
+            "{} series, {values} values to {bytes} B ({:.1} ns per value)",
+            series.len(),
+            timed.median_us * 1e3 / values as f64
+        )),
+    });
 }
 
 /// The cold-open stage: opening a month of 1-min FXM3 files up to
@@ -576,8 +638,13 @@ fn main() {
     let _ = std::fs::remove_dir_all(&ds_dir);
     let ingest = ingest_scenario(&ds_dir);
 
+    // The parallel leg runs at the host's core count, which
+    // `ordered_parallel_map` clamps any larger request to, and not at
+    // all on one core.
+    let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let legs = std::iter::once(1).chain((host_cpus > 1).then_some(host_cpus));
     let mut records: Vec<Record> = Vec::new();
-    for consumer_threads in [1_usize, 8] {
+    for consumer_threads in legs {
         let runner = ScenarioRunner::with_threads(1).with_consumer_threads(consumer_threads);
         let run =
             |scenario: &Scenario| sample(|| runner.run(scenario).expect("benchmark scenario runs"));
@@ -604,13 +671,13 @@ fn main() {
     }
     std::fs::remove_dir_all(&ds_dir).ok();
     query_benches(&mut records);
+    encode_benches(&mut records);
     cold_open_benches(&mut records);
     committed_storage_bench(&mut records);
     shard_store_benches(&mut records);
     analyze_benches(&mut records);
 
     let root = workspace_root();
-    let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(

@@ -142,8 +142,12 @@ impl Degradation {
             file: "<degradation>".to_string(),
             what,
         })?;
-        let coarse = match self.resolution_min {
-            None => series.clone(),
+        let (start, resolution, mut values) = match self.resolution_min {
+            None => (
+                series.start(),
+                series.resolution(),
+                series.values().to_vec(),
+            ),
             Some(min) => {
                 // Downsample only: a finer target would *fabricate*
                 // measurements (uniform smearing), which is not a
@@ -164,10 +168,10 @@ impl Degradation {
                         what: format!("resolution_min {min}: {e}"),
                     }
                 })?;
-                resample::to_resolution(series, target)?
+                let coarse = resample::to_resolution(series, target)?;
+                (coarse.start(), coarse.resolution(), coarse.into_values())
             }
         };
-        let mut values = coarse.values().to_vec();
         if self.noise_std > 0.0 {
             for v in values.iter_mut() {
                 *v = (*v * (1.0 + self.noise_std * standard_normal(rng))).max(0.0);
@@ -211,7 +215,7 @@ impl Degradation {
                 *v = (*v / self.quantize_kwh).round() * self.quantize_kwh;
             }
         }
-        MeasuredSeries::new(coarse.start(), coarse.resolution(), values).map_err(Into::into)
+        MeasuredSeries::new(start, resolution, values).map_err(Into::into)
     }
 }
 

@@ -67,6 +67,20 @@
 //! statistics header is byte-identical to `FXM2`, a stats-only scan
 //! decodes exactly as many payload bytes on `FXM3` as on `FXM2`: zero.
 //!
+//! ## Encoding `FXM3`
+//!
+//! The writer makes one pass per chunk. It folds the statistics header
+//! (the same [`ChunkStats`] fold `from_values` runs), sets the gap
+//! bitmap and emits the stream through a 64-bit MSB-first accumulator
+//! that appends each full word to the frame buffer as 8 big-endian
+//! bytes. The header and bitmap bytes are reserved up front and patched
+//! when the pass ends; no chunk has a buffer of its own. A differential
+//! test holds the writer to the previous byte-at-a-time writer (a
+//! statistics pass, a bitmap pass, then a bit writer moving at most 8
+//! bits per step): on the decoder's corpus and a seeded sweep of chunk
+//! lengths, gap patterns, NaN payloads and XOR windows, both write the
+//! same bytes.
+//!
 //! ## Decoding `FXM3`
 //!
 //! The decoder works by bit position over the stream. It loads one
@@ -162,8 +176,18 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// The bit pattern a value is stored as: its own, or [`GAP_BITS`] for
+/// any `NaN`.
+fn value_bits(v: f64) -> u64 {
+    if v.is_nan() {
+        GAP_BITS
+    } else {
+        v.to_bits()
+    }
+}
+
 fn put_value(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, if v.is_nan() { GAP_BITS } else { v.to_bits() });
+    put_u64(buf, value_bits(v));
 }
 
 /// Encode a measured series as `FXM2` using
@@ -243,19 +267,13 @@ fn encode_impl(series: &MeasuredSeries, chunk_len: usize, version: FxmVersion) -
     for chunk in series.values().chunks(chunk_len) {
         offsets.push(buf.len() as u64);
         put_u32(&mut buf, chunk.len() as u32);
-        if version != FxmVersion::V1 {
-            let stats = ChunkStats::from_values(chunk);
-            put_u32(&mut buf, stats.gaps);
-            put_value(&mut buf, stats.min);
-            put_value(&mut buf, stats.max);
-            put_value(&mut buf, stats.sum);
-        }
-        if version == FxmVersion::V3 {
-            put_v3_payload(&mut buf, chunk);
-        } else {
-            for &v in chunk {
-                put_value(&mut buf, v);
+        match version {
+            FxmVersion::V1 => chunk.iter().for_each(|&v| put_value(&mut buf, v)),
+            FxmVersion::V2 => {
+                buf.extend_from_slice(&stats_bytes(&ChunkStats::from_values(chunk)));
+                chunk.iter().for_each(|&v| put_value(&mut buf, v));
             }
+            FxmVersion::V3 => put_v3_chunk(&mut buf, chunk),
         }
     }
     if let Some(end) = end {
@@ -269,108 +287,123 @@ fn encode_impl(series: &MeasuredSeries, chunk_len: usize, version: FxmVersion) -
     buf
 }
 
-/// MSB-first bit accumulator for the `FXM3` compressed stream. The
-/// final byte is zero-padded on flush, and the decoder re-checks that
-/// padding, so the stream's bit count is recoverable exactly.
-struct BitWriter {
-    out: Vec<u8>,
-    cur: u8,
+/// A chunk frame's statistics header past its count, `[u32 gap_count]
+/// [f64 min][f64 max][f64 sum]`, as `FXM2` and `FXM3` both lay it out.
+fn stats_bytes(stats: &ChunkStats) -> [u8; V2_CHUNK_HEADER_LEN - 4] {
+    let values = [stats.min, stats.max, stats.sum].into_iter();
+    let bytes = stats.gaps.to_le_bytes().into_iter();
+    let bytes = bytes.chain(values.flat_map(|v| value_bits(v).to_le_bytes()));
+    let mut out = [0; V2_CHUNK_HEADER_LEN - 4];
+    out.iter_mut().zip(bytes).for_each(|(o, b)| *o = b);
+    out
+}
+
+/// Append one chunk's `FXM3` statistics header, gap bitmap and
+/// compressed stream to `buf` (which already holds the chunk's count) in
+/// one pass over `chunk`. The header and bitmap bytes are reserved up
+/// front and patched once the pass has folded them; the stream goes
+/// straight into `buf` through a [`WordWriter`].
+fn put_v3_chunk(buf: &mut Vec<u8>, chunk: &[f64]) {
+    let stats_at = buf.len();
+    let bitmap_at = stats_at + V2_CHUNK_HEADER_LEN - 4;
+    buf.resize(bitmap_at + chunk.len().div_ceil(8), 0);
+    let mut stats = ChunkStats::from_values(&[]);
+    let mut w = WordWriter { acc: 0, used: 0 };
+    let mut prev: Option<u64> = None;
+    // The window (leading zeros, meaningful length) of the last `11`
+    // control block; `10` re-uses it when the new XOR fits inside. A
+    // meaningful length of 0 means no window yet.
+    let (mut w_lead, mut w_len) = (0u32, 0u32);
+    for (group, slot) in chunk.chunks(8).zip(bitmap_at..) {
+        // Gap bitmap, LSB-first within each byte; padding bits stay zero.
+        let mut gaps = 0u8;
+        for (bit, &v) in group.iter().enumerate() {
+            if v.is_nan() {
+                gaps |= 1 << bit;
+                stats.gaps += 1;
+                continue;
+            }
+            stats.observe(v);
+            let bits = v.to_bits();
+            let Some(p) = prev.replace(bits) else {
+                w.push(buf, bits, 64);
+                continue;
+            };
+            let xor = p ^ bits;
+            if xor == 0 {
+                w.push(buf, 0, 1);
+                continue;
+            }
+            let lead = xor.leading_zeros();
+            let trail = xor.trailing_zeros();
+            if w_len != 0 && lead >= w_lead && trail >= 64 - w_lead - w_len {
+                // `10` + the XOR's bits inside the window.
+                w.push_pair(buf, 0b10, 2, xor >> (64 - w_lead - w_len), w_len);
+            } else {
+                // `11` + 6-bit lead + 6-bit (length − 1) + the bits.
+                let len = 64 - lead - trail;
+                let head = 0b11 << 12 | u64::from(lead) << 6 | u64::from(len - 1);
+                w.push_pair(buf, head, 14, xor >> trail, len);
+                (w_lead, w_len) = (lead, len);
+            }
+        }
+        if let Some(byte) = buf.get_mut(slot) {
+            *byte = gaps;
+        }
+    }
+    w.finish(buf);
+    for (byte, b) in buf.iter_mut().skip(stats_at).zip(stats_bytes(&stats)) {
+        *byte = b;
+    }
+}
+
+/// MSB-first 64-bit bit accumulator for the `FXM3` compressed stream:
+/// the top `used` bits of `acc` are pending, and each full word goes
+/// out to the frame buffer as 8 big-endian bytes. The final word is
+/// cut to whole bytes on [`finish`](WordWriter::finish), zero-padding
+/// its last one, and the decoder re-checks that padding, so the
+/// stream's bit count is recoverable exactly.
+struct WordWriter {
+    acc: u64,
     used: u32,
 }
 
-impl BitWriter {
-    fn new() -> BitWriter {
-        BitWriter {
-            out: Vec::new(),
-            cur: 0,
-            used: 0,
+impl WordWriter {
+    /// Append the `n` low bits of `value` (`1 <= n <= 64`; no bit above
+    /// them set), MSB-first.
+    #[inline]
+    fn push(&mut self, buf: &mut Vec<u8>, value: u64, n: u32) {
+        let free = 64 - self.used;
+        if n < free {
+            self.acc |= value << (free - n);
+            self.used += n;
+        } else {
+            let spill = n - free;
+            self.acc |= value >> spill;
+            buf.extend_from_slice(&self.acc.to_be_bytes());
+            // `spill` is 0..=63; nothing is left over when it is 0.
+            self.acc = value.checked_shl(64 - spill).unwrap_or(0);
+            self.used = spill;
         }
     }
 
-    /// Append the low `n` bits of `value`, MSB-first (`n <= 64`).
-    fn push_bits(&mut self, value: u64, n: u32) {
-        let mut left = n;
-        while left > 0 {
-            let take = left.min(8 - self.used);
-            // `take` is 1..=8 and `left - take` is 0..=63; the byte
-            // shift goes through u16 because `take` can be exactly 8
-            // (the accumulator is empty then, so the high bits are 0).
-            let chunk = ((value >> (left - take)) & ((1u64 << take) - 1)) as u8;
-            self.cur = ((u16::from(self.cur) << take) as u8) | chunk;
-            self.used += take;
-            left -= take;
-            if self.used == 8 {
-                self.out.push(self.cur);
-                self.cur = 0;
-                self.used = 0;
-            }
+    /// Append a `head_n`-bit control head and an `n`-bit payload, in
+    /// one push when both fit one word.
+    #[inline]
+    fn push_pair(&mut self, buf: &mut Vec<u8>, head: u64, head_n: u32, value: u64, n: u32) {
+        if head_n + n <= 64 {
+            self.push(buf, head << n | value, head_n + n);
+        } else {
+            self.push(buf, head, head_n);
+            self.push(buf, value, n);
         }
     }
 
-    fn push_bit(&mut self, bit: u64) {
-        self.push_bits(bit, 1);
+    /// Flush the pending bits as whole bytes, zero-padding the last.
+    fn finish(self, buf: &mut Vec<u8>) {
+        let bytes = self.used.div_ceil(8) as usize;
+        buf.extend(self.acc.to_be_bytes().into_iter().take(bytes));
     }
-
-    /// Flush, zero-padding the final partial byte.
-    fn finish(mut self) -> Vec<u8> {
-        if self.used > 0 {
-            self.out.push(self.cur << (8 - self.used));
-        }
-        self.out
-    }
-}
-
-/// Append one chunk's `FXM3` gap bitmap + compressed stream to `buf`.
-fn put_v3_payload(buf: &mut Vec<u8>, chunk: &[f64]) {
-    // Gap bitmap, LSB-first within each byte; padding bits stay zero.
-    for group in chunk.chunks(8) {
-        let mut byte = 0u8;
-        for (bit, v) in group.iter().enumerate() {
-            if v.is_nan() {
-                byte |= 1 << bit;
-            }
-        }
-        buf.push(byte);
-    }
-    let mut w = BitWriter::new();
-    let mut prev: Option<u64> = None;
-    // The window (leading zeros, meaningful length) of the last `11`
-    // control block; `10` re-uses it when the new XOR fits inside.
-    let mut window: Option<(u32, u32)> = None;
-    for &v in chunk.iter().filter(|v| !v.is_nan()) {
-        let bits = v.to_bits();
-        match prev {
-            None => w.push_bits(bits, 64),
-            Some(p) => {
-                let xor = p ^ bits;
-                if xor == 0 {
-                    w.push_bit(0);
-                } else {
-                    w.push_bit(1);
-                    let lead = xor.leading_zeros();
-                    let trail = xor.trailing_zeros();
-                    let reused = match window {
-                        Some((wl, wm)) if lead >= wl && trail >= 64 - wl - wm => {
-                            w.push_bit(0);
-                            w.push_bits(xor >> (64 - wl - wm), wm);
-                            true
-                        }
-                        _ => false,
-                    };
-                    if !reused {
-                        let meaningful = 64 - lead - trail;
-                        w.push_bit(1);
-                        w.push_bits(u64::from(lead), 6);
-                        w.push_bits(u64::from(meaningful - 1), 6);
-                        w.push_bits(xor >> trail, meaningful);
-                        window = Some((lead, meaningful));
-                    }
-                }
-            }
-        }
-        prev = Some(bits);
-    }
-    buf.extend_from_slice(&w.finish());
 }
 
 /// Parsed fixed header (identical in both versions).
@@ -1731,11 +1764,15 @@ mod tests {
     struct Draws(u64);
 
     impl Draws {
-        fn unit(&mut self) -> f64 {
+        fn word(&mut self) -> u64 {
             self.0 ^= self.0 >> 12;
             self.0 ^= self.0 << 25;
             self.0 ^= self.0 >> 27;
-            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.word() >> 11) as f64 / (1u64 << 53) as f64
         }
     }
 
@@ -1927,15 +1964,273 @@ mod tests {
             }
         }
     }
+
+    /// Write `m` with the `FXM3` writer and its byte-at-a-time oracle
+    /// and demand identical buffers, whose statistics headers hold
+    /// exactly what [`ChunkStats::from_values`] gives for each chunk.
+    fn assert_writer_agrees_with_oracle(m: &MeasuredSeries, chunk_len: usize, what: &str) {
+        let what = format!("{what} at chunk length {chunk_len}");
+        let got = encode_chunked_v3(m, chunk_len).unwrap();
+        assert!(got == v3_oracle::encode_v3(m, chunk_len), "{what}");
+        let (header, _) = decode_header(&got, &what).unwrap();
+        let metas = parse_v3_chunks(&got, &header, &what).unwrap();
+        assert_eq!(metas.len(), m.len().div_ceil(chunk_len), "{what}");
+        let bits = |s: ChunkStats| {
+            [
+                s.gaps.into(),
+                s.min.to_bits(),
+                s.max.to_bits(),
+                s.sum.to_bits(),
+            ]
+        };
+        for (meta, chunk) in metas.iter().zip(m.values().chunks(chunk_len)) {
+            let want = ChunkStats::from_values(chunk);
+            assert_eq!(bits(meta.stats.unwrap()), bits(want), "{what}");
+        }
+    }
+
+    /// A seeded sweep over what the `FXM3` writer branches on: gap runs
+    /// in every NaN payload, long runs with and without gaps, signed
+    /// zeros and subnormals, constant runs, and XORs placed against the
+    /// reuse window — exactly on both of its bounds, inside it, one bit
+    /// past either bound — plus XORs with 63 and 0 leading zeros and
+    /// ones 64 bits wide.
+    fn writer_sweep() -> MeasuredSeries {
+        let mut rng = Draws(0x0123_4567_89ab_cdef);
+        let nans = [
+            GAP_BITS,
+            0x7FF8_0000_0000_0001,
+            0xFFF8_0000_0000_0000,
+            0x7FF0_0000_0000_0001,
+            u64::MAX,
+        ];
+        // A gap run and a value run, each over two 1 440-interval
+        // chunks long, so every chunk length below has all-gap and
+        // gap-free chunks.
+        let mut values: Vec<f64> = nans
+            .iter()
+            .cycle()
+            .take(2 * 1440 + 13)
+            .map(|&b| f64::from_bits(b))
+            .collect();
+        values.extend((0..2 * 1440 + 5).map(|_| 0.2 + rng.unit()));
+        values.extend([
+            0.0,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MIN_POSITIVE,
+            -0.0,
+            f64::MAX,
+            -f64::MAX,
+        ]);
+        for len in 1..=20 {
+            values.extend(std::iter::repeat_n(len as f64 * 0.001, len));
+            if len % 3 == 0 {
+                values.push(f64::from_bits(nans[len % nans.len()]));
+            }
+        }
+        let mut v = 0.5f64.to_bits();
+        let mut step = |values: &mut Vec<f64>, xor: u64| {
+            v ^= xor;
+            // Keep ±∞ (rejected by `MeasuredSeries`) out of the series.
+            if f64::from_bits(v).is_infinite() {
+                v ^= 1 << 52;
+            }
+            values.push(f64::from_bits(v));
+        };
+        for _ in 0..400 {
+            let lead = (rng.unit() * 64.0) as u32;
+            let len = 1 + (rng.unit() * f64::from(64 - lead)) as u32;
+            let (top, bottom) = (1u64 << (63 - lead), 1u64 << (64 - lead - len));
+            let inner = rng.word() & (top - 1) & !(bottom - 1);
+            step(&mut values, top | bottom | inner); // a new window
+            step(&mut values, top | bottom); // reuse: both bounds exact
+            step(&mut values, top); // reuse: the upper bound exact
+            step(&mut values, bottom); // reuse: the lower bound exact
+            step(&mut values, 0); // a repeat
+            if lead > 0 {
+                step(&mut values, top << 1 | bottom); // one bit above
+            }
+            step(&mut values, top | bottom);
+            if bottom > 1 {
+                step(&mut values, top | bottom >> 1); // one bit below
+            }
+            step(&mut values, 1); // 63 leading zeros
+            step(&mut values, 1 << 63); // no leading zeros
+            step(&mut values, 1 << 63 | 1); // 64 meaningful bits
+            if rng.unit() < 0.2 {
+                values.push(f64::from_bits(nans[values.len() % nans.len()]));
+            }
+        }
+        MeasuredSeries::new(ts("2013-03-18"), Resolution::MIN_1, values).unwrap()
+    }
+
+    #[test]
+    fn v3_writer_agrees_with_the_byte_at_a_time_oracle() {
+        for (name, raw) in v3_corpus() {
+            let m = decode(&raw, &name).unwrap();
+            let (header, _) = decode_header(&raw, &name).unwrap();
+            assert_writer_agrees_with_oracle(&m, header.chunk_len, &name);
+            // Re-encoding a decoded corpus buffer rewrites it exactly,
+            // committed files included.
+            assert!(
+                encode_chunked_v3(&m, header.chunk_len).unwrap() == raw,
+                "{name}"
+            );
+        }
+        let sweep = writer_sweep();
+        for chunk_len in [1, 7, 8, 9, 24, 96, 1440] {
+            assert_writer_agrees_with_oracle(&sweep, chunk_len, "sweep");
+        }
+    }
 }
 
-/// The bit-reader `FXM3` chunk decoder the position-based
-/// [`read_v3_payload`] replaced, kept as the differential oracle for
-/// its corruption tests: on any payload both must agree on success vs
-/// failure, and successful decodes must be bit-identical.
+/// The `FXM3` codec's previous implementations, kept as differential
+/// oracles for the current ones:
+/// - the byte-at-a-time writer (a statistics pass, a bitmap pass, then
+///   a [`BitWriter`] that moves at most 8 bits per step into a chunk's
+///   own `Vec`) that the one-pass word-wide [`put_v3_chunk`] replaced:
+///   both must write byte-identical chunk frames;
+/// - the bit-reader chunk decoder the position-based
+///   [`read_v3_payload`] replaced: on any payload both must agree on
+///   success vs failure, and successful decodes must be bit-identical.
 #[cfg(test)]
 mod v3_oracle {
     use super::*;
+
+    /// Encode `series` as `FXM3` the byte-at-a-time way.
+    pub(super) fn encode_v3(series: &MeasuredSeries, chunk_len: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC_V3);
+        put_u64(&mut buf, series.start().as_minutes() as u64);
+        put_u32(&mut buf, series.resolution().minutes() as u32);
+        put_u64(&mut buf, series.len() as u64);
+        put_u32(&mut buf, chunk_len as u32);
+        let mut offsets = Vec::new();
+        for chunk in series.values().chunks(chunk_len) {
+            offsets.push(buf.len() as u64);
+            put_u32(&mut buf, chunk.len() as u32);
+            let stats = ChunkStats::from_values(chunk);
+            put_u32(&mut buf, stats.gaps);
+            put_value(&mut buf, stats.min);
+            put_value(&mut buf, stats.max);
+            put_value(&mut buf, stats.sum);
+            put_v3_payload(&mut buf, chunk);
+        }
+        let footer = buf.len() as u64;
+        for o in offsets {
+            put_u64(&mut buf, o);
+        }
+        put_u64(&mut buf, footer);
+        buf.extend_from_slice(&END_MAGIC_V3);
+        buf
+    }
+
+    /// MSB-first bit accumulator for the `FXM3` compressed stream. The
+    /// final byte is zero-padded on flush.
+    struct BitWriter {
+        out: Vec<u8>,
+        cur: u8,
+        used: u32,
+    }
+
+    impl BitWriter {
+        fn new() -> BitWriter {
+            BitWriter {
+                out: Vec::new(),
+                cur: 0,
+                used: 0,
+            }
+        }
+
+        /// Append the low `n` bits of `value`, MSB-first (`n <= 64`).
+        fn push_bits(&mut self, value: u64, n: u32) {
+            let mut left = n;
+            while left > 0 {
+                let take = left.min(8 - self.used);
+                // `take` is 1..=8 and `left - take` is 0..=63; the byte
+                // shift goes through u16 because `take` can be exactly 8
+                // (the accumulator is empty then, so the high bits are 0).
+                let chunk = ((value >> (left - take)) & ((1u64 << take) - 1)) as u8;
+                self.cur = ((u16::from(self.cur) << take) as u8) | chunk;
+                self.used += take;
+                left -= take;
+                if self.used == 8 {
+                    self.out.push(self.cur);
+                    self.cur = 0;
+                    self.used = 0;
+                }
+            }
+        }
+
+        fn push_bit(&mut self, bit: u64) {
+            self.push_bits(bit, 1);
+        }
+
+        /// Flush, zero-padding the final partial byte.
+        fn finish(mut self) -> Vec<u8> {
+            if self.used > 0 {
+                self.out.push(self.cur << (8 - self.used));
+            }
+            self.out
+        }
+    }
+
+    /// Append one chunk's `FXM3` gap bitmap + compressed stream to `buf`.
+    pub(super) fn put_v3_payload(buf: &mut Vec<u8>, chunk: &[f64]) {
+        // Gap bitmap, LSB-first within each byte; padding bits stay zero.
+        for group in chunk.chunks(8) {
+            let mut byte = 0u8;
+            for (bit, v) in group.iter().enumerate() {
+                if v.is_nan() {
+                    byte |= 1 << bit;
+                }
+            }
+            buf.push(byte);
+        }
+        let mut w = BitWriter::new();
+        let mut prev: Option<u64> = None;
+        // The window (leading zeros, meaningful length) of the last `11`
+        // control block; `10` re-uses it when the new XOR fits inside.
+        let mut window: Option<(u32, u32)> = None;
+        for &v in chunk.iter().filter(|v| !v.is_nan()) {
+            let bits = v.to_bits();
+            match prev {
+                None => w.push_bits(bits, 64),
+                Some(p) => {
+                    let xor = p ^ bits;
+                    if xor == 0 {
+                        w.push_bit(0);
+                    } else {
+                        w.push_bit(1);
+                        let lead = xor.leading_zeros();
+                        let trail = xor.trailing_zeros();
+                        let reused = match window {
+                            Some((wl, wm)) if lead >= wl && trail >= 64 - wl - wm => {
+                                w.push_bit(0);
+                                w.push_bits(xor >> (64 - wl - wm), wm);
+                                true
+                            }
+                            _ => false,
+                        };
+                        if !reused {
+                            let meaningful = 64 - lead - trail;
+                            w.push_bit(1);
+                            w.push_bits(u64::from(lead), 6);
+                            w.push_bits(u64::from(meaningful - 1), 6);
+                            w.push_bits(xor >> trail, meaningful);
+                            window = Some((lead, meaningful));
+                        }
+                    }
+                }
+            }
+            prev = Some(bits);
+        }
+        buf.extend_from_slice(&w.finish());
+    }
 
     /// MSB-first bit cursor over a compressed stream, buffered through a
     /// 64-bit accumulator. Every refill is bounds-checked; `None` means

@@ -28,30 +28,35 @@ pub struct ChunkStats {
 impl ChunkStats {
     /// Compute the statistics of one chunk of values (`NaN` = gap).
     pub fn from_values(values: &[f64]) -> ChunkStats {
-        let mut gaps = 0u32;
-        let mut min = f64::NAN;
-        let mut max = f64::NAN;
-        let mut sum = 0.0;
+        let mut stats = ChunkStats {
+            gaps: 0,
+            min: f64::NAN,
+            max: f64::NAN,
+            sum: 0.0,
+        };
         for &v in values {
             if v.is_nan() {
-                gaps += 1;
-                continue;
-            }
-            sum += v;
-            // First-wins on ties keeps the fold deterministic across
-            // bit patterns that compare equal (0.0 vs -0.0).
-            if min.is_nan() || v < min {
-                min = v;
-            }
-            if max.is_nan() || v > max {
-                max = v;
+                stats.gaps += 1;
+            } else {
+                stats.observe(v);
             }
         }
-        ChunkStats {
-            gaps,
-            min,
-            max,
-            sum,
+        stats
+    }
+
+    /// Fold the next observed (non-gap) value into `min`, `max` and
+    /// `sum` — the one step [`from_values`](Self::from_values) and the
+    /// `FXM3` writer's single pass share.
+    #[inline]
+    pub(crate) fn observe(&mut self, v: f64) {
+        self.sum += v;
+        // First-wins on ties keeps the fold deterministic across bit
+        // patterns that compare equal (0.0 vs -0.0).
+        if self.min.is_nan() || v < self.min {
+            self.min = v;
+        }
+        if self.max.is_nan() || v > self.max {
+            self.max = v;
         }
     }
 
