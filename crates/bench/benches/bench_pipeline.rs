@@ -260,13 +260,18 @@ fn query_benches(records: &mut Vec<Record>) {
     }
 }
 
-/// The write stage: `fxm::encode_v3` over one metered-shaped export's
-/// 144 series — 48 one-week 1-min households (noise, anomalies, gaps,
-/// 0.001 kWh registers), each as its measured, truth and flex series,
-/// read back from an FXM3 export. The export itself is untimed.
-fn encode_benches(records: &mut Vec<Record>) {
-    let dir = std::env::temp_dir().join(format!("flextract_bench_encode_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+/// The write stages over one metered-shaped export: 48 one-week 1-min
+/// households (noise, anomalies, gaps, 0.001 kWh registers), each
+/// written as its measured, truth and flex series.
+///
+/// - `write/export_dataset/48hh_1w` times the whole `export_dataset`
+///   (simulate, degrade, encode, write), each run into a fresh
+///   directory, so file creation is in the row.
+/// - `write/encode_fxm3/48hh_1w` times `fxm::encode_v3` alone over the
+///   export's 144 series, read back from the first run's files.
+fn write_benches(records: &mut Vec<Record>, host_cpus: usize) {
+    let base = std::env::temp_dir().join(format!("flextract_bench_write_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
     let source = Scenario {
         days: 7,
         ..fleet_scenario("bench_encode_source", 48)
@@ -286,7 +291,23 @@ fn encode_benches(records: &mut Vec<Record>) {
         include_truth: true,
         ..ExportOptions::default()
     };
-    export_dataset(&source, &dir, &options).expect("benchmark dataset exports");
+    let mut runs = 0;
+    let timed = sample(|| {
+        runs += 1;
+        export_dataset(&source, &base.join(runs.to_string()), &options)
+            .expect("benchmark dataset exports")
+    });
+    let dir = base.join("1");
+    let files = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+    records.push(Record {
+        name: "write/export_dataset/48hh_1w".into(),
+        consumer_threads: host_cpus.max(1),
+        sample: timed,
+        note: Some(format!(
+            "{files} files into a fresh directory per run, on every core"
+        )),
+    });
+
     let series: Vec<MeasuredSeries> = ["consumer", "truth", "flex"]
         .iter()
         .flat_map(|kind| (0..48).map(move |c| format!("{kind}_{c}.fxm")))
@@ -297,7 +318,7 @@ fn encode_benches(records: &mut Vec<Record>) {
                 .expect("exported frame decodes")
         })
         .collect();
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&base).ok();
     let values: usize = series.iter().map(MeasuredSeries::len).sum();
     let bytes: usize = series
         .iter()
@@ -671,7 +692,7 @@ fn main() {
     }
     std::fs::remove_dir_all(&ds_dir).ok();
     query_benches(&mut records);
-    encode_benches(&mut records);
+    write_benches(&mut records, host_cpus);
     cold_open_benches(&mut records);
     committed_storage_bench(&mut records);
     shard_store_benches(&mut records);

@@ -63,8 +63,8 @@ pub use sharded::{
     ROOT_FILE, SHARDS_DIR,
 };
 pub use store::{
-    ConsumerEntry, ConsumerKind, Dataset, DatasetRecord, DatasetWriter, Manifest, SeriesCodec,
-    MANIFEST_FILE,
+    ConsumerEntry, ConsumerFiles, ConsumerKind, Dataset, DatasetRecord, DatasetWriter, Manifest,
+    SeriesCodec, WrittenConsumer, MANIFEST_FILE,
 };
 
 use flextract_series::SeriesError;

@@ -51,11 +51,11 @@
 
 use crate::degrade::Degradation;
 use crate::store::{
-    frame_from_raw, read_file, ConsumerEntry, ConsumerKind, Dataset, DatasetWriter, Manifest,
-    SeriesCodec, Shard, FORMAT_VERSION,
+    read_file, ConsumerEntry, ConsumerFiles, ConsumerKind, Dataset, DatasetWriter, Manifest,
+    SeriesCodec, Shard, WrittenConsumer, FORMAT_VERSION,
 };
 use crate::{DatasetError, MeasuredSeries};
-use flextract_frame::{Aggregates, ChunkStats, Predicate, Scan};
+use flextract_frame::{Aggregates, ChunkStats, Predicate};
 use flextract_time::{Resolution, TimeRange, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -242,6 +242,11 @@ impl RootIndex {
     }
 }
 
+/// The directory of shard `id` in the sharded dataset at `dir`.
+pub(crate) fn shard_dir(dir: &Path, id: u64) -> PathBuf {
+    dir.join(SHARDS_DIR).join(format!("{id:04}"))
+}
+
 fn io_err(path: &Path, e: std::io::Error) -> DatasetError {
     DatasetError::Io {
         path: path.display().to_string(),
@@ -324,7 +329,7 @@ pub(crate) fn open_shard(
     root: &RootIndex,
     summary: &ShardSummary,
 ) -> Result<Shard, DatasetError> {
-    let shard_dir = dir.join(SHARDS_DIR).join(summary.dir_name());
+    let shard_dir = shard_dir(dir, summary.id);
     let shard = Shard::open(&shard_dir)?;
     let invalid = |what: String| DatasetError::Manifest {
         path: shard_dir.join(crate::MANIFEST_FILE).display().to_string(),
@@ -385,6 +390,8 @@ pub struct ShardedWriter {
     root: RootIndex,
     next_id: u64,
     tail: Option<TailShard>,
+    /// Consumers listed in this session so far.
+    written: usize,
 }
 
 impl ShardedWriter {
@@ -448,6 +455,7 @@ impl ShardedWriter {
             },
             next_id,
             tail: None,
+            written: 0,
         })
     }
 
@@ -465,6 +473,7 @@ impl ShardedWriter {
             root,
             next_id,
             tail: None,
+            written: 0,
         })
     }
 
@@ -486,9 +495,8 @@ impl ShardedWriter {
         let (start, resolution) = self.grid()?;
         let id = self.next_id;
         self.next_id += 1;
-        let shard_dir = self.dir.join(SHARDS_DIR).join(format!("{id:04}"));
         let writer = DatasetWriter::create(
-            &shard_dir,
+            shard_dir(&self.dir, id),
             &self.root.name,
             &self.root.description,
             start,
@@ -554,6 +562,15 @@ impl ShardedWriter {
         })
     }
 
+    /// The files half of this session: the session's `j`-th consumer
+    /// goes into shard `first + j / capacity`, where `first` is the
+    /// first id this session allocates — the shard
+    /// [`ShardedWriter::push_consumer`] has open when it lists that
+    /// consumer.
+    pub fn files(&self) -> ConsumerFiles {
+        ConsumerFiles::sharded(&self.dir, &self.root)
+    }
+
     /// Append one consumer: the measured series plus optional ground
     /// truth, exactly like [`DatasetWriter::write_consumer`], routed
     /// into the current tail shard.
@@ -565,12 +582,43 @@ impl ShardedWriter {
         truth_total: Option<&flextract_series::TimeSeries>,
         truth_flex: Option<&flextract_series::TimeSeries>,
     ) -> Result<(), DatasetError> {
+        let (total, flex) = (
+            truth_total.map(MeasuredSeries::from_series),
+            truth_flex.map(MeasuredSeries::from_series),
+        );
+        let written = self.files().write(
+            self.written,
+            id,
+            kind,
+            measured,
+            total.as_ref(),
+            flex.as_ref(),
+        )?;
+        self.push_consumer(written)
+    }
+
+    /// The ordered half of a consumer write: list the session's next
+    /// consumer, whose files [`ShardedWriter::files`] wrote, in the
+    /// tail shard and fold its roll-up, sealing the tail first when it
+    /// is full. Consumers must arrive in session order.
+    pub fn push_consumer(&mut self, written: WrittenConsumer) -> Result<(), DatasetError> {
+        let j = self.written;
         let tail = self.tail_for_write()?;
-        tail.writer
-            .write_consumer(id, kind, measured, truth_total, truth_flex)?;
-        tail.agg.merge(&consumer_rollup(measured.values()));
+        let Some((_, rollup)) = written.shard.filter(|(s, _)| *s == tail.id) else {
+            return Err(DatasetError::Invalid {
+                file: ROOT_FILE.to_string(),
+                what: format!(
+                    "consumer `{}` was not written as this session's consumer {j} \
+                     (shard {:04})",
+                    written.entry.id, tail.id
+                ),
+            });
+        };
+        tail.with_truth += usize::from(written.entry.truth_total.is_some());
+        tail.writer.push_entry(written.entry);
+        tail.agg.merge(&rollup);
         tail.consumers += 1;
-        tail.with_truth += usize::from(truth_total.is_some());
+        self.written += 1;
         Ok(())
     }
 
@@ -583,27 +631,8 @@ impl ShardedWriter {
         entry: &ConsumerEntry,
         files: &[(String, Vec<u8>)],
     ) -> Result<(), DatasetError> {
-        let measured_agg = files
-            .iter()
-            .find(|(name, _)| *name == entry.measured)
-            .map(|(name, raw)| {
-                let frame = frame_from_raw(raw.clone(), name)?;
-                Scan::new()
-                    .aggregates(&frame)
-                    .map(|(agg, _)| agg)
-                    .map_err(DatasetError::from)
-            })
-            .transpose()?
-            .ok_or_else(|| DatasetError::Invalid {
-                file: entry.measured.clone(),
-                what: "internal: adopted consumer carries no measured bytes".to_string(),
-            })?;
-        let tail = self.tail_for_write()?;
-        tail.writer.adopt_consumer_raw(entry, files)?;
-        tail.agg.merge(&measured_agg);
-        tail.consumers += 1;
-        tail.with_truth += usize::from(entry.truth_total.is_some());
-        Ok(())
+        let written = self.files().adopt(self.written, entry, files)?;
+        self.push_consumer(written)
     }
 
     /// Seal the tail shard, commit the new `root.json` atomically, and
@@ -705,6 +734,7 @@ pub fn compact(dir: impl AsRef<Path>) -> Result<CompactionSummary, DatasetError>
         },
         next_id: root.next_shard_id,
         tail: None,
+        written: 0,
     };
     for idx in 0..consumers {
         let (entry, raws) = ds.consumer_raw(idx)?;
@@ -723,6 +753,7 @@ pub fn compact(dir: impl AsRef<Path>) -> Result<CompactionSummary, DatasetError>
 mod tests {
     use super::*;
     use crate::store::Manifest;
+    use flextract_frame::Scan;
     use flextract_series::TimeSeries;
     use flextract_time::Duration;
 

@@ -882,7 +882,11 @@ impl Dataset {
 /// Writes a dataset directory consumer by consumer, then the manifest.
 ///
 /// The writer holds only the manifest in memory; each consumer's series
-/// goes straight to disk, so exporting a large fleet stays memory-light.
+/// goes straight to disk. A consumer write has two halves: the files
+/// half ([`ConsumerFiles::write`], `&self`, shareable across workers)
+/// checks the grid and writes the series files, and the ordered half
+/// ([`DatasetWriter::push_consumer`]) lists the entry.
+/// [`DatasetWriter::write_consumer`] runs both.
 #[derive(Debug)]
 pub struct DatasetWriter {
     dir: PathBuf,
@@ -944,14 +948,17 @@ impl DatasetWriter {
         self.manifest.seed = Some(seed);
     }
 
-    fn write_series_file(&self, file: &str, series: &MeasuredSeries) -> Result<(), DatasetError> {
-        let path = self.dir.join(file);
-        std::fs::write(&path, codec::encode(series, self.manifest.codec)).map_err(|e| {
-            DatasetError::Io {
-                path: path.display().to_string(),
-                what: e.to_string(),
-            }
-        })
+    /// The files half of this writer: every consumer's files go into
+    /// the dataset directory.
+    pub fn files(&self) -> ConsumerFiles {
+        ConsumerFiles {
+            dir: self.dir.clone(),
+            start: self.manifest.start.clone(),
+            resolution_min: self.manifest.resolution_min,
+            intervals: self.manifest.intervals,
+            codec: self.manifest.codec,
+            shards: None,
+        }
     }
 
     /// Append one consumer: the measured series plus optional ground
@@ -964,77 +971,38 @@ impl DatasetWriter {
         truth_total: Option<&flextract_series::TimeSeries>,
         truth_flex: Option<&flextract_series::TimeSeries>,
     ) -> Result<(), DatasetError> {
-        let declared = |what: String| DatasetError::Invalid {
-            file: format!("consumer `{id}`"),
-            what,
-        };
-        if measured.start().to_string() != self.manifest.start {
-            return Err(declared(format!(
-                "starts at {} but the dataset declares {}",
-                measured.start(),
-                self.manifest.start
-            )));
+        let at = self.manifest.consumers.len();
+        let (total, flex) = (
+            truth_total.map(MeasuredSeries::from_series),
+            truth_flex.map(MeasuredSeries::from_series),
+        );
+        let written = self
+            .files()
+            .write(at, id, kind, measured, total.as_ref(), flex.as_ref())?;
+        self.push_consumer(written)
+    }
+
+    /// The ordered half of a consumer write: list a consumer whose
+    /// files [`DatasetWriter::files`] wrote. Entries are listed in call
+    /// order.
+    pub fn push_consumer(&mut self, written: WrittenConsumer) -> Result<(), DatasetError> {
+        if let Some((shard, _)) = written.shard {
+            return Err(DatasetError::Invalid {
+                file: MANIFEST_FILE.to_string(),
+                what: format!(
+                    "consumer `{}` was written into shard {shard}, not this \
+                     single-manifest dataset",
+                    written.entry.id
+                ),
+            });
         }
-        if measured.resolution().minutes() != self.manifest.resolution_min {
-            return Err(declared(format!(
-                "resolution {} does not match the declared {} min",
-                measured.resolution(),
-                self.manifest.resolution_min
-            )));
-        }
-        if measured.len() != self.manifest.intervals {
-            return Err(declared(format!(
-                "{} intervals but the dataset declares {}",
-                measured.len(),
-                self.manifest.intervals
-            )));
-        }
-        let ext = self.manifest.codec.extension();
-        let measured_file = format!("consumer_{id}.{ext}");
-        self.write_series_file(&measured_file, measured)?;
-        let truth_total_file = truth_total
-            .map(|s| {
-                let file = format!("truth_{id}.{ext}");
-                self.write_series_file(&file, &MeasuredSeries::from_series(s))
-                    .map(|()| file)
-            })
-            .transpose()?;
-        let truth_flex_file = truth_flex
-            .map(|s| {
-                let file = format!("flex_{id}.{ext}");
-                self.write_series_file(&file, &MeasuredSeries::from_series(s))
-                    .map(|()| file)
-            })
-            .transpose()?;
-        self.manifest.consumers.push(ConsumerEntry {
-            id: id.to_string(),
-            kind,
-            measured: measured_file,
-            truth_total: truth_total_file,
-            truth_flex: truth_flex_file,
-            gap_count: measured.gap_count(),
-        });
+        self.push_entry(written.entry);
         Ok(())
     }
 
-    /// Adopt an already-encoded consumer byte-for-byte: write its raw
-    /// series files and push its entry unchanged. The compaction
-    /// primitive — no re-encoding, no grid re-validation (the bytes
-    /// came from a validated store and are copied, not interpreted).
-    pub(crate) fn adopt_consumer_raw(
-        &mut self,
-        entry: &ConsumerEntry,
-        files: &[RawFile],
-    ) -> Result<(), DatasetError> {
-        for (name, raw) in files {
-            let path = self.dir.join(name);
-            std::fs::write(&path, raw).map_err(|e| DatasetError::Io {
-                path: path.display().to_string(),
-                what: e.to_string(),
-            })?;
-        }
-        self.manifest.consumers.push(entry.clone());
-        Ok(())
+    /// List `entry` in the manifest.
+    pub(crate) fn push_entry(&mut self, entry: ConsumerEntry) {
+        self.manifest.consumers.push(entry);
     }
 
     /// Write `manifest.json` and finish. Returns the manifest.
@@ -1051,10 +1019,7 @@ impl DatasetWriter {
                 path: path.display().to_string(),
                 what: format!("serialise: {e}"),
             })? + "\n";
-        std::fs::write(&path, json).map_err(|e| DatasetError::Io {
-            path: path.display().to_string(),
-            what: e.to_string(),
-        })?;
+        write_file(&path, json.as_bytes())?;
         let referenced: std::collections::BTreeSet<&str> = self
             .manifest
             .consumers
@@ -1100,6 +1065,180 @@ impl DatasetWriter {
         }
         Ok(self.manifest)
     }
+}
+
+/// The files half of a dataset writer: the declared grid and codec,
+/// and where each consumer's series files go. It holds no per-consumer
+/// state and writes through `&self`, so export workers share one and
+/// write their own consumers' files concurrently, while the writer's
+/// ordered half lists the results in index order.
+///
+/// A single-manifest dataset puts every consumer in its directory. A
+/// sharded store puts the session's `j`-th consumer in shard
+/// `first + j / capacity` (`first` is the session's first shard id), the
+/// rule [`crate::ShardedWriter`] rotates its tail shard by.
+#[derive(Debug, Clone)]
+pub struct ConsumerFiles {
+    dir: PathBuf,
+    start: String,
+    resolution_min: i64,
+    intervals: usize,
+    codec: SeriesCodec,
+    /// Sharded layout: the session's first shard id and the capacity.
+    shards: Option<(u64, usize)>,
+}
+
+/// A consumer whose series files are on disk but not yet listed: what
+/// the files half hands the ordered half.
+#[derive(Debug, Clone)]
+pub struct WrittenConsumer {
+    pub(crate) entry: ConsumerEntry,
+    /// Sharded layout: the shard holding the files and the consumer's
+    /// roll-up.
+    pub(crate) shard: Option<(u64, Aggregates)>,
+}
+
+impl WrittenConsumer {
+    /// Missing intervals in the consumer's measured series.
+    pub fn gap_count(&self) -> usize {
+        self.entry.gap_count
+    }
+}
+
+impl ConsumerFiles {
+    /// The files half of a sharded session at `dir`: `root` is the
+    /// committed root, whose `next_shard_id` is the session's first
+    /// shard id until the session commits.
+    pub(crate) fn sharded(dir: &Path, root: &RootIndex) -> ConsumerFiles {
+        ConsumerFiles {
+            dir: dir.to_path_buf(),
+            start: root.start.clone(),
+            resolution_min: root.resolution_min,
+            intervals: root.intervals,
+            codec: root.codec,
+            shards: Some((root.next_shard_id, root.shard_capacity)),
+        }
+    }
+
+    /// The directory and shard id of the session's `j`-th consumer,
+    /// creating the shard directory if it is missing.
+    fn place(&self, j: usize) -> Result<(PathBuf, Option<u64>), DatasetError> {
+        let Some((first, capacity)) = self.shards else {
+            return Ok((self.dir.clone(), None));
+        };
+        let id = first + (j / capacity) as u64;
+        let dir = crate::sharded::shard_dir(&self.dir, id);
+        std::fs::create_dir_all(&dir).map_err(|e| DatasetError::Io {
+            path: dir.display().to_string(),
+            what: e.to_string(),
+        })?;
+        Ok((dir, Some(id)))
+    }
+
+    /// Write the session's `j`-th consumer's series files: the measured
+    /// series plus optional gap-free ground truth. The measured series
+    /// must sit on the declared grid; it is checked before any file is
+    /// written.
+    pub fn write(
+        &self,
+        j: usize,
+        id: &str,
+        kind: ConsumerKind,
+        measured: &MeasuredSeries,
+        truth_total: Option<&MeasuredSeries>,
+        truth_flex: Option<&MeasuredSeries>,
+    ) -> Result<WrittenConsumer, DatasetError> {
+        let declared = |what: String| DatasetError::Invalid {
+            file: format!("consumer `{id}`"),
+            what,
+        };
+        if measured.start().to_string() != self.start {
+            return Err(declared(format!(
+                "starts at {} but the dataset declares {}",
+                measured.start(),
+                self.start
+            )));
+        }
+        if measured.resolution().minutes() != self.resolution_min {
+            return Err(declared(format!(
+                "resolution {} does not match the declared {} min",
+                measured.resolution(),
+                self.resolution_min
+            )));
+        }
+        if measured.len() != self.intervals {
+            return Err(declared(format!(
+                "{} intervals but the dataset declares {}",
+                measured.len(),
+                self.intervals
+            )));
+        }
+        let (dir, shard) = self.place(j)?;
+        let ext = self.codec.extension();
+        let write = |file: String, series: &MeasuredSeries| {
+            write_file(&dir.join(&file), &codec::encode(series, self.codec)).map(|()| file)
+        };
+        let measured_file = write(format!("consumer_{id}.{ext}"), measured)?;
+        let truth = |prefix: &str, s: Option<&MeasuredSeries>| {
+            s.map(|s| write(format!("{prefix}_{id}.{ext}"), s))
+                .transpose()
+        };
+        let truth_total_file = truth("truth", truth_total)?;
+        let truth_flex_file = truth("flex", truth_flex)?;
+        Ok(WrittenConsumer {
+            entry: ConsumerEntry {
+                id: id.to_string(),
+                kind,
+                measured: measured_file,
+                truth_total: truth_total_file,
+                truth_flex: truth_flex_file,
+                gap_count: measured.gap_count(),
+            },
+            shard: shard.map(|s| (s, crate::sharded::consumer_rollup(measured.values()))),
+        })
+    }
+
+    /// Copy an already-encoded consumer byte for byte as the session's
+    /// `j`-th: write its raw series files and keep its entry unchanged.
+    /// The compaction primitive — no re-encoding, no grid re-validation
+    /// (the bytes came from a validated store and are copied, not
+    /// interpreted); a sharded roll-up is folded from the stored
+    /// statistics.
+    pub(crate) fn adopt(
+        &self,
+        j: usize,
+        entry: &ConsumerEntry,
+        files: &[RawFile],
+    ) -> Result<WrittenConsumer, DatasetError> {
+        let (dir, shard) = self.place(j)?;
+        let rollup = |shard| {
+            let (name, raw) = files
+                .iter()
+                .find(|(name, _)| *name == entry.measured)
+                .ok_or_else(|| DatasetError::Invalid {
+                    file: entry.measured.clone(),
+                    what: "internal: adopted consumer carries no measured bytes".to_string(),
+                })?;
+            let frame = frame_from_raw(raw.clone(), name)?;
+            let (agg, _) = Scan::new().aggregates(&frame)?;
+            Ok::<_, DatasetError>((shard, agg))
+        };
+        let shard = shard.map(rollup).transpose()?;
+        for (name, raw) in files {
+            write_file(&dir.join(name), raw)?;
+        }
+        Ok(WrittenConsumer {
+            entry: entry.clone(),
+            shard,
+        })
+    }
+}
+
+fn write_file(path: &Path, bytes: &[u8]) -> Result<(), DatasetError> {
+    std::fs::write(path, bytes).map_err(|e| DatasetError::Io {
+        path: path.display().to_string(),
+        what: e.to_string(),
+    })
 }
 
 #[cfg(test)]

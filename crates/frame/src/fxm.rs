@@ -254,10 +254,21 @@ fn encode_impl(series: &MeasuredSeries, chunk_len: usize, version: FxmVersion) -
         FxmVersion::V2 => (MAGIC_V2, Some(END_MAGIC_V2)),
         FxmVersion::V3 => (MAGIC_V3, Some(END_MAGIC_V3)),
     };
-    // The `FXM2` size: exact for `FXM2`, a guess for the others
-    // (`FXM1` is smaller; `FXM3` usually is).
-    let mut buf =
-        Vec::with_capacity(HEADER_LEN + chunks * (V2_CHUNK_HEADER_LEN + 8) + 8 * n + V2_TAIL_LEN);
+    let footer = chunks * 8 + V2_TAIL_LEN;
+    let capacity = match version {
+        // The `FXM2` size: exact for `FXM2`, a little over for `FXM1`.
+        FxmVersion::V1 | FxmVersion::V2 => {
+            HEADER_LEN + chunks * V2_CHUNK_HEADER_LEN + 8 * n + footer
+        }
+        // Only the fixed parts (headers, gap bitmaps, footer): the
+        // compressed streams vary ~10× in size, so the buffer grows
+        // with them instead of starting at the `FXM2` size.
+        FxmVersion::V3 => {
+            let bitmaps = (n / chunk_len) * chunk_len.div_ceil(8) + (n % chunk_len).div_ceil(8);
+            HEADER_LEN + chunks * V2_CHUNK_HEADER_LEN + bitmaps + footer
+        }
+    };
+    let mut buf = Vec::with_capacity(capacity);
     buf.extend_from_slice(&magic);
     put_u64(&mut buf, series.start().as_minutes() as u64);
     put_u32(&mut buf, series.resolution().minutes() as u32);
@@ -1381,6 +1392,33 @@ mod tests {
         assert_eq!(frame.kind(), FrameKind::FxmV3);
         assert_eq!(frame.disk_bytes(), bytes.len());
         assert_series_eq(&frame.decode().unwrap(), &m);
+    }
+
+    #[test]
+    fn v3_buffer_reserves_only_the_fixed_parts() {
+        // A flex-shaped week: 1-min zeros around one appliance run a
+        // day, so the stream is ~1 bit per value.
+        let values = (0..10_080)
+            .map(|i| if i % 1_440 / 60 == 19 { 0.035 } else { 0.0 })
+            .collect();
+        let flex = MeasuredSeries::new(ts("2013-03-18"), Resolution::MIN_1, values).unwrap();
+        let bytes = encode_v3(&flex);
+        assert!(
+            bytes.capacity() <= 2 * bytes.len(),
+            "{} bytes reserved for {}",
+            bytes.capacity(),
+            bytes.len()
+        );
+        // An all-gap series has no stream: its fixed parts, uneven
+        // last chunk included, are the whole file.
+        let gaps = MeasuredSeries::new(ts("2013-03-18"), Resolution::MIN_1, vec![f64::NAN; 1_001])
+            .unwrap();
+        for chunk_len in [1, 7, 8, 100, 1_440] {
+            let bytes = encode_chunked_v3(&gaps, chunk_len).unwrap();
+            assert_eq!(bytes.capacity(), bytes.len(), "chunk_len {chunk_len}");
+        }
+        let bytes = encode(&flex);
+        assert_eq!(bytes.capacity(), bytes.len(), "the FXM2 size is exact");
     }
 
     #[test]

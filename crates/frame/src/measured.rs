@@ -54,6 +54,16 @@ impl MeasuredSeries {
         }
     }
 
+    /// A gap-free measured series taking over the values of `series`,
+    /// without a copy.
+    pub fn from_owned_series(series: TimeSeries) -> Self {
+        MeasuredSeries {
+            start: series.start(),
+            resolution: series.resolution(),
+            values: series.into_values(),
+        }
+    }
+
     /// First instant covered.
     pub fn start(&self) -> Timestamp {
         self.start

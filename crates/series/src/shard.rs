@@ -3,7 +3,9 @@
 //!
 //! [`ordered_parallel_map`] runs every parallel step of the workspace —
 //! the scenarios of a corpus, the consumers of one scenario, the
-//! households of a simulated fleet, the shards of a store. `n` items
+//! households of a simulated fleet, the consumers of a dataset export
+//! (each worker writes its own consumer's files; the merge lists them),
+//! the shards of a store. `n` items
 //! are claimed by worker threads through one atomic counter
 //! (work-stealing — a slow item never stalls the other workers), but
 //! the caller's `consume` closure observes the results in **strict
@@ -154,8 +156,9 @@ where
 
     let mut first_error: Option<E> = None;
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            scope.spawn(|| loop {
+            workers.push(scope.spawn(|| loop {
                 let i = next_claim.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -190,7 +193,7 @@ where
                 if i == guard.frontier {
                     arrived.notify_all();
                 }
-            });
+            }));
         }
 
         // The calling thread is the merger: take index `frontier` as
@@ -245,6 +248,17 @@ where
         // ring too), and normal completion leaves no one parked —
         // every index gets claimed and merged.
         merger_sentinel.disarm();
+        // Join every worker before returning. The scope alone only waits
+        // for the workers' closures: a worker thread could still be
+        // running its thread-local destructors and handing its
+        // allocator arena back when the next fan-out starts, whose
+        // workers would then get fresh arenas — more resident memory for
+        // the same work.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
     match first_error {
         None => Ok(()),
