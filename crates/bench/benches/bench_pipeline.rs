@@ -3,8 +3,9 @@
 //! Unlike the micro benches, this harness measures the whole
 //! simulate→extract→aggregate pipeline through [`ScenarioRunner`] on
 //! one consumer thread and on as many as the host has cores (that leg
-//! is skipped on a 1-core host), times the store's read and write
-//! stages, and **writes the measurements to
+//! is skipped on a 1-core host), times the simulator stage of a
+//! 300-household week and the store's read and write stages, and
+//! **writes the measurements to
 //! `BENCH_pipeline.json`** at the workspace root (per row: the
 //! sampler's batch count, min, median, interquartile spread and tail
 //! percentile in µs/iter, plus thread count and host parallelism; the
@@ -13,6 +14,7 @@
 //! with `cargo bench -p flextract-bench --bench bench_pipeline`; commit
 //! the regenerated JSON when the numbers move for a reason.
 
+use flextract_appliance::Catalog;
 use flextract_bench::sample::{sample, Sample};
 use flextract_dataset::{
     ConsumerKind, Dataset, DatasetWriter, Degradation, MeasuredSeries, Predicate, ResidentStore,
@@ -23,7 +25,7 @@ use flextract_scenario::{
     ScenarioRunner, Workload,
 };
 use flextract_series::FillStrategy;
-use flextract_sim::HouseholdArchetype;
+use flextract_sim::{simulate_household_with_catalog, FleetConfig, HouseholdArchetype};
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -258,6 +260,42 @@ fn query_benches(records: &mut Vec<Record>) {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The simulator stage of the `fleet_extract` workload: 300 households
+/// of the default archetype mix over one week, simulated serially
+/// against one shared catalog, as the scenario runner's consumer loop
+/// does on one thread. Nothing is resampled or extracted, so the row is
+/// the simulator's per-minute loops and cycle placement alone.
+fn sim_benches(records: &mut Vec<Record>) {
+    let configs = FleetConfig {
+        households: 300,
+        base_seed: 1,
+        archetype_mix: default_mix(),
+        tariff_response: None,
+        threads: 1,
+    }
+    .household_configs();
+    let catalog = Catalog::extended();
+    let week = TimeRange::starting_at(
+        "2013-03-18".parse().expect("static date"),
+        Duration::weeks(1),
+    )
+    .expect("one week");
+    let timed = sample(|| {
+        for cfg in &configs {
+            black_box(simulate_household_with_catalog(cfg, week, &catalog));
+        }
+    });
+    records.push(Record {
+        name: "sim/fleet_week/300hh".into(),
+        consumer_threads: 1,
+        sample: timed,
+        note: Some(format!(
+            "{} simulated minutes per iteration",
+            configs.len() * 7 * 1440
+        )),
+    });
 }
 
 /// The write stages over one metered-shaped export: 48 one-week 1-min
@@ -691,6 +729,7 @@ fn main() {
         });
     }
     std::fs::remove_dir_all(&ds_dir).ok();
+    sim_benches(&mut records);
     query_benches(&mut records);
     write_benches(&mut records, host_cpus);
     cold_open_benches(&mut records);

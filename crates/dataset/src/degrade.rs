@@ -25,7 +25,7 @@
 
 use crate::{DatasetError, MeasuredSeries};
 use flextract_series::{resample, TimeSeries};
-use flextract_sim::randomness::standard_normal;
+use flextract_sim::randomness::{clamp_to_zero, standard_normal};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -173,9 +173,7 @@ impl Degradation {
             }
         };
         if self.noise_std > 0.0 {
-            for v in values.iter_mut() {
-                *v = (*v * (1.0 + self.noise_std * standard_normal(rng))).max(0.0);
-            }
+            add_noise(rng, &mut values, self.noise_std);
         }
         if self.anomaly_rate > 0.0 {
             let mut i = 0;
@@ -219,6 +217,21 @@ impl Degradation {
     }
 }
 
+/// The noise operator: scale every value by `1 + noise_std · z` with
+/// `z` standard normal, clamped at zero.
+///
+/// A kernel on a local copy of the generator, so the generator stays in
+/// registers for the whole pass (see the `flextract_sim::randomness`
+/// module doc).
+#[inline(never)]
+fn add_noise(rng: &mut StdRng, values: &mut [f64], noise_std: f64) {
+    let mut local = rng.clone();
+    for v in values {
+        *v = clamp_to_zero(*v * (1.0 + noise_std * standard_normal(&mut local)));
+    }
+    *rng = local;
+}
+
 /// A geometric run length with the given mean, capped at `max`.
 fn geometric_len(rng: &mut StdRng, mean: f64, max: usize) -> usize {
     let stop = 1.0 / mean.max(1.0);
@@ -233,7 +246,7 @@ fn geometric_len(rng: &mut StdRng, mean: f64, max: usize) -> usize {
 mod tests {
     use super::*;
     use flextract_time::{Resolution, Timestamp};
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn ts(s: &str) -> Timestamp {
         s.parse().unwrap()
@@ -432,5 +445,55 @@ mod tests {
         let json = serde_json::to_string(&d).unwrap();
         let back: Degradation = serde_json::from_str(&json).unwrap();
         assert_eq!(back, d);
+    }
+
+    /// `standard_normal`, counting the draws that left its one-word fast
+    /// path: `slow[1]` those that came from the tail (beyond the
+    /// ziggurat's edge r, which no other branch returns), `slow[0]`
+    /// the rest, which tested a wedge.
+    fn counted_normal(rng: &mut StdRng, slow: &mut [u64; 2]) -> f64 {
+        const TAIL_EDGE: f64 = 3.654_152_885_361_009;
+        let mut one_word = rng.clone();
+        one_word.next_u64();
+        let z = standard_normal(rng);
+        if *rng != one_word {
+            slow[usize::from(z.abs() > TAIL_EDGE)] += 1;
+        }
+        z
+    }
+
+    #[test]
+    fn noise_kernel_matches_the_inline_loop_bit_for_bit() {
+        // A noise of 0.45 takes the factor `1 + 0.45 z` below zero on
+        // ~1.3 % of draws, so the clamp's zero side runs. The readings
+        // are positive: a zero reading times a negative factor is -0.0,
+        // which `f64::max` may keep in an unoptimised build
+        // (`clamp_to_zero`'s own test covers that input).
+        let values: Vec<f64> = (0..300_000).map(|i| (1 + i % 7) as f64 * 0.01).collect();
+        let mut slow = [0; 2];
+        let mut clamped = 0;
+        for seed in [4, 21] {
+            let mut got = values.clone();
+            let mut want = values.clone();
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = a.clone();
+            add_noise(&mut a, &mut got, 0.45);
+            // The loop as it stood inline in `Degradation::apply`.
+            for v in want.iter_mut() {
+                let scaled = *v * (1.0 + 0.45 * counted_normal(&mut b, &mut slow));
+                clamped += usize::from(scaled <= 0.0 || scaled.is_nan());
+                *v = scaled.max(0.0);
+            }
+            let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "seed {seed}");
+            assert_eq!(a, b, "seed {seed}: the generator is not written back");
+        }
+        assert!(clamped > 1000, "{clamped} clamped readings");
+        assert!(
+            slow[0] > 0 && slow[1] > 0,
+            "wedge {} tail {}",
+            slow[0],
+            slow[1]
+        );
     }
 }

@@ -11,7 +11,7 @@
 //! simulated substrate and its ground truth.
 
 use crate::activation::Activation;
-use crate::randomness::{clamped_normal, normal, ou_step};
+use crate::randomness::{clamp_to_zero, clamped_normal, normal, ou_step};
 use flextract_series::TimeSeries;
 use flextract_time::{CivilTime, Duration, Resolution, TimeRange, Timestamp};
 use rand::rngs::StdRng;
@@ -143,6 +143,34 @@ impl SimulatedIndustrial {
     }
 }
 
+/// The site's base-load pass: an OU wander (step noise `sigma`) around
+/// `base_kw` that starts at `base_kw`, clamped at zero and scaled by the
+/// shift pattern, plus metering noise `N(0, noise_kw)`, clamped at zero
+/// again and added to `series` as kWh per interval.
+///
+/// A kernel on a local copy of the generator, like the household
+/// simulator's base-load pass (see the `randomness` module doc).
+#[inline(never)]
+fn add_shift_load(
+    rng: &mut StdRng,
+    series: &mut TimeSeries,
+    pattern: ShiftPattern,
+    base_kw: f64,
+    sigma: f64,
+    noise_kw: f64,
+) {
+    let mut local = rng.clone();
+    let hours = series.resolution().hours_f64();
+    let mut level = base_kw;
+    for i in 0..series.len() {
+        let t = series.timestamp_of(i);
+        level = clamp_to_zero(ou_step(&mut local, level, base_kw, 0.05, sigma));
+        let kw = level * pattern.load_factor(t) + normal(&mut local, 0.0, noise_kw);
+        series.values_mut()[i] += clamp_to_zero(kw) * hours;
+    }
+    *rng = local;
+}
+
 /// Simulate an industrial site over `range` (widened to whole days).
 pub fn simulate_industrial(config: &IndustrialConfig, range: TimeRange) -> SimulatedIndustrial {
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -154,21 +182,15 @@ pub fn simulate_industrial(config: &IndustrialConfig, range: TimeRange) -> Simul
     let mut log = Vec::new();
 
     // Shift-driven base load with slow OU wander and metering noise.
-    let mut level = config.base_load_kw;
-    for i in 0..series.len() {
-        let t = series.timestamp_of(i);
-        level = ou_step(
-            &mut rng,
-            level,
-            config.base_load_kw,
-            0.05,
-            config.base_load_kw * 0.02,
-        )
-        .max(0.0);
-        let kw = level * config.pattern.load_factor(t)
-            + normal(&mut rng, 0.0, config.base_load_kw * 0.01);
-        series.values_mut()[i] += kw.max(0.0) * hours;
-    }
+    let base = config.base_load_kw;
+    add_shift_load(
+        &mut rng,
+        &mut series,
+        config.pattern,
+        base,
+        base * 0.02,
+        base * 0.01,
+    );
 
     // Batch processes.
     for day in days.split_days() {
@@ -229,6 +251,7 @@ pub fn simulate_industrial(config: &IndustrialConfig, range: TimeRange) -> Simul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::randomness::oracle;
 
     fn week() -> TimeRange {
         TimeRange::starting_at("2013-03-18".parse().unwrap(), Duration::weeks(1)).unwrap()
@@ -338,5 +361,58 @@ mod tests {
         let sim = simulate_industrial(&cfg, week());
         let (_, peaks) = detect_peaks(&sim.series, PeakThreshold::Mean).unwrap();
         assert!(!peaks.is_empty(), "industrial days have detectable peaks");
+    }
+
+    /// The base-load loop as it stood inline in `simulate_industrial`,
+    /// over the loop-form sampler: the reference for
+    /// [`add_shift_load`]. Returns how many values the two clamps cut
+    /// to zero.
+    fn shift_load_inline(
+        rng: &mut StdRng,
+        series: &mut TimeSeries,
+        pattern: ShiftPattern,
+        base_kw: f64,
+        sigma: f64,
+        noise_kw: f64,
+        branches: &mut oracle::Branches,
+    ) -> usize {
+        let hours = series.resolution().hours_f64();
+        let mut level = base_kw;
+        let mut clamped = 0;
+        for i in 0..series.len() {
+            let t = series.timestamp_of(i);
+            let next = oracle::ou_step(rng, level, base_kw, 0.05, sigma, branches);
+            level = next.max(0.0);
+            let kw = level * pattern.load_factor(t) + oracle::normal(rng, 0.0, noise_kw, branches);
+            clamped +=
+                usize::from(next <= 0.0 || next.is_nan()) + usize::from(kw <= 0.0 || kw.is_nan());
+            series.values_mut()[i] += kw.max(0.0) * hours;
+        }
+        clamped
+    }
+
+    #[test]
+    fn shift_load_kernel_matches_the_inline_loop_bit_for_bit() {
+        // Step noise and metering noise at a third of the base load
+        // make both clamps fire; ~5 years of 15-min intervals reach the
+        // sampler's tail.
+        let years =
+            TimeRange::starting_at("2013-01-07".parse().unwrap(), Duration::weeks(260)).unwrap();
+        let mut branches = oracle::Branches::default();
+        let mut clamped = 0;
+        for (seed, pattern) in [(1, ShiftPattern::TwoShift), (2, ShiftPattern::Continuous)] {
+            let mut got = TimeSeries::zeros_over(years, Resolution::MIN_15).unwrap();
+            let mut want = got.clone();
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = a.clone();
+            add_shift_load(&mut a, &mut got, pattern, 120.0, 40.0, 40.0);
+            clamped +=
+                shift_load_inline(&mut b, &mut want, pattern, 120.0, 40.0, 40.0, &mut branches);
+            let bits = |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "seed {seed}");
+            assert_eq!(a, b, "seed {seed}: the generator is not written back");
+        }
+        assert!(clamped > 1000, "{clamped} clamped values");
+        assert!(branches.wedge > 0 && branches.tail > 0, "{branches:?}");
     }
 }

@@ -6,11 +6,28 @@
 //! product method, adequate for the small rates appliance usage
 //! produces), and weighted index selection (the paper's
 //! size-proportional peak choice uses the same primitive).
+//!
+//! # Keeping per-minute loops in registers
+//!
+//! The simulator's hot loops draw one normal per simulated minute, and
+//! their speed depends on the generator's four state words and the
+//! loop's running level staying in registers. [`standard_normal`]
+//! inlines only its one-word fast path. Its rare wedge and tail branches
+//! live in a cold function that takes the generator **by value** and
+//! returns it: if that call took `&mut rng`, the generator's address
+//! would escape from every loop that draws, and the compiler would keep
+//! the state in memory, storing and reloading it every minute. By
+//! value, only the cold path copies the state out and back. A loop
+//! kernel then copies the caller's generator into a local, runs and
+//! writes it back (`simulate.rs`, `industrial.rs`, `res.rs` and the
+//! dataset crate's noise pass). Kernels that clamp at zero go through
+//! [`clamp_to_zero`], a predicted branch that keeps the clamp off the
+//! loop's dependency chain.
 
 use rand::Rng;
 
 #[cfg(test)]
-mod oracle;
+pub(crate) mod oracle;
 mod tables;
 
 /// `r`, the right edge of the ziggurat's base layer: draws beyond it
@@ -35,14 +52,20 @@ const TAIL_EDGE: f64 = tables::X[1];
 /// Only that fast path is inlined into callers; the wedge and tail
 /// branches live in a cold function that continues the same loop, so
 /// the split changes no draw (`randomness/oracle.rs` keeps the
-/// single-loop form, and the tests compare the two bit for bit).
+/// single-loop form, and the tests compare the two bit for bit). The
+/// cold function takes a copy of the generator and hands it back, so a
+/// caller's generator never has its address taken and can stay in
+/// registers across the caller's loop (see the module doc). That is why
+/// `R` must be `Clone`.
 #[inline]
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub fn standard_normal<R: Rng + Clone>(rng: &mut R) -> f64 {
     let (i, u, x) = layer_pick(rng.next_u64());
     if x.abs() < tables::X[i + 1] {
         return x;
     }
-    standard_normal_slow(rng, i, u, x)
+    let (x, rest) = standard_normal_slow(rng.clone(), i, u, x);
+    *rng = rest;
+    x
 }
 
 /// Split one word into a layer `i`, a uniform `u` in `[-1, 1)` and the
@@ -57,22 +80,23 @@ fn layer_pick(bits: u64) -> (usize, f64, f64) {
 
 /// The rest of [`standard_normal`]'s loop after a draw `(i, u, x)` fell
 /// outside its layer's inner rectangle: the tail for the base layer, a
-/// wedge test otherwise, and on rejection a fresh layer pick.
+/// wedge test otherwise, and on rejection a fresh layer pick. Returns
+/// the draw and the generator after it.
 #[cold]
 #[inline(never)]
-fn standard_normal_slow<R: Rng + ?Sized>(rng: &mut R, mut i: usize, mut u: f64, mut x: f64) -> f64 {
+fn standard_normal_slow<R: Rng>(mut rng: R, mut i: usize, mut u: f64, mut x: f64) -> (f64, R) {
     use tables::{F, X};
     loop {
         if i == 0 {
-            return normal_tail(rng, u < 0.0);
+            return (normal_tail(&mut rng, u < 0.0), rng);
         }
         let y = F[i] + (F[i + 1] - F[i]) * rng.gen::<f64>();
         if y < (-0.5 * x * x).exp() {
-            return x;
+            return (x, rng);
         }
         (i, u, x) = layer_pick(rng.next_u64());
         if x.abs() < X[i + 1] {
-            return x;
+            return (x, rng);
         }
     }
 }
@@ -102,12 +126,12 @@ fn open_unit<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// A normal draw with the given mean and standard deviation.
 #[inline]
-pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
+pub fn normal<R: Rng + Clone>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     mean + std_dev * standard_normal(rng)
 }
 
 /// A normal draw clamped into `[lo, hi]`.
-pub fn clamped_normal<R: Rng + ?Sized>(
+pub fn clamped_normal<R: Rng + Clone>(
     rng: &mut R,
     mean: f64,
     std_dev: f64,
@@ -115,6 +139,32 @@ pub fn clamped_normal<R: Rng + ?Sized>(
     hi: f64,
 ) -> f64 {
     normal(rng, mean, std_dev).clamp(lo, hi)
+}
+
+/// `x` clamped at zero from below: `x` when `x > 0`, else `+0.0` (for
+/// NaN and `-0.0` too).
+///
+/// That is the value `x.max(0.0)` has in an optimised build, where it
+/// compiles to one `maxsd`; an unoptimised build may keep `-0.0`. The
+/// difference is speed: `maxsd` sits on a loop's dependency chain
+/// (an OU level feeds the next step), while this is a branch that
+/// predicts well, so the chain goes on without waiting for the
+/// compare. The zero side is a `#[cold]` function; that hint is what
+/// keeps the optimiser from turning the branch back into `maxsd`.
+#[inline(always)]
+pub fn clamp_to_zero(x: f64) -> f64 {
+    if x > 0.0 {
+        x
+    } else {
+        zero()
+    }
+}
+
+/// The rare side of [`clamp_to_zero`].
+#[cold]
+#[inline(never)]
+fn zero() -> f64 {
+    0.0
 }
 
 /// A Poisson count with rate `lambda` (Knuth's product method).
@@ -177,7 +227,7 @@ pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
 ///
 /// `theta` is the mean-reversion rate per step, `sigma` the noise scale.
 #[inline]
-pub fn ou_step<R: Rng + ?Sized>(
+pub fn ou_step<R: Rng + Clone>(
     rng: &mut R,
     current: f64,
     mean: f64,
@@ -215,6 +265,27 @@ mod tests {
             let x = clamped_normal(&mut r, 0.5, 10.0, 0.0, 1.0);
             assert!((0.0..=1.0).contains(&x));
         }
+    }
+
+    #[test]
+    fn clamp_to_zero_is_the_optimised_max() {
+        for x in [
+            1.5,
+            1e-300,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            0.0,
+            -1e-300,
+            -2.0,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            assert_eq!(clamp_to_zero(x).to_bits(), x.max(0.0).to_bits(), "{x}");
+        }
+        // `maxsd` with zero as its second operand returns +0.0 here; an
+        // unoptimised `f64::max` may return -0.0.
+        assert_eq!(clamp_to_zero(-0.0).to_bits(), 0);
     }
 
     #[test]
