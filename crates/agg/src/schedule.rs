@@ -16,8 +16,9 @@
 //! `Σ_t (demand_t + flex_t − production_t)²`.
 
 use crate::AggError;
-use flextract_flexoffer::{FlexOffer, ScheduledFlexOffer};
-use flextract_series::TimeSeries;
+use flextract_flexoffer::{FlexOffer, FlexOfferError, ScheduledFlexOffer};
+use flextract_series::{SeriesError, TimeSeries};
+use flextract_time::Timestamp;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -97,46 +98,76 @@ fn balance_report(net: &TimeSeries, production: &TimeSeries) -> BalanceReport {
     }
 }
 
-/// Add a schedule's energy into `net`.
-fn apply(net: &mut TimeSeries, sched: &ScheduledFlexOffer, sign: f64) {
-    let series = sched.to_series().scale(sign);
-    net.add_overlapping(&series)
-        .expect("schedules share the market resolution grid");
+/// The index in `net` of an offer's first slice when it starts at
+/// `start`; slice `k` lands on index `first + k`, which may lie outside
+/// `net`. The offer must be on `net`'s resolution and `start` on its
+/// grid; otherwise this is the error `TimeSeries::add_overlapping`
+/// gives for the offer's series.
+fn first_slot(net: &TimeSeries, offer: &FlexOffer, start: Timestamp) -> Result<i64, AggError> {
+    let res = offer.profile().resolution();
+    if res != net.resolution() {
+        return Err(SeriesError::ResolutionMismatch {
+            left: net.resolution(),
+            right: res,
+        }
+        .into());
+    }
+    let minutes = (start - net.start()).as_minutes();
+    if minutes % res.minutes() != 0 {
+        return Err(SeriesError::AlignmentMismatch.into());
+    }
+    Ok(minutes / res.minutes())
+}
+
+/// The value at index `i` of `net`, if `i` lies inside it — what
+/// `value_at` returns for the instant of that index.
+fn slot(net: &[f64], i: i64) -> Option<f64> {
+    usize::try_from(i).ok().and_then(|i| net.get(i).copied())
+}
+
+/// Add `sign × e` for each slice energy `e` of `offer` started at
+/// `start` into `net`, dropping slices outside it, as
+/// `add_overlapping` of the schedule's series scaled by `sign` does.
+fn apply(
+    net: &mut TimeSeries,
+    offer: &FlexOffer,
+    start: Timestamp,
+    energies: impl IntoIterator<Item = f64>,
+    sign: f64,
+) -> Result<(), AggError> {
+    let first = first_slot(net, offer, start)?;
+    let values = net.values_mut();
+    for (k, e) in energies.into_iter().enumerate() {
+        if let Some(n) = usize::try_from(first + k as i64)
+            .ok()
+            .and_then(|i| values.get_mut(i))
+        {
+            *n += e * sign;
+        }
+    }
+    Ok(())
 }
 
 /// Pick slice energies that chase the local deficit (−net): each slice
 /// takes its maximum when production exceeds demand there, its minimum
-/// otherwise, linearly in between.
-fn waterfill_energies(
-    offer: &FlexOffer,
-    start: flextract_time::Timestamp,
-    net: &TimeSeries,
-) -> Vec<f64> {
-    let res = offer.profile().resolution();
-    offer
-        .profile()
-        .slices()
-        .iter()
-        .enumerate()
-        .map(|(k, s)| {
-            let t = start + res.interval() * k as i64;
-            match net.value_at(t) {
-                Some(n) if n < 0.0 => {
-                    // Surplus available: absorb as much as fits.
-                    s.clamp(-n)
-                }
-                _ => s.min,
-            }
-        })
-        .collect()
+/// otherwise, linearly in between. `out` is cleared first.
+fn waterfill_energies(offer: &FlexOffer, net: &[f64], first: i64, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(offer.profile().slices().iter().enumerate().map(|(k, s)| {
+        match slot(net, first + k as i64) {
+            // Surplus available: absorb as much as fits.
+            Some(n) if n < 0.0 => s.clamp(-n),
+            _ => s.min,
+        }
+    }));
 }
 
-/// Squared-imbalance delta of placing `sched` into the current net.
-fn placement_cost(net: &TimeSeries, sched: &ScheduledFlexOffer) -> f64 {
-    let series = sched.to_series();
+/// Squared-imbalance delta of placing `energies` at slot `first` into
+/// the current net.
+fn placement_cost(net: &[f64], first: i64, energies: &[f64]) -> f64 {
     let mut delta = 0.0;
-    for (t, e) in series.iter() {
-        if let Some(n) = net.value_at(t) {
+    for (k, &e) in energies.iter().enumerate() {
+        if let Some(n) = slot(net, first + k as i64) {
             delta += (n + e) * (n + e) - n * n;
         } else {
             // Outside the horizon: count the energy as pure imbalance
@@ -149,6 +180,16 @@ fn placement_cost(net: &TimeSeries, sched: &ScheduledFlexOffer) -> f64 {
 
 /// Schedule `offers` against `production`, with `base_demand` as the
 /// inflexible background load (the extraction's *modified* series).
+///
+/// Every offer must be on `base_demand`'s resolution and grid; an offer
+/// that is not gives [`AggError::Series`].
+///
+/// Allocations per call do not grow with the candidate starts or the
+/// climbing moves: two horizon-length working series, the greedy
+/// order, two slice buffers, and per offer its chosen energies and the
+/// [`ScheduledFlexOffer`] built for it at the end. Each candidate start
+/// is scored straight from the working series and vetted with
+/// [`ScheduledFlexOffer::check`].
 pub fn schedule_offers(
     offers: &[FlexOffer],
     base_demand: &TimeSeries,
@@ -170,72 +211,92 @@ pub fn schedule_offers(
     // Baseline: every offer at its earliest start with minimum energy.
     let mut baseline_net = net.clone();
     for offer in offers {
+        let minimums = offer.profile().slices().iter().map(|s| s.min);
         apply(
             &mut baseline_net,
-            &ScheduledFlexOffer::baseline(offer.clone()),
+            offer,
+            offer.earliest_start(),
+            minimums,
             1.0,
-        );
+        )?;
     }
     let before = balance_report(&baseline_net, production);
 
-    // Greedy pass, big offers first.
+    // Greedy pass, big offers first. `placed[i]` is offer i's start and
+    // slice energies.
     let mut order: Vec<usize> = (0..offers.len()).collect();
     order.sort_by(|&a, &b| {
         let ea = offers[a].total_energy().max;
         let eb = offers[b].total_energy().max;
         eb.partial_cmp(&ea).expect("energies are finite")
     });
-    let mut scheduled: Vec<Option<ScheduledFlexOffer>> = vec![None; offers.len()];
+    let mut placed: Vec<(Timestamp, Vec<f64>)> = offers
+        .iter()
+        .map(|o| (o.earliest_start(), Vec::new()))
+        .collect();
+    let (mut cand, mut best) = (Vec::new(), Vec::new());
     for &i in &order {
         let offer = &offers[i];
-        let mut best: Option<(f64, ScheduledFlexOffer)> = None;
-        for start in offer.candidate_starts() {
-            let energies = waterfill_energies(offer, start, &net);
-            let cand = ScheduledFlexOffer::new(offer.clone(), start, energies)?;
-            let cost = placement_cost(&net, &cand);
-            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                best = Some((cost, cand));
+        let mut best_at: Option<(f64, Timestamp)> = None;
+        for c in 0..offer.candidate_start_count() {
+            let start = offer.candidate_start(c);
+            let first = first_slot(&net, offer, start)?;
+            waterfill_energies(offer, net.values(), first, &mut cand);
+            ScheduledFlexOffer::check(offer, start, &cand)?;
+            let cost = placement_cost(net.values(), first, &cand);
+            if best_at.is_none_or(|(b, _)| cost < b) {
+                best_at = Some((cost, start));
+                std::mem::swap(&mut cand, &mut best);
             }
         }
-        let (_, chosen) = best.expect("candidate_starts is never empty");
-        apply(&mut net, &chosen, 1.0);
-        scheduled[i] = Some(chosen);
+        let (_, start) = best_at.ok_or(FlexOfferError::InvertedStartWindow)?;
+        apply(&mut net, offer, start, best.iter().copied(), 1.0)?;
+        placed[i] = (start, best.clone());
     }
-    let mut scheduled: Vec<ScheduledFlexOffer> = scheduled
-        .into_iter()
-        .map(|s| s.expect("all offers scheduled"))
-        .collect();
 
     // Hill climbing: move one offer to a random admissible start.
     for _ in 0..config.iterations {
-        let i = rng.gen_range(0..scheduled.len());
-        let starts = scheduled[i].offer().candidate_starts();
-        if starts.len() <= 1 {
+        let i = rng.gen_range(0..offers.len());
+        let offer = &offers[i];
+        let count = offer.candidate_start_count();
+        if count <= 1 {
             continue;
         }
-        let new_start = starts[rng.gen_range(0..starts.len())];
-        if new_start == scheduled[i].start() {
+        let new_start = offer.candidate_start(rng.gen_range(0..count));
+        let (old_start, old) = &mut placed[i];
+        if new_start == *old_start {
             continue;
         }
         // Remove, re-waterfill at the new start, compare.
-        apply(&mut net, &scheduled[i], -1.0);
-        let old = scheduled[i].clone();
-        let old_cost = placement_cost(&net, &old);
-        let energies = waterfill_energies(scheduled[i].offer(), new_start, &net);
-        let cand = ScheduledFlexOffer::new(scheduled[i].offer().clone(), new_start, energies)?;
-        let new_cost = placement_cost(&net, &cand);
-        let keep = if new_cost < old_cost { cand } else { old };
-        apply(&mut net, &keep, 1.0);
-        scheduled[i] = keep;
+        apply(&mut net, offer, *old_start, old.iter().copied(), -1.0)?;
+        let old_first = first_slot(&net, offer, *old_start)?;
+        let old_cost = placement_cost(net.values(), old_first, old);
+        let new_first = first_slot(&net, offer, new_start)?;
+        waterfill_energies(offer, net.values(), new_first, &mut cand);
+        ScheduledFlexOffer::check(offer, new_start, &cand)?;
+        let new_cost = placement_cost(net.values(), new_first, &cand);
+        if new_cost < old_cost {
+            *old_start = new_start;
+            std::mem::swap(old, &mut cand);
+        }
+        apply(&mut net, offer, *old_start, old.iter().copied(), 1.0)?;
     }
 
     let after = balance_report(&net, production);
+    let scheduled = offers
+        .iter()
+        .zip(placed)
+        .map(|(offer, (start, energies))| ScheduledFlexOffer::new(offer.clone(), start, energies))
+        .collect::<Result<_, _>>()?;
     Ok(ScheduleResult {
         scheduled,
         before,
         after,
     })
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -436,5 +497,187 @@ mod tests {
         )
         .unwrap();
         assert_eq!(result.scheduled[0].start(), ts("2013-03-18 03:00"));
+    }
+
+    #[test]
+    fn offers_off_the_demand_resolution_are_a_series_error() {
+        // An hourly horizon against 15-min offers.
+        let demand = TimeSeries::constant(ts("2013-03-18"), Resolution::HOUR_1, 0.5, 24);
+        let production = TimeSeries::constant(ts("2013-03-18"), Resolution::HOUR_1, 1.0, 24);
+        assert_eq!(
+            schedule_offers(
+                &[movable_offer(1)],
+                &demand,
+                &production,
+                &ScheduleConfig::default(),
+                &mut StdRng::seed_from_u64(1)
+            ),
+            Err(AggError::Series(SeriesError::ResolutionMismatch {
+                left: Resolution::HOUR_1,
+                right: Resolution::MIN_15,
+            }))
+        );
+    }
+
+    #[test]
+    fn an_offer_off_the_demand_grid_is_a_series_error() {
+        // The builder refuses an unaligned start, a deserialised offer
+        // does not: move the window 7 minutes off the 15-min grid.
+        let json = serde_json::to_string(&movable_offer(1)).unwrap();
+        let earliest = serde_json::to_string(&ts("2013-03-18 00:00")).unwrap();
+        let unaligned = serde_json::to_string(&ts("2013-03-18 00:07")).unwrap();
+        assert!(json.contains(&earliest), "{json}");
+        let offer: FlexOffer = serde_json::from_str(&json.replace(&earliest, &unaligned)).unwrap();
+        assert_eq!(offer.earliest_start(), ts("2013-03-18 00:07"));
+        let (demand, production) = world();
+        assert_eq!(
+            schedule_offers(
+                &[offer],
+                &demand,
+                &production,
+                &ScheduleConfig::default(),
+                &mut StdRng::seed_from_u64(1)
+            ),
+            Err(AggError::Series(SeriesError::AlignmentMismatch))
+        );
+    }
+
+    /// `fleet_extract`-shaped inputs: a week of `households` simulated
+    /// households at 15 min, peak-extracted, their modified series
+    /// summed, against wind sized to 30 % of the mean load. Returns the
+    /// micro offers, their aggregates, the demand and the production.
+    fn fleet(
+        seed: u64,
+        households: usize,
+    ) -> (Vec<FlexOffer>, Vec<FlexOffer>, TimeSeries, TimeSeries) {
+        use flextract_core::{
+            ExtractionConfig, ExtractionInput, FlexibilityExtractor, PeakExtractor,
+        };
+        use flextract_sim::{
+            simulate_household, simulate_wind_production, FleetConfig, HouseholdArchetype,
+            WindFarmConfig,
+        };
+        use flextract_time::{Duration, TimeRange};
+
+        let week = TimeRange::starting_at(ts("2013-03-18"), Duration::weeks(1)).unwrap();
+        let configs = FleetConfig {
+            households,
+            base_seed: seed,
+            archetype_mix: vec![
+                (HouseholdArchetype::SingleResident, 0.25),
+                (HouseholdArchetype::Couple, 0.35),
+                (HouseholdArchetype::FamilyWithChildren, 0.25),
+                (HouseholdArchetype::SuburbanWithEv, 0.15),
+            ],
+            tariff_response: None,
+            threads: 1,
+        }
+        .household_configs();
+        let extractor = PeakExtractor::new(ExtractionConfig::default());
+        let mut offers = Vec::new();
+        let mut demand: Option<TimeSeries> = None;
+        let mut total_kwh = 0.0;
+        for (i, cfg) in configs.iter().enumerate() {
+            let market = simulate_household(cfg, week).series_at(Resolution::MIN_15);
+            total_kwh += market.total_energy();
+            let out = extractor
+                .extract(
+                    &ExtractionInput::household(&market),
+                    &mut StdRng::seed_from_u64(seed ^ (i as u64) << 8),
+                )
+                .unwrap();
+            match &mut demand {
+                None => demand = Some(out.modified_series),
+                Some(d) => d.add_assign(&out.modified_series).unwrap(),
+            }
+            offers.extend(out.flex_offers);
+        }
+        let aggregates = crate::aggregate_offers(&offers, &crate::AggregationConfig::default())
+            .unwrap()
+            .into_iter()
+            .map(|a| a.offer)
+            .collect();
+        let farm = WindFarmConfig {
+            capacity_kw: 0.3 * total_kwh / week.duration().as_hours_f64(),
+            seed: seed ^ 0xCAFE,
+            ..WindFarmConfig::default()
+        };
+        let production = simulate_wind_production(&farm, week, Resolution::MIN_15);
+        (offers, aggregates, demand.unwrap(), production)
+    }
+
+    /// Run the scheduler and its oracle from the same generator state;
+    /// both results and both generators must agree to the bit.
+    fn assert_matches_oracle(
+        offers: &[FlexOffer],
+        demand: &TimeSeries,
+        production: &TimeSeries,
+        config: &ScheduleConfig,
+        seed: u64,
+        what: &str,
+    ) {
+        let (mut rng, mut oracle_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let got = schedule_offers(offers, demand, production, config, &mut rng).unwrap();
+        let want =
+            oracle::schedule_offers(offers, demand, production, config, &mut oracle_rng).unwrap();
+        assert_eq!(got, want, "{what}");
+        // Debug prints each f64 in full, so -0.0 and 0.0 differ here.
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+        assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>(), "{what}");
+    }
+
+    #[test]
+    fn schedule_matches_the_oracle_on_fleet_inputs() {
+        for seed in [1, 7, 29] {
+            let (micro, aggregates, demand, production) = fleet(seed, 24);
+            assert!(aggregates.len() > 1 && micro.len() > aggregates.len());
+            for (offers, kind) in [(&aggregates, "aggregates"), (&micro, "micro offers")] {
+                for iterations in [0, 500, 3000] {
+                    assert_matches_oracle(
+                        offers,
+                        &demand,
+                        &production,
+                        &ScheduleConfig { iterations },
+                        seed ^ 0xBEEF,
+                        &format!("seed {seed}, {kind}, {iterations} iterations"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_matches_the_oracle_on_a_toy_day() {
+        let (demand, production) = world();
+        for n in 1..=6 {
+            let offers: Vec<FlexOffer> = (1..=n).map(movable_offer).collect();
+            for seed in 0..4 {
+                assert_matches_oracle(
+                    &offers,
+                    &demand,
+                    &production,
+                    &ScheduleConfig::default(),
+                    seed,
+                    &format!("{n} offers, seed {seed}"),
+                );
+            }
+        }
+        // Offers that overhang the horizon at both ends.
+        let overhang = FlexOffer::builder(9)
+            .start_window(ts("2013-03-17 23:00"), ts("2013-03-18 23:30"))
+            .slices(
+                Resolution::MIN_15,
+                vec![EnergyRange::new(0.2, 1.1).unwrap(); 6],
+            )
+            .build()
+            .unwrap();
+        assert_matches_oracle(
+            &[overhang, movable_offer(1)],
+            &demand,
+            &production,
+            &ScheduleConfig::default(),
+            3,
+            "overhanging offer",
+        );
     }
 }

@@ -98,22 +98,41 @@ impl LoadProfile {
         self.fill_per_phase(intensity, out, |kw| kw);
     }
 
-    /// Expand the phases at `intensity` into `out` (cleared first), one
-    /// value per minute: `per_minute` of the phase's power, computed
-    /// once per phase. This is the single owner of the phase-expansion
-    /// math — every per-minute realisation derives from it, so the
-    /// simulator's cycle energies and the disaggregator's matching
-    /// templates can never diverge. Every minute of a phase draws the
-    /// same power, so mapping it once per phase gives the same bits as
-    /// mapping each minute.
-    fn fill_per_phase(&self, intensity: f64, out: &mut Vec<f64>, per_minute: impl Fn(f64) -> f64) {
+    /// The phases at `intensity` ∈ [0, 1] as runs of equal values, one
+    /// `(minutes, per_minute(kW))` per phase, where the phase's power
+    /// interpolates between its min (0) and max (1). This is the single
+    /// owner of the phase math — every per-minute realisation derives
+    /// from it, so the simulator's cycle energies and the
+    /// disaggregator's matching templates can never diverge. Every
+    /// minute of a phase draws the same power, so mapping it once per
+    /// phase gives the same bits as mapping each minute.
+    fn per_phase(
+        &self,
+        intensity: f64,
+        per_minute: fn(f64) -> f64,
+    ) -> impl Iterator<Item = (usize, f64)> + '_ {
         let x = intensity.clamp(0.0, 1.0);
+        self.phases.iter().map(move |p| {
+            let kw = p.min_kw + (p.max_kw - p.min_kw) * x;
+            (p.duration_min as usize, per_minute(kw))
+        })
+    }
+
+    /// Expand [`LoadProfile::per_phase`] into `out` (cleared first), one
+    /// value per minute.
+    fn fill_per_phase(&self, intensity: f64, out: &mut Vec<f64>, per_minute: fn(f64) -> f64) {
         out.clear();
         out.reserve(self.phases.iter().map(|p| p.duration_min as usize).sum());
-        for p in &self.phases {
-            let kw = p.min_kw + (p.max_kw - p.min_kw) * x;
-            out.extend(std::iter::repeat_n(per_minute(kw), p.duration_min as usize));
+        for (minutes, value) in self.per_phase(intensity, per_minute) {
+            out.extend(std::iter::repeat_n(value, minutes));
         }
+    }
+
+    /// One cycle's per-minute energies (kWh per minute) at `intensity`
+    /// as runs, one `(minutes, kWh per minute)` per phase: the values
+    /// [`LoadProfile::fill_energy_values`] writes, without a buffer.
+    pub fn energy_runs(&self, intensity: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.per_phase(intensity, kwh_per_minute)
     }
 
     /// The nominal (midpoint-intensity) per-minute power curve — used as
@@ -127,7 +146,7 @@ impl LoadProfile {
     /// [`LoadProfile::to_energy_series`]. `out` is cleared first, so a
     /// caller can reuse one scratch buffer across many cycles.
     pub fn fill_energy_values(&self, intensity: f64, out: &mut Vec<f64>) {
-        self.fill_per_phase(intensity, out, |kw| kw / 60.0); // 1 minute of kW → kWh
+        self.fill_per_phase(intensity, out, kwh_per_minute);
     }
 
     /// Realise one cycle starting at `start` as a 1-minute energy
@@ -145,6 +164,11 @@ impl LoadProfile {
         let (lo, hi) = self.energy_range_kwh();
         lo + (hi - lo) * intensity.clamp(0.0, 1.0)
     }
+}
+
+/// One minute of `kw` as energy (kWh).
+fn kwh_per_minute(kw: f64) -> f64 {
+    kw / 60.0
 }
 
 #[cfg(test)]
@@ -260,6 +284,23 @@ mod tests {
                         spec.name
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn energy_runs_expand_to_the_energy_values_bit_for_bit() {
+        let mut kwh = Vec::new();
+        for spec in crate::Catalog::extended().iter() {
+            for &x in &[0.0, 0.3, 1.0, 2.0] {
+                spec.profile.fill_energy_values(x, &mut kwh);
+                let expanded: Vec<u64> = spec
+                    .profile
+                    .energy_runs(x)
+                    .flat_map(|(minutes, v)| std::iter::repeat_n(v.to_bits(), minutes))
+                    .collect();
+                let want: Vec<u64> = kwh.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(expanded, want, "{} at {x}", spec.name);
             }
         }
     }

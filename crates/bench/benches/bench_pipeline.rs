@@ -3,8 +3,10 @@
 //! Unlike the micro benches, this harness measures the whole
 //! simulate→extract→aggregate pipeline through [`ScenarioRunner`] on
 //! one consumer thread and on as many as the host has cores (that leg
-//! is skipped on a 1-core host), times the simulator stage of a
-//! 300-household week and the store's read and write stages, and
+//! is skipped on a 1-core host), times the simulator, peak-extraction
+//! and scheduling stages of a 300-household week and the store's read
+//! and write stages, prints each row's median against the committed
+//! file (flagging changes inside the rows' spread), and
 //! **writes the measurements to
 //! `BENCH_pipeline.json`** at the workspace root (per row: the
 //! sampler's batch count, min, median, interquartile spread and tail
@@ -14,19 +16,27 @@
 //! with `cargo bench -p flextract-bench --bench bench_pipeline`; commit
 //! the regenerated JSON when the numbers move for a reason.
 
+use flextract_agg::{aggregate_offers, schedule_offers, AggregationConfig, ScheduleConfig};
 use flextract_appliance::Catalog;
 use flextract_bench::sample::{sample, Sample};
+use flextract_core::{ExtractionConfig, ExtractionInput, FlexibilityExtractor, PeakExtractor};
 use flextract_dataset::{
     ConsumerKind, Dataset, DatasetWriter, Degradation, MeasuredSeries, Predicate, ResidentStore,
     Scan, SeriesCodec, ShardedWriter,
 };
+use flextract_flexoffer::FlexOffer;
 use flextract_scenario::{
     export_dataset, AggregationPolicy, DatasetCleaning, ExportOptions, ExtractorChoice, Scenario,
     ScenarioRunner, Workload,
 };
-use flextract_series::FillStrategy;
-use flextract_sim::{simulate_household_with_catalog, FleetConfig, HouseholdArchetype};
+use flextract_series::{FillStrategy, TimeSeries};
+use flextract_sim::{
+    simulate_household_with_catalog, simulate_wind_production, FleetConfig, HouseholdArchetype,
+    WindFarmConfig,
+};
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 
@@ -294,6 +304,104 @@ fn sim_benches(records: &mut Vec<Record>) {
         note: Some(format!(
             "{} simulated minutes per iteration",
             configs.len() * 7 * 1440
+        )),
+    });
+}
+
+/// The per-item stages of the `fleet_extract` workload, on its inputs:
+/// 300 households of the default mix over one week (fleet seed 1),
+/// simulated and resampled to 15 min untimed.
+///
+/// - `core/extract_peak/300hh_1w` times the peak extractor over every
+///   household, one generator per consumer.
+/// - `agg/schedule/300hh_1w` times the RES scheduler over the
+///   aggregates of those offers, against the summed modified series
+///   and wind sized to 30 % of the mean load.
+fn extract_and_schedule_benches(records: &mut Vec<Record>) {
+    let week = TimeRange::starting_at(
+        "2013-03-18".parse().expect("static date"),
+        Duration::weeks(1),
+    )
+    .expect("one week");
+    let catalog = Catalog::extended();
+    let markets: Vec<TimeSeries> = FleetConfig {
+        households: 300,
+        base_seed: 1,
+        archetype_mix: default_mix(),
+        tariff_response: None,
+        threads: 1,
+    }
+    .household_configs()
+    .iter()
+    .map(|cfg| simulate_household_with_catalog(cfg, week, &catalog).series_at(Resolution::MIN_15))
+    .collect();
+    let extractor = PeakExtractor::new(ExtractionConfig::default());
+    let consumer_rng = |i: usize| StdRng::seed_from_u64(1 ^ (i as u64).wrapping_mul(0x9E37_79B9));
+    let extract_all = || {
+        markets
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                extractor
+                    .extract(&ExtractionInput::household(m), &mut consumer_rng(i))
+                    .expect("peak extraction runs")
+            })
+            .collect::<Vec<_>>()
+    };
+    let timed = sample(|| black_box(extract_all()));
+    let outputs = extract_all();
+    let offers: Vec<FlexOffer> = outputs
+        .iter()
+        .flat_map(|o| o.flex_offers.iter().cloned())
+        .collect();
+    records.push(Record {
+        name: "core/extract_peak/300hh_1w".into(),
+        consumer_threads: 1,
+        sample: timed,
+        note: Some(format!(
+            "{} households, {} offers",
+            markets.len(),
+            offers.len()
+        )),
+    });
+
+    let mut demand = outputs[0].modified_series.clone();
+    for o in &outputs[1..] {
+        demand
+            .add_assign(&o.modified_series)
+            .expect("households share the market grid");
+    }
+    let total_kwh: f64 = markets.iter().map(TimeSeries::total_energy).sum();
+    let farm = WindFarmConfig {
+        capacity_kw: 0.3 * total_kwh / week.duration().as_hours_f64(),
+        seed: 1 ^ 0xCAFE,
+        ..WindFarmConfig::default()
+    };
+    let production = simulate_wind_production(&farm, week, Resolution::MIN_15);
+    let aggregates: Vec<FlexOffer> = aggregate_offers(&offers, &AggregationConfig::default())
+        .expect("offers aggregate")
+        .into_iter()
+        .map(|a| a.offer)
+        .collect();
+    let timed = sample(|| {
+        schedule_offers(
+            &aggregates,
+            &demand,
+            &production,
+            &ScheduleConfig::default(),
+            &mut StdRng::seed_from_u64(1 ^ 0xBEEF),
+        )
+        .expect("aggregates schedule")
+    });
+    records.push(Record {
+        name: "agg/schedule/300hh_1w".into(),
+        consumer_threads: 1,
+        sample: timed,
+        note: Some(format!(
+            "{} aggregates of {} offers, {} climbing moves",
+            aggregates.len(),
+            offers.len(),
+            ScheduleConfig::default().iterations
         )),
     });
 }
@@ -689,6 +797,61 @@ fn analyze_benches(records: &mut Vec<Record>) {
     let _ = std::fs::remove_file(&cache);
 }
 
+/// One row of a committed `BENCH_pipeline.json`, as far as the
+/// comparison below reads it.
+#[derive(serde::Deserialize)]
+struct BaselineRow {
+    name: String,
+    consumer_threads: usize,
+    median_us: f64,
+    spread: f64,
+}
+
+#[derive(serde::Deserialize)]
+struct Baseline {
+    benches: Vec<BaselineRow>,
+}
+
+/// Print each row's median against the baseline at `path` (the file
+/// about to be overwritten): old → new, the ratio, and "within spread"
+/// when |ratio − 1| is below the larger of the two rows' spreads, i.e.
+/// when the row cannot tell the change from noise. Prints only.
+fn print_against_baseline(path: &Path, records: &[Record]) {
+    let baseline = match std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| serde_json::from_str::<Baseline>(&text).map_err(|e| e.to_string()))
+    {
+        Ok(b) => b,
+        Err(e) => {
+            println!("no baseline to compare with ({}: {e})", path.display());
+            return;
+        }
+    };
+    println!("against {}:", path.display());
+    for r in records {
+        let old = baseline
+            .benches
+            .iter()
+            .find(|b| b.name == r.name && b.consumer_threads == r.consumer_threads);
+        let Some(old) = old else {
+            println!("{:<44} ct={} new row", r.name, r.consumer_threads);
+            continue;
+        };
+        let ratio = r.sample.median_us / old.median_us;
+        let verdict = if (ratio - 1.0).abs() < old.spread.max(r.sample.spread) {
+            "within spread"
+        } else if ratio < 1.0 {
+            "faster"
+        } else {
+            "slower"
+        };
+        println!(
+            "{:<44} ct={} {:.1} -> {:.1} us  x{ratio:.3}  {verdict}",
+            r.name, r.consumer_threads, old.median_us, r.sample.median_us
+        );
+    }
+}
+
 fn main() {
     let mid = fleet_scenario("bench_mid_fleet", 48);
     let stress = fleet_scenario("bench_stress_10k", 10_000);
@@ -730,6 +893,7 @@ fn main() {
     }
     std::fs::remove_dir_all(&ds_dir).ok();
     sim_benches(&mut records);
+    extract_and_schedule_benches(&mut records);
     query_benches(&mut records);
     write_benches(&mut records, host_cpus);
     cold_open_benches(&mut records);
@@ -781,6 +945,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
     let out = root.join("BENCH_pipeline.json");
+    print_against_baseline(&out, &records);
     std::fs::write(&out, &json).expect("BENCH_pipeline.json is writable");
     println!("wrote {}", out.display());
 }

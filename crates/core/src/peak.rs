@@ -9,8 +9,8 @@
 use crate::extractor::{build_offer, FlexibilityExtractor};
 use crate::io::{PeakDayReport, PeakInfo};
 use crate::{Diagnostics, ExtractionConfig, ExtractionError, ExtractionInput, ExtractionOutput};
-use flextract_series::peaks::{detect_peaks, filter_peaks, selection_probabilities};
-use flextract_series::segment::split_whole_days;
+use flextract_series::peaks::{detect_peaks_into, selection_probabilities_into};
+use flextract_series::segment::whole_day_ranges;
 use flextract_series::{PeakThreshold, TimeSeries};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -66,6 +66,12 @@ impl FlexibilityExtractor for PeakExtractor {
         "peak"
     }
 
+    /// One pass over the whole days of `input.series`, each read as a
+    /// slice of it. The detected peaks, the survivors (indices into
+    /// them), their probabilities and the offer's slice energies live in
+    /// four buffers reused from day to day, so a call allocates its two
+    /// output series, its offer list, and per day only what it returns:
+    /// the day's report rows, the offer and any note.
     fn extract(
         &self,
         input: &ExtractionInput<'_>,
@@ -78,41 +84,60 @@ impl FlexibilityExtractor for PeakExtractor {
         }
         let mut modified = series.clone();
         let mut extracted = TimeSeries::zeros_like(series);
-        let mut offers = Vec::new();
-        let mut diagnostics = Diagnostics::default();
+        let days = whole_day_ranges(series);
+        let mut offers = Vec::with_capacity(days.len());
+        let mut diagnostics = Diagnostics {
+            peak_reports: Vec::with_capacity(days.len()),
+            ..Diagnostics::default()
+        };
         let mut next_id = 1u64;
+        let (mut peaks, mut survivors, mut probs, mut energies) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
 
-        for day in split_whole_days(series) {
-            let day_total = day.total_energy();
+        for day_range in days {
+            let day_start = series.timestamp_of(day_range.start);
+            let day = &series.values()[day_range.clone()];
+            let day_total: f64 = day.iter().sum();
             if day_total <= 0.0 {
                 diagnostics.notes.push(format!(
                     "{}: zero-consumption day skipped",
-                    day.start().date()
+                    day_start.date()
                 ));
                 continue;
             }
-            // Phase 1: detection above the daily average line.
-            let (threshold, all_peaks) = detect_peaks(&day, self.threshold)?;
+            // Phase 1: detection above the daily average line. The mean
+            // is `stats::mean`'s sum over length, and that sum is the
+            // day's total.
+            let threshold = match self.threshold {
+                PeakThreshold::Mean => day_total / day.len() as f64,
+                other => other.resolve(day)?,
+            };
+            detect_peaks_into(day, day_start, series.resolution(), threshold, &mut peaks);
             // Phase 2: filtering by the flexible part of the day.
             let min_peak_energy = self.cfg.flexible_share * day_total;
-            let survivors = filter_peaks(all_peaks.clone(), min_peak_energy);
-            let probs = selection_probabilities(&survivors);
+            survivors.clear();
+            survivors.extend((0..peaks.len()).filter(|&i| peaks[i].energy_kwh >= min_peak_energy));
+            selection_probabilities_into(
+                survivors.iter().map(|&i| peaks[i].energy_kwh),
+                &mut probs,
+            );
             // Phase 3: size-proportional selection.
             let chosen = weighted_pick(rng, &probs);
 
-            // Assemble the Figure-5 report for this day.
+            // Assemble the Figure-5 report for this day. Survivors are
+            // in peak order, so one cursor pairs each peak with its
+            // survivor slot.
             let mut report = PeakDayReport {
-                day: day.start(),
+                day: day_start,
                 day_total_kwh: day_total,
                 threshold_kwh: threshold,
                 min_peak_energy_kwh: min_peak_energy,
-                peaks: Vec::with_capacity(all_peaks.len()),
+                peaks: Vec::with_capacity(peaks.len()),
                 selected: None,
             };
-            for (i, p) in all_peaks.iter().enumerate() {
-                let surv_idx = survivors
-                    .iter()
-                    .position(|s| s.start_index == p.start_index);
+            let mut slots = survivors.iter().enumerate().peekable();
+            for (i, p) in peaks.iter().enumerate() {
+                let surv_idx = slots.next_if(|&(_, &s)| s == i).map(|(j, _)| j);
                 report.peaks.push(PeakInfo {
                     number: i + 1,
                     start: p.range.start(),
@@ -126,35 +151,29 @@ impl FlexibilityExtractor for PeakExtractor {
             let Some(sel) = chosen else {
                 diagnostics.notes.push(format!(
                     "{}: no peak survived the {min_peak_energy:.3} kWh filter",
-                    day.start().date()
+                    day_start.date()
                 ));
                 diagnostics.peak_reports.push(report);
                 continue;
             };
-            let peak = &survivors[sel];
-            report.selected = all_peaks
-                .iter()
-                .position(|p| p.start_index == peak.start_index)
-                .map(|i| i + 1);
+            let peak = &peaks[survivors[sel]];
+            report.selected = Some(survivors[sel] + 1);
             diagnostics.peak_reports.push(report);
 
             // Phase 4: one flex-offer, positioned on the peak, carrying
             // the day's whole flexible part, shaped like the peak.
             let n = peak.len.min(self.cfg.slices_per_offer.1).max(1);
-            let window = &day.values()[peak.start_index..peak.start_index + n];
+            let window = &day[peak.start_index..peak.start_index + n];
             let window_energy: f64 = window.iter().sum();
-            let mut energies: Vec<f64> = window
-                .iter()
-                .map(|c| min_peak_energy * c / window_energy)
-                .collect();
-            for (k, e) in energies.iter_mut().enumerate() {
-                let global = modified
-                    .index_of(day.timestamp_of(peak.start_index + k))
-                    .expect("peak intervals lie inside the series");
-                let available = modified.values()[global].max(0.0);
-                *e = e.min(available);
-                modified.values_mut()[global] -= *e;
-                extracted.values_mut()[global] += *e;
+            energies.clear();
+            energies.extend(window.iter().map(|c| min_peak_energy * c / window_energy));
+            let at = day_range.start + peak.start_index;
+            let left = &mut modified.values_mut()[at..at + n];
+            let taken = &mut extracted.values_mut()[at..at + n];
+            for ((e, m), x) in energies.iter_mut().zip(left).zip(taken) {
+                *e = e.min(m.max(0.0));
+                *m -= *e;
+                *x += *e;
             }
             let offer = build_offer(next_id, &self.cfg, rng, peak.range.start(), &energies)?;
             next_id += 1;
@@ -169,6 +188,9 @@ impl FlexibilityExtractor for PeakExtractor {
         })
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -360,5 +382,107 @@ mod tests {
             ),
             Err(ExtractionError::EmptySeries)
         );
+    }
+
+    /// Run the extractor and its oracle from the same generator state;
+    /// outputs (offers, diagnostics, series bits) and generators must
+    /// agree.
+    fn assert_matches_oracle(ex: &PeakExtractor, series: &TimeSeries, seed: u64, what: &str) {
+        let input = ExtractionInput::household(series);
+        let (mut rng, mut oracle_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let got = ex.extract(&input, &mut rng);
+        let want = oracle::extract(ex, &input, &mut oracle_rng);
+        assert_eq!(got, want, "{what}");
+        // Debug prints each f64 in full, so -0.0 and 0.0 differ here.
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+        assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>(), "{what}");
+    }
+
+    #[test]
+    fn extract_matches_the_oracle_on_fleet_households() {
+        use flextract_sim::{simulate_household, FleetConfig, HouseholdArchetype};
+        use flextract_time::{Duration, TimeRange};
+
+        let week = TimeRange::starting_at(
+            "2013-03-18".parse::<Timestamp>().unwrap(),
+            Duration::weeks(1),
+        )
+        .unwrap();
+        let extractors = [
+            PeakExtractor::new(ExtractionConfig::default()),
+            PeakExtractor::new(ExtractionConfig::with_share(0.2)),
+            PeakExtractor::new(ExtractionConfig {
+                slices_per_offer: (1, 2),
+                ..ExtractionConfig::with_share(0.01)
+            }),
+            PeakExtractor::with_threshold(ExtractionConfig::default(), PeakThreshold::Median),
+            PeakExtractor::with_threshold(
+                ExtractionConfig::default(),
+                PeakThreshold::Quantile(0.9),
+            ),
+            PeakExtractor::with_threshold(
+                ExtractionConfig::default(),
+                PeakThreshold::Absolute(0.3),
+            ),
+        ];
+        for fleet_seed in [1, 7, 29] {
+            let configs = FleetConfig {
+                households: 12,
+                base_seed: fleet_seed,
+                archetype_mix: vec![
+                    (HouseholdArchetype::SingleResident, 0.25),
+                    (HouseholdArchetype::Couple, 0.35),
+                    (HouseholdArchetype::FamilyWithChildren, 0.25),
+                    (HouseholdArchetype::SuburbanWithEv, 0.15),
+                ],
+                tariff_response: None,
+                threads: 1,
+            }
+            .household_configs();
+            for (h, cfg) in configs.iter().enumerate() {
+                let market = simulate_household(cfg, week).series_at(Resolution::MIN_15);
+                // The week as simulated, and cut to start at 05:00 and
+                // end at 20:00, so partial days lead and trail.
+                let cut = market.slice(
+                    TimeRange::new(
+                        "2013-03-18 05:00".parse().unwrap(),
+                        "2013-03-24 20:00".parse().unwrap(),
+                    )
+                    .unwrap(),
+                );
+                for (k, ex) in extractors.iter().enumerate() {
+                    for (series, shape) in [(&market, "week"), (&cut, "cut week")] {
+                        assert_matches_oracle(
+                            ex,
+                            series,
+                            fleet_seed * 1_000 + h as u64,
+                            &format!("fleet {fleet_seed}, household {h}, extractor {k}, {shape}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extract_matches_the_oracle_on_edge_days() {
+        let ex = PeakExtractor::new(ExtractionConfig::default());
+        let start = "2013-03-18".parse::<Timestamp>().unwrap();
+        // A zero day between two peaked days, then a flat day.
+        let mut values = two_peak_day().into_values();
+        values.extend(vec![0.0; 96]);
+        values.extend(two_peak_day().into_values());
+        values.extend(vec![0.5; 96]);
+        let series = TimeSeries::new(start, Resolution::MIN_15, values).unwrap();
+        for seed in 0..8 {
+            assert_matches_oracle(&ex, &series, seed, &format!("edge days, seed {seed}"));
+        }
+        // Shorter than a day: no whole day at all.
+        let short = TimeSeries::constant(start, Resolution::MIN_15, 0.3, 40);
+        assert_matches_oracle(&ex, &short, 1, "no whole day");
+        // Hourly input.
+        let hourly =
+            flextract_series::resample::to_resolution(&series, Resolution::HOUR_1).unwrap();
+        assert_matches_oracle(&ex, &hourly, 2, "hourly");
     }
 }

@@ -222,11 +222,23 @@ impl FlexOffer {
 
     /// All admissible start instants on the profile's resolution grid.
     pub fn candidate_starts(&self) -> Vec<Timestamp> {
+        (0..self.candidate_start_count())
+            .map(|i| self.candidate_start(i))
+            .collect()
+    }
+
+    /// How many instants [`FlexOffer::candidate_starts`] lists, without
+    /// listing them.
+    pub fn candidate_start_count(&self) -> usize {
         let step = self.profile.resolution().minutes();
         let n = (self.latest_start - self.earliest_start).as_minutes() / step + 1;
-        (0..n)
-            .map(|i| self.earliest_start + Duration::minutes(i * step))
-            .collect()
+        n.max(0) as usize
+    }
+
+    /// The `i`-th instant of [`FlexOffer::candidate_starts`]: `i`
+    /// profile intervals after the earliest start.
+    pub fn candidate_start(&self, i: usize) -> Timestamp {
+        self.earliest_start + Duration::minutes(i as i64 * self.profile.resolution().minutes())
     }
 
     /// Re-check every invariant (useful after deserialisation).
@@ -461,6 +473,11 @@ mod tests {
         assert_eq!(starts.len(), 29);
         assert_eq!(starts[0], offer.earliest_start());
         assert_eq!(*starts.last().unwrap(), offer.latest_start());
+        // The count and the indexed start agree with the listing.
+        assert_eq!(offer.candidate_start_count(), starts.len());
+        for (i, &s) in starts.iter().enumerate() {
+            assert_eq!(offer.candidate_start(i), s);
+        }
         // Degenerate window: single start.
         let fixed = FlexOffer::builder(2)
             .start_window(ts("2013-03-18 22:00"), ts("2013-03-18 22:00"))

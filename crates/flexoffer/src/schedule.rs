@@ -29,6 +29,22 @@ impl ScheduledFlexOffer {
         start: Timestamp,
         energies: Vec<f64>,
     ) -> Result<Self, FlexOfferError> {
+        Self::check(&offer, start, &energies)?;
+        Ok(ScheduledFlexOffer {
+            offer,
+            start,
+            energies,
+        })
+    }
+
+    /// The checks of [`ScheduledFlexOffer::new`], in the same order,
+    /// without building the schedule: a scheduler can vet every
+    /// candidate start and build a schedule only for the one it picks.
+    pub fn check(
+        offer: &FlexOffer,
+        start: Timestamp,
+        energies: &[f64],
+    ) -> Result<(), FlexOfferError> {
         if start < offer.earliest_start() || start > offer.latest_start() {
             return Err(FlexOfferError::StartOutsideWindow);
         }
@@ -46,11 +62,7 @@ impl ScheduledFlexOffer {
                 return Err(FlexOfferError::EnergyOutOfBounds { slice: i });
             }
         }
-        Ok(ScheduledFlexOffer {
-            offer,
-            start,
-            energies,
-        })
+        Ok(())
     }
 
     /// The *default schedule*: start at the earliest admissible instant

@@ -9,7 +9,7 @@
 //! choice.
 
 use crate::{stats, SeriesError, TimeSeries};
-use flextract_time::TimeRange;
+use flextract_time::{Resolution, TimeRange, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// How the peak-detection threshold is derived from the analysed window.
@@ -79,28 +79,70 @@ pub fn detect_peaks(
     }
     let thr = threshold.resolve(series.values())?;
     let mut peaks = Vec::new();
-    let mut run_start: Option<usize> = None;
-    let values = series.values();
-    for i in 0..=values.len() {
-        let above = i < values.len() && values[i] > thr;
-        match (run_start, above) {
-            (None, true) => run_start = Some(i),
-            (Some(s), false) => {
-                let window = &values[s..i];
-                peaks.push(Peak {
-                    start_index: s,
-                    len: i - s,
-                    energy_kwh: window.iter().sum(),
-                    max_interval_kwh: stats::max(window).expect("run is non-empty"),
-                    range: TimeRange::new(series.timestamp_of(s), series.timestamp_of(i))
-                        .expect("indices are ordered"),
-                });
-                run_start = None;
+    detect_peaks_into(
+        series.values(),
+        series.start(),
+        series.resolution(),
+        thr,
+        &mut peaks,
+    );
+    Ok((thr, peaks))
+}
+
+/// The peaks [`detect_peaks`] finds above the resolved threshold `thr`,
+/// over `values`, the intervals of a series that starts at `start` with
+/// `resolution`, into a reusable buffer (cleared first). Allocates only
+/// when `peaks` must grow.
+///
+/// Runs are found 64 intervals at a time: one word marks the intervals
+/// above `thr`, and bit scans find where runs start and end, so the
+/// branches follow the runs rather than every interval.
+pub fn detect_peaks_into(
+    values: &[f64],
+    start: Timestamp,
+    resolution: Resolution,
+    thr: f64,
+    peaks: &mut Vec<Peak>,
+) {
+    peaks.clear();
+    let mut close = |s: usize, e: usize| {
+        let window = &values[s..e];
+        let at = |i: usize| start + resolution.interval() * i as i64;
+        peaks.push(Peak {
+            start_index: s,
+            len: e - s,
+            energy_kwh: window.iter().sum(),
+            max_interval_kwh: stats::max(window).expect("run is non-empty"),
+            range: TimeRange::new(at(s), at(e)).expect("indices are ordered"),
+        });
+    };
+    // The start of the run in progress, if any.
+    let mut open: Option<usize> = None;
+    for (b, block) in values.chunks(64).enumerate() {
+        let above = block
+            .iter()
+            .enumerate()
+            .fold(0_u64, |m, (j, &v)| m | (u64::from(v > thr) << j));
+        let (base, n) = (b * 64, block.len() as u32);
+        let mut pos = 0;
+        while pos < n {
+            // The next change of state at or after `pos`: a set bit
+            // outside a run, a clear one inside (none → 64).
+            let changes = if open.is_some() { !above } else { above } >> pos;
+            let next = pos + changes.trailing_zeros();
+            if next >= n {
+                break;
             }
-            _ => {}
+            match open.take() {
+                None => open = Some(base + next as usize),
+                Some(s) => close(s, base + next as usize),
+            }
+            pos = next;
         }
     }
-    Ok((thr, peaks))
+    if let Some(s) = open {
+        close(s, values.len());
+    }
 }
 
 /// Retain only peaks with `energy_kwh >= min_energy` — the paper's
@@ -120,17 +162,29 @@ pub fn filter_peaks(peaks: Vec<Peak>, min_energy: f64) -> Vec<Peak> {
 /// Returns an empty vector when `peaks` is empty or total energy is not
 /// positive.
 pub fn selection_probabilities(peaks: &[Peak]) -> Vec<f64> {
-    let total: f64 = peaks.iter().map(|p| p.energy_kwh).sum();
+    let mut probs = Vec::new();
+    selection_probabilities_into(peaks.iter().map(|p| p.energy_kwh), &mut probs);
+    probs
+}
+
+/// [`selection_probabilities`] for the peak sizes `sizes`, into a
+/// reusable buffer (cleared first, left empty when the total is not
+/// positive).
+pub fn selection_probabilities_into(
+    sizes: impl Iterator<Item = f64> + Clone,
+    probs: &mut Vec<f64>,
+) {
+    probs.clear();
+    let total: f64 = sizes.clone().sum();
     if total <= 0.0 {
-        return Vec::new();
+        return;
     }
-    peaks.iter().map(|p| p.energy_kwh / total).collect()
+    probs.extend(sizes.map(|e| e / total));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flextract_time::{Resolution, Timestamp};
 
     fn ts(s: &str) -> Timestamp {
         s.parse().unwrap()
@@ -233,5 +287,70 @@ mod tests {
         assert_eq!((probs[1] * 100.0).round() as i32, 71);
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(selection_probabilities(&[]).is_empty());
+    }
+
+    /// The detection loop the word-wide scan replaced: one state step
+    /// per interval.
+    fn detect_per_interval(values: &[f64], start: Timestamp, thr: f64) -> Vec<Peak> {
+        let res = Resolution::MIN_15;
+        let at = |i: usize| start + res.interval() * i as i64;
+        let mut peaks = Vec::new();
+        let mut run_start: Option<usize> = None;
+        for i in 0..=values.len() {
+            let above = i < values.len() && values[i] > thr;
+            match (run_start, above) {
+                (None, true) => run_start = Some(i),
+                (Some(s), false) => {
+                    let window = &values[s..i];
+                    peaks.push(Peak {
+                        start_index: s,
+                        len: i - s,
+                        energy_kwh: window.iter().sum(),
+                        max_interval_kwh: stats::max(window).unwrap(),
+                        range: TimeRange::new(at(s), at(i)).unwrap(),
+                    });
+                    run_start = None;
+                }
+                _ => {}
+            }
+        }
+        peaks
+    }
+
+    #[test]
+    fn word_scan_matches_the_interval_loop() {
+        let start = ts("2013-03-18");
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut buffer = vec![Peak {
+            start_index: 99,
+            len: 1,
+            energy_kwh: 0.0,
+            max_interval_kwh: 0.0,
+            range: TimeRange::new(start, start).unwrap(),
+        }];
+        // Lengths around every word boundary; runs of every length,
+        // including ones that fill whole words and end on the last
+        // interval.
+        for len in (0..=200).chain([255, 256, 257, 640]) {
+            for density in [0.05, 0.5, 0.95, 1.0] {
+                let values: Vec<f64> = (0..len).map(|_| next()).collect();
+                let thr = 1.0 - density;
+                let want = detect_per_interval(&values, start, thr);
+                detect_peaks_into(&values, start, Resolution::MIN_15, thr, &mut buffer);
+                assert_eq!(buffer, want, "len {len}, density {density}");
+            }
+        }
+        // A NaN threshold marks nothing; NaN values are never above.
+        let values = [1.0, f64::NAN, 2.0, 2.0, f64::NAN];
+        detect_peaks_into(&values, start, Resolution::MIN_15, f64::NAN, &mut buffer);
+        assert!(buffer.is_empty());
+        detect_peaks_into(&values, start, Resolution::MIN_15, 0.5, &mut buffer);
+        assert_eq!(buffer, detect_per_interval(&values, start, 0.5));
     }
 }

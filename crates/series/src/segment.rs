@@ -10,8 +10,9 @@
 //!   [`typical_day_profile`] with a [`DayKind`] filter.
 
 use crate::{SeriesError, TimeSeries};
-use flextract_time::{Duration, TimeRange, Timestamp};
+use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Which civil days participate in a typical-day profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -41,17 +42,27 @@ impl DayKind {
 /// the paper reason per complete day ("detecting peaks in the 24-hour
 /// period", §3.2).
 pub fn split_whole_days(series: &TimeSeries) -> Vec<TimeSeries> {
-    let mut out = Vec::new();
-    let first_midnight = series.start().ceil_to(flextract_time::Resolution::DAY);
-    let mut cur = first_midnight;
+    whole_day_ranges(series)
+        .map(|days| {
+            let day = TimeRange::starting_at(series.timestamp_of(days.start), Duration::DAY)
+                .expect("day > 0");
+            series.slice(day)
+        })
+        .collect()
+}
+
+/// The index ranges of the whole civil days [`split_whole_days`]
+/// copies out, in order, without copying: each range is one day of
+/// `intervals_per_day` values starting at a midnight.
+pub fn whole_day_ranges(series: &TimeSeries) -> impl ExactSizeIterator<Item = Range<usize>> {
     let per_day = series.resolution().intervals_per_day();
-    while cur + Duration::DAY <= series.end() {
-        let day = series.slice(TimeRange::starting_at(cur, Duration::DAY).expect("day > 0"));
-        debug_assert_eq!(day.len(), per_day);
-        out.push(day);
-        cur += Duration::DAY;
-    }
-    out
+    // Every resolution divides a day, so the first midnight is on the
+    // series' grid.
+    let lead = (series.start().ceil_to(Resolution::DAY) - series.start()).as_minutes()
+        / series.resolution().minutes();
+    let lead = lead as usize;
+    let days = series.len().saturating_sub(lead) / per_day;
+    (0..days).map(move |d| lead + d * per_day..lead + (d + 1) * per_day)
 }
 
 /// Split a series into consecutive periods of `period` length — the
@@ -130,7 +141,6 @@ pub fn day_profile_std(series: &TimeSeries, kind: DayKind) -> Result<Vec<f64>, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flextract_time::Resolution;
 
     fn ts(s: &str) -> Timestamp {
         s.parse().unwrap()
@@ -168,6 +178,11 @@ mod tests {
         assert_eq!(days[0].start(), ts("2013-03-19"));
         assert_eq!(days[1].start(), ts("2013-03-20"));
         assert_eq!(days[0].len(), 24);
+        let ranges: Vec<_> = whole_day_ranges(&s).collect();
+        assert_eq!(ranges, vec![6..30, 30..54]);
+        // One value short of the second whole day.
+        let short = s.slice(TimeRange::new(s.start(), ts("2013-03-20 23:00")).unwrap());
+        assert_eq!(whole_day_ranges(&short).collect::<Vec<_>>(), vec![6..30]);
     }
 
     #[test]

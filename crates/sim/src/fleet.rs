@@ -111,12 +111,12 @@ impl FleetConfig {
     pub fn try_household_configs(&self) -> Result<Vec<HouseholdConfig>, FleetConfigError> {
         self.validate()?;
         let mut rng = StdRng::seed_from_u64(self.base_seed);
-        let weights: Vec<f64> = self.archetype_mix.iter().map(|(_, w)| *w).collect();
+        let weights = self.archetype_mix.iter().map(|(_, w)| *w);
         Ok((0..self.households)
             .map(|i| {
                 // `validate` guarantees positive mass, so the draw
                 // always succeeds; the fallback is unreachable.
-                let idx = weighted_index(&mut rng, &weights).unwrap_or(0);
+                let idx = weighted_index(&mut rng, weights.clone()).unwrap_or(0);
                 let arch = self.archetype_mix[idx].0;
                 let mut cfg =
                     HouseholdConfig::new(i as u64, arch).with_seed(self.base_seed + i as u64);

@@ -192,20 +192,29 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u32 {
     }
 }
 
-/// Pick an index with probability proportional to `weights[i]`.
+/// Pick an index with probability proportional to the `i`-th weight.
 ///
 /// Returns `None` when the weights are empty or sum to a non-positive
 /// value. This is exactly the selection rule of the paper's peak-based
 /// approach ("the single peak is randomly chosen depending on these
-/// probabilities", §3.2).
-pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<usize> {
-    let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
+/// probabilities", §3.2). The weights are walked twice (sum, then
+/// pick), so a caller can pass them straight from where they are
+/// stored, without collecting them.
+pub fn weighted_index<R, W>(rng: &mut R, weights: W) -> Option<usize>
+where
+    R: Rng + ?Sized,
+    W: IntoIterator<Item = f64>,
+    W::IntoIter: Clone,
+{
+    let weights = weights.into_iter();
+    let positive = |w: &f64| w.is_finite() && *w > 0.0;
+    let total: f64 = weights.clone().filter(positive).sum();
     if total <= 0.0 {
         return None;
     }
     let mut target = rng.gen::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        if w.is_finite() && w > 0.0 {
+    for (i, w) in weights.clone().enumerate() {
+        if positive(&w) {
             target -= w;
             if target <= 0.0 {
                 return Some(i);
@@ -213,7 +222,11 @@ pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<u
         }
     }
     // Float rounding can leave a sliver; return the last positive index.
-    weights.iter().rposition(|w| w.is_finite() && *w > 0.0)
+    weights
+        .enumerate()
+        .filter(|(_, w)| positive(w))
+        .last()
+        .map(|(i, _)| i)
 }
 
 /// A Bernoulli trial with probability `p` (clamped into `[0, 1]`).
@@ -307,7 +320,7 @@ mod tests {
         let mut counts = [0u32; 2];
         let n = 50_000;
         for _ in 0..n {
-            counts[weighted_index(&mut r, &weights).unwrap()] += 1;
+            counts[weighted_index(&mut r, weights).unwrap()] += 1;
         }
         let p0 = counts[0] as f64 / n as f64;
         // Expected 2.22 / 7.69 ≈ 0.2887 — the paper's "29 %".
@@ -317,12 +330,12 @@ mod tests {
     #[test]
     fn weighted_index_edge_cases() {
         let mut r = rng();
-        assert_eq!(weighted_index(&mut r, &[]), None);
-        assert_eq!(weighted_index(&mut r, &[0.0, 0.0]), None);
-        assert_eq!(weighted_index(&mut r, &[-1.0]), None);
-        assert_eq!(weighted_index(&mut r, &[0.0, 3.0, 0.0]), Some(1));
+        assert_eq!(weighted_index(&mut r, [0.0; 0]), None);
+        assert_eq!(weighted_index(&mut r, [0.0, 0.0]), None);
+        assert_eq!(weighted_index(&mut r, [-1.0]), None);
+        assert_eq!(weighted_index(&mut r, [0.0, 3.0, 0.0]), Some(1));
         // NaN weights are skipped, not propagated.
-        assert_eq!(weighted_index(&mut r, &[f64::NAN, 1.0]), Some(1));
+        assert_eq!(weighted_index(&mut r, [f64::NAN, 1.0]), Some(1));
     }
 
     #[test]

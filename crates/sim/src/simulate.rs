@@ -67,6 +67,14 @@ pub fn simulate_household(config: &HouseholdConfig, range: TimeRange) -> Simulat
 
 /// [`simulate_household`] against a caller-provided catalog (fleets
 /// share one catalog; tests inject reduced ones).
+///
+/// Each appliance cycle is added into the series phase by phase
+/// ([`LoadProfile::energy_runs`]), so placing a cycle allocates
+/// nothing. A call allocates its two minute series, the list of owned
+/// appliances, the activation log with one appliance name per
+/// activation, and the copy of `config` it returns.
+///
+/// [`LoadProfile::energy_runs`]: flextract_appliance::LoadProfile::energy_runs
 pub fn simulate_household_with_catalog(
     config: &HouseholdConfig,
     range: TimeRange,
@@ -83,14 +91,13 @@ pub fn simulate_household_with_catalog(
     let base_kw = config.archetype.base_load_kw();
     add_base_load(&mut rng, series.values_mut(), base_kw, 0.02, base_kw * 0.05);
 
-    // --- Appliance cycles. One per-minute scratch buffer is reused for
-    // every cycle expansion, so placing a cycle allocates nothing.
-    let mut cycle_scratch: Vec<f64> = Vec::new();
+    // --- Appliance cycles, each added into the series phase by phase,
+    // so placing a cycle allocates nothing.
     let specs = config.resolve_appliances(catalog);
     for spec in specs {
         match spec.usage.frequency {
             UsageFrequency::Continuous => {
-                simulate_continuous(&mut rng, spec, days, &mut series, &mut cycle_scratch);
+                simulate_continuous(&mut rng, spec, days, &mut series);
             }
             _ => simulate_cycles(
                 &mut rng,
@@ -100,7 +107,6 @@ pub fn simulate_household_with_catalog(
                 &mut series,
                 &mut flexible,
                 &mut log,
-                &mut cycle_scratch,
             ),
         }
     }
@@ -157,46 +163,47 @@ fn add_noise(rng: &mut StdRng, values: &mut [f64], noise_kwh: f64) {
     *rng = local;
 }
 
-/// Add one expanded cycle (per-minute kWh `values` anchored at `start`)
-/// into `target`, skipping minutes outside the series span.
+/// Add one cycle, given as runs of equal per-minute kWh (one
+/// `(minutes, value)` per phase, from [`LoadProfile::energy_runs`])
+/// anchored at `start`, into `target`, skipping minutes outside the
+/// series span. Nothing is expanded into a buffer: each run adds its
+/// value over its in-range stretch of `target`.
 ///
-/// Returns the placed energy — the in-range values summed in minute
-/// order, exactly the number `cycle.slice(range).total_energy()` used
-/// to produce — and how many minutes landed in range. Replaces the old
-/// expand→slice→add_overlapping dance without allocating a temporary
-/// series per cycle.
+/// Returns the placed energy (the in-range values summed in minute
+/// order) and how many minutes landed in range.
 ///
 /// Panics unless `target` is a 1-minute series: the minute offset is
 /// used directly as a value index, which is only sound on the MIN_1
 /// grid (a hard assert, not a debug one — on a coarser grid the
 /// arithmetic would silently misplace energy in release builds).
-fn add_cycle_values(target: &mut TimeSeries, start: Timestamp, values: &[f64]) -> (f64, usize) {
+///
+/// [`LoadProfile::energy_runs`]: flextract_appliance::LoadProfile::energy_runs
+fn add_cycle_values(
+    target: &mut TimeSeries,
+    start: Timestamp,
+    runs: impl IntoIterator<Item = (usize, f64)>,
+) -> (f64, usize) {
     assert_eq!(
         target.resolution(),
         Resolution::MIN_1,
         "add_cycle_values indexes by minute and needs a MIN_1 target"
     );
-    let off = (start - target.start()).as_minutes();
-    let n = values.len() as i64;
-    let j0 = (-off).clamp(0, n) as usize;
-    let j1 = (target.len() as i64 - off).clamp(0, n) as usize;
-    if j0 >= j1 {
-        // Entirely before or after the span; `off + j0` may lie past
-        // the end here, so no slice is taken.
-        return (0.0, 0);
+    let len = target.len() as i64;
+    // `at` is the target index of the current run's first minute.
+    let mut at = (start - target.start()).as_minutes();
+    let values = target.values_mut();
+    let (mut energy, mut placed) = (0.0, 0);
+    for (minutes, v) in runs {
+        let (lo, hi) = (at.clamp(0, len), (at + minutes as i64).clamp(0, len));
+        at += minutes as i64;
+        // lo ≤ hi, both in [0, len]; an empty stretch adds nothing.
+        for t in &mut values[lo as usize..hi as usize] {
+            *t += v;
+            energy += v;
+        }
+        placed += (hi - lo) as usize;
     }
-    // j0 ≥ −off and j1 ≤ len − off, so the target run is in bounds.
-    let t0 = (off + j0 as i64) as usize;
-    let in_range = &values[j0..j1];
-    let mut energy = 0.0;
-    for (t, v) in target.values_mut()[t0..t0 + in_range.len()]
-        .iter_mut()
-        .zip(in_range)
-    {
-        *t += v;
-        energy += v;
-    }
-    (energy, in_range.len())
+    (energy, placed)
 }
 
 /// Chain duty cycles of a continuous appliance (e.g. refrigerator
@@ -206,14 +213,16 @@ fn simulate_continuous(
     spec: &ApplianceSpec,
     days: TimeRange,
     series: &mut TimeSeries,
-    scratch: &mut Vec<f64>,
 ) {
     let cycle = spec.profile.duration();
     let mut cursor = days.start();
     while cursor < days.end() {
         let intensity = clamped_normal(rng, 0.5, 0.2, 0.0, 1.0);
-        spec.profile.fill_energy_values(intensity, scratch);
-        add_cycle_values(series, cursor.floor_to(Resolution::MIN_1), scratch);
+        add_cycle_values(
+            series,
+            cursor.floor_to(Resolution::MIN_1),
+            spec.profile.energy_runs(intensity),
+        );
         // Idle gap between 0.5× and 1.5× of the cycle length.
         let gap =
             Duration::minutes((cycle.as_minutes() as f64 * rng.gen_range(0.5..1.5)).round() as i64);
@@ -231,29 +240,30 @@ fn simulate_cycles(
     series: &mut TimeSeries,
     flexible: &mut TimeSeries,
     log: &mut Vec<Activation>,
-    scratch: &mut Vec<f64>,
 ) {
-    for day in days.split_days() {
-        let weekend = day.start().day_of_week().is_weekend();
+    // `days` is whole days, so each step lands on a midnight.
+    let mut day = days.start();
+    while day < days.end() {
+        let weekend = day.day_of_week().is_weekend();
         let rate =
             spec.usage.expected_rate(weekend).unwrap_or(0.0) * config.archetype.activity_factor();
         let count = poisson(rng, rate);
         for _ in 0..count {
-            let natural_start = sample_start(rng, spec, day.start());
+            let natural_start = sample_start(rng, spec, day);
             let (start, shifted_from) =
                 apply_tariff_response(rng, spec, natural_start, config.tariff_response.as_ref());
             let intensity = clamped_normal(rng, 0.5, 0.25, 0.0, 1.0);
-            spec.profile.fill_energy_values(intensity, scratch);
             // Only the in-range part enters the household series; record
             // that amount so ground truth and series stay in balance.
             let anchored = start.floor_to(Resolution::MIN_1);
-            let (energy_kwh, placed_minutes) = add_cycle_values(series, anchored, scratch);
+            let cycle = spec.profile.energy_runs(intensity);
+            let (energy_kwh, placed_minutes) = add_cycle_values(series, anchored, cycle);
             if placed_minutes == 0 {
                 continue;
             }
             let shiftable = spec.shiftability.is_shiftable();
             if shiftable {
-                add_cycle_values(flexible, anchored, scratch);
+                add_cycle_values(flexible, anchored, spec.profile.energy_runs(intensity));
             }
             log.push(Activation {
                 appliance: spec.name.clone(),
@@ -265,14 +275,14 @@ fn simulate_cycles(
                 shifted_from,
             });
         }
+        day += Duration::DAY;
     }
 }
 
 /// Draw a natural start instant from the appliance's preferred windows.
 fn sample_start(rng: &mut StdRng, spec: &ApplianceSpec, day_start: Timestamp) -> Timestamp {
     let windows = &spec.usage.preferred_windows;
-    let weights: Vec<f64> = windows.iter().map(|(_, _, w)| *w).collect();
-    let idx = weighted_index(rng, &weights).unwrap_or(0);
+    let idx = weighted_index(rng, windows.iter().map(|(_, _, w)| *w)).unwrap_or(0);
     let (from, to, _) = windows.get(idx).copied().unwrap_or((
         flextract_time::CivilTime::MIDNIGHT,
         flextract_time::CivilTime::MIDNIGHT,
@@ -519,8 +529,8 @@ mod tests {
         assert!(sim.activations.iter().all(|a| !a.was_shifted()));
     }
 
-    /// `add_cycle_values` as an index loop over the clamped cycle
-    /// range: the reference for the slice walk.
+    /// The expanded cycle (`values`, one per minute) added as an index
+    /// loop over its clamped range: the reference for the run walk.
     fn add_cycle_values_indexed(
         target: &mut TimeSeries,
         start: Timestamp,
@@ -544,32 +554,48 @@ mod tests {
         let day: Timestamp = "2013-03-18".parse().unwrap();
         let len = 100;
         let base: Vec<f64> = (0..len).map(|i| 0.01 + i as f64 * 0.003).collect();
-        // Values whose sum depends on the order they are added in.
-        let cycle: Vec<f64> = (0..10).map(|j| 0.1 / (j as f64 + 3.0) + 1e-9).collect();
-        let n = cycle.len() as i64;
-        // off < −n, off = −n, −n < off < 0, inside, off + n > len,
-        // off = len − 1, off = len, off > len.
-        for off in [
-            -25,
-            -n,
-            -4,
-            0,
-            37,
-            len as i64 - n,
-            95,
-            len as i64 - 1,
-            len as i64,
-            130,
-        ] {
-            let start = day + Duration::minutes(off);
-            let mut got = TimeSeries::new(day, Resolution::MIN_1, base.clone()).unwrap();
-            let mut want = got.clone();
-            let (e_got, n_got) = add_cycle_values(&mut got, start, &cycle);
-            let (e_want, n_want) = add_cycle_values_indexed(&mut want, start, &cycle);
-            assert_eq!(n_got, n_want, "off {off}");
-            assert_eq!(e_got.to_bits(), e_want.to_bits(), "off {off}");
-            let bits = |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "off {off}");
+        // Values whose sum depends on the order they are added in, as
+        // one-minute runs and as phases of 3, 1, 4 and 2 minutes.
+        let value = |j: usize| 0.1 / (j as f64 + 3.0) + 1e-9;
+        let minute_runs: Vec<(usize, f64)> = (0..10).map(|j| (1, value(j))).collect();
+        let phase_runs: Vec<(usize, f64)> = [3, 1, 4, 2]
+            .iter()
+            .enumerate()
+            .map(|(j, &m)| (m, value(j)))
+            .collect();
+        for runs in [&minute_runs, &phase_runs] {
+            let cycle: Vec<f64> = runs
+                .iter()
+                .flat_map(|&(m, v)| std::iter::repeat_n(v, m))
+                .collect();
+            let n = cycle.len() as i64;
+            // off < −n, off = −n, −n < off < 0, inside, off + n > len,
+            // off = len − 1, off = len, off > len.
+            for off in [
+                -25,
+                -n,
+                -4,
+                -2,
+                0,
+                37,
+                len as i64 - n,
+                95,
+                98,
+                len as i64 - 1,
+                len as i64,
+                130,
+            ] {
+                let start = day + Duration::minutes(off);
+                let mut got = TimeSeries::new(day, Resolution::MIN_1, base.clone()).unwrap();
+                let mut want = got.clone();
+                let (e_got, n_got) = add_cycle_values(&mut got, start, runs.iter().copied());
+                let (e_want, n_want) = add_cycle_values_indexed(&mut want, start, &cycle);
+                assert_eq!(n_got, n_want, "off {off}");
+                assert_eq!(e_got.to_bits(), e_want.to_bits(), "off {off}");
+                let bits =
+                    |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "off {off}");
+            }
         }
         // The edges place what they should.
         let mut s = TimeSeries::zeros_over(
@@ -577,22 +603,17 @@ mod tests {
             Resolution::MIN_1,
         )
         .unwrap();
-        assert_eq!(
-            add_cycle_values(&mut s, day + Duration::minutes(-4), &cycle).1,
-            6
-        );
-        assert_eq!(
-            add_cycle_values(&mut s, day + Duration::minutes(95), &cycle).1,
-            5
-        );
-        assert_eq!(
-            add_cycle_values(&mut s, day + Duration::minutes(100), &cycle),
-            (0.0, 0)
-        );
-        assert_eq!(
-            add_cycle_values(&mut s, day + Duration::minutes(-10), &cycle),
-            (0.0, 0)
-        );
+        let mut place = |off: i64| {
+            add_cycle_values(
+                &mut s,
+                day + Duration::minutes(off),
+                phase_runs.iter().copied(),
+            )
+        };
+        assert_eq!(place(-4).1, 6);
+        assert_eq!(place(95).1, 5);
+        assert_eq!(place(100), (0.0, 0));
+        assert_eq!(place(-10), (0.0, 0));
     }
 
     #[test]
@@ -600,7 +621,7 @@ mod tests {
     fn add_cycle_values_refuses_a_coarser_grid() {
         let day: Timestamp = "2013-03-18".parse().unwrap();
         let mut s = TimeSeries::constant(day, Resolution::MIN_15, 0.0, 8);
-        add_cycle_values(&mut s, day, &[1.0]);
+        add_cycle_values(&mut s, day, [(1, 1.0)]);
     }
 
     #[test]
