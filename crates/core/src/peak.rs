@@ -105,13 +105,8 @@ impl FlexibilityExtractor for PeakExtractor {
                 ));
                 continue;
             }
-            // Phase 1: detection above the daily average line. The mean
-            // is `stats::mean`'s sum over length, and that sum is the
-            // day's total.
-            let threshold = match self.threshold {
-                PeakThreshold::Mean => day_total / day.len() as f64,
-                other => other.resolve(day)?,
-            };
+            // Phase 1: detection above the daily average line.
+            let threshold = self.threshold.resolve(day)?;
             detect_peaks_into(day, day_start, series.resolution(), threshold, &mut peaks);
             // Phase 2: filtering by the flexible part of the day.
             let min_peak_energy = self.cfg.flexible_share * day_total;

@@ -93,10 +93,6 @@ pub fn detect_peaks(
 /// over `values`, the intervals of a series that starts at `start` with
 /// `resolution`, into a reusable buffer (cleared first). Allocates only
 /// when `peaks` must grow.
-///
-/// Runs are found 64 intervals at a time: one word marks the intervals
-/// above `thr`, and bit scans find where runs start and end, so the
-/// branches follow the runs rather than every interval.
 pub fn detect_peaks_into(
     values: &[f64],
     start: Timestamp,
@@ -105,43 +101,25 @@ pub fn detect_peaks_into(
     peaks: &mut Vec<Peak>,
 ) {
     peaks.clear();
-    let mut close = |s: usize, e: usize| {
-        let window = &values[s..e];
-        let at = |i: usize| start + resolution.interval() * i as i64;
-        peaks.push(Peak {
-            start_index: s,
-            len: e - s,
-            energy_kwh: window.iter().sum(),
-            max_interval_kwh: stats::max(window).expect("run is non-empty"),
-            range: TimeRange::new(at(s), at(e)).expect("indices are ordered"),
-        });
-    };
-    // The start of the run in progress, if any.
-    let mut open: Option<usize> = None;
-    for (b, block) in values.chunks(64).enumerate() {
-        let above = block
-            .iter()
-            .enumerate()
-            .fold(0_u64, |m, (j, &v)| m | (u64::from(v > thr) << j));
-        let (base, n) = (b * 64, block.len() as u32);
-        let mut pos = 0;
-        while pos < n {
-            // The next change of state at or after `pos`: a set bit
-            // outside a run, a clear one inside (none → 64).
-            let changes = if open.is_some() { !above } else { above } >> pos;
-            let next = pos + changes.trailing_zeros();
-            if next >= n {
-                break;
+    let at = |i: usize| start + resolution.interval() * i as i64;
+    let mut run_start: Option<usize> = None;
+    for i in 0..=values.len() {
+        let above = i < values.len() && values[i] > thr;
+        match (run_start, above) {
+            (None, true) => run_start = Some(i),
+            (Some(s), false) => {
+                let window = &values[s..i];
+                peaks.push(Peak {
+                    start_index: s,
+                    len: i - s,
+                    energy_kwh: window.iter().sum(),
+                    max_interval_kwh: stats::max(window).expect("run is non-empty"),
+                    range: TimeRange::new(at(s), at(i)).expect("indices are ordered"),
+                });
+                run_start = None;
             }
-            match open.take() {
-                None => open = Some(base + next as usize),
-                Some(s) => close(s, base + next as usize),
-            }
-            pos = next;
+            _ => {}
         }
-    }
-    if let Some(s) = open {
-        close(s, values.len());
     }
 }
 
@@ -289,68 +267,12 @@ mod tests {
         assert!(selection_probabilities(&[]).is_empty());
     }
 
-    /// The detection loop the word-wide scan replaced: one state step
-    /// per interval.
-    fn detect_per_interval(values: &[f64], start: Timestamp, thr: f64) -> Vec<Peak> {
-        let res = Resolution::MIN_15;
-        let at = |i: usize| start + res.interval() * i as i64;
-        let mut peaks = Vec::new();
-        let mut run_start: Option<usize> = None;
-        for i in 0..=values.len() {
-            let above = i < values.len() && values[i] > thr;
-            match (run_start, above) {
-                (None, true) => run_start = Some(i),
-                (Some(s), false) => {
-                    let window = &values[s..i];
-                    peaks.push(Peak {
-                        start_index: s,
-                        len: i - s,
-                        energy_kwh: window.iter().sum(),
-                        max_interval_kwh: stats::max(window).unwrap(),
-                        range: TimeRange::new(at(s), at(i)).unwrap(),
-                    });
-                    run_start = None;
-                }
-                _ => {}
-            }
-        }
-        peaks
-    }
-
     #[test]
-    fn word_scan_matches_the_interval_loop() {
-        let start = ts("2013-03-18");
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut buffer = vec![Peak {
-            start_index: 99,
-            len: 1,
-            energy_kwh: 0.0,
-            max_interval_kwh: 0.0,
-            range: TimeRange::new(start, start).unwrap(),
-        }];
-        // Lengths around every word boundary; runs of every length,
-        // including ones that fill whole words and end on the last
-        // interval.
-        for len in (0..=200).chain([255, 256, 257, 640]) {
-            for density in [0.05, 0.5, 0.95, 1.0] {
-                let values: Vec<f64> = (0..len).map(|_| next()).collect();
-                let thr = 1.0 - density;
-                let want = detect_per_interval(&values, start, thr);
-                detect_peaks_into(&values, start, Resolution::MIN_15, thr, &mut buffer);
-                assert_eq!(buffer, want, "len {len}, density {density}");
-            }
-        }
-        // A NaN threshold marks nothing; NaN values are never above.
-        let values = [1.0, f64::NAN, 2.0, 2.0, f64::NAN];
-        detect_peaks_into(&values, start, Resolution::MIN_15, f64::NAN, &mut buffer);
-        assert!(buffer.is_empty());
-        detect_peaks_into(&values, start, Resolution::MIN_15, 0.5, &mut buffer);
-        assert_eq!(buffer, detect_per_interval(&values, start, 0.5));
+    fn detect_peaks_into_clears_its_buffer() {
+        let s = series(vec![0.0, 2.0, 0.0, 1.5, 3.0, 0.0, 0.5, 1.0]);
+        let (_, want) = detect_peaks(&s, PeakThreshold::Absolute(1.0)).unwrap();
+        let mut buffer = want.clone();
+        detect_peaks_into(s.values(), s.start(), s.resolution(), 1.0, &mut buffer);
+        assert_eq!(buffer, want);
     }
 }
