@@ -382,39 +382,33 @@ impl Shard {
     }
 
     /// Check a frame's header against the manifest's declared grid —
-    /// a constant-time check that decodes nothing.
+    /// a constant-time check that decodes nothing. The file's path is
+    /// formatted only for an error.
     fn validate_grid(&self, frame: &Frame, file: &str) -> Result<(), DatasetError> {
         let manifest = &self.manifest;
         let header = frame.header();
-        let file = self.dir.join(file).display().to_string();
-        if header.start != self.start {
-            return Err(DatasetError::Invalid {
-                file,
-                what: format!(
-                    "series starts at {} but the manifest declares {}",
-                    header.start, manifest.start
-                ),
-            });
-        }
-        if header.resolution != self.resolution {
-            return Err(DatasetError::Invalid {
-                file,
-                what: format!(
-                    "series resolution is {} but the manifest declares {} min",
-                    header.resolution, manifest.resolution_min
-                ),
-            });
-        }
-        if header.len != manifest.intervals {
-            return Err(DatasetError::Invalid {
-                file,
-                what: format!(
-                    "series has {} intervals but the manifest declares {}",
-                    header.len, manifest.intervals
-                ),
-            });
-        }
-        Ok(())
+        let what = if header.start != self.start {
+            format!(
+                "series starts at {} but the manifest declares {}",
+                header.start, manifest.start
+            )
+        } else if header.resolution != self.resolution {
+            format!(
+                "series resolution is {} but the manifest declares {} min",
+                header.resolution, manifest.resolution_min
+            )
+        } else if header.len != manifest.intervals {
+            format!(
+                "series has {} intervals but the manifest declares {}",
+                header.len, manifest.intervals
+            )
+        } else {
+            return Ok(());
+        };
+        Err(DatasetError::Invalid {
+            file: self.dir.join(file).display().to_string(),
+            what,
+        })
     }
 
     /// Load a ground-truth file and validate it against the manifest:
@@ -1386,6 +1380,28 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("consumer_1.csv"), "{msg}");
         assert!(msg.contains("2 intervals"), "{msg}");
+        // Each grid mismatch names the file and both sides, byte for
+        // byte.
+        let path = dir.join("consumer_1.csv").display().to_string();
+        assert_eq!(
+            msg,
+            format!("{path}: series has 2 intervals but the manifest declares 4")
+        );
+        let cases = [
+            (
+                MeasuredSeries::new(ts("2013-03-19"), Resolution::MIN_15, vec![0.5; 4]).unwrap(),
+                "series starts at 2013-03-19 00:00 but the manifest declares 2013-03-18 00:00",
+            ),
+            (
+                MeasuredSeries::new(ts("2013-03-18"), Resolution::MIN_5, vec![0.5; 4]).unwrap(),
+                "series resolution is 5min but the manifest declares 15 min",
+            ),
+        ];
+        for (series, what) in cases {
+            std::fs::write(dir.join("consumer_1.csv"), codec::to_csv(&series)).unwrap();
+            let msg = ds.consumer(1).unwrap_err().to_string();
+            assert_eq!(msg, format!("{path}: {what}"));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

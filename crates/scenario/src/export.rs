@@ -18,17 +18,18 @@
 //! Consumer 0 is written first: its measured grid is the one every
 //! other consumer must share, and the writer is created on it. The rest
 //! fan out through [`ordered_parallel_map`] on the host's cores. Each
-//! worker simulates, degrades, encodes and writes its own consumer's
+//! thread simulates, degrades, encodes and writes its own consumer's
 //! files through the writer's shareable files half
 //! ([`ConsumerFiles`]). The merge, in index order, only lists each
 //! written consumer: its manifest entry and, for a sharded store, its
 //! roll-up. File names and shard placement depend only on the consumer
 //! index, so the output is byte-identical at any worker count.
 //!
-//! Memory is bounded per worker, not per fleet: each worker holds one
-//! consumer's native series (total and flexible), its measured series
-//! and one encoded file at a time, and the reorder window holds only
-//! manifest entries, never encoded bytes. A consumer off the fleet grid
+//! Memory is bounded per thread, not per fleet: each thread — the
+//! spawned workers and the calling thread, which writes consumers too
+//! between merges — holds one consumer's native series (total and
+//! flexible), its measured series and one encoded file at a time, and
+//! the reorder window holds only manifest entries, never encoded bytes. A consumer off the fleet grid
 //! fails before any of its files is written, with the first such
 //! consumer in index order named, as a serial loop would name it.
 

@@ -2,8 +2,9 @@
 //! evaluate.
 //!
 //! Parallelism happens on two levels, both deterministic and both
-//! through [`ordered_parallel_map`], whose workers claim indices one at
-//! a time (scenario and consumer costs are highly skewed):
+//! through [`ordered_parallel_map`], whose threads (the calling one
+//! included) claim indices one at a time (scenario and consumer costs
+//! are highly skewed):
 //!
 //! * **Across scenarios** — [`ScenarioRunner::run_all`] fans the corpus
 //!   out over `threads` workers and returns each scenario's own result
@@ -11,7 +12,7 @@
 //! * **Within one scenario** — the consumers of a single workload are
 //!   fanned across `consumer_threads` workers, while the per-consumer
 //!   results are folded into the report in **strict consumer index
-//!   order** on the merging thread. Extraction RNGs are seeded per
+//!   order** on the calling thread. Extraction RNGs are seeded per
 //!   consumer index — never per worker — so a report is byte-identical
 //!   at every thread count, which is what keeps the `tests/golden/`
 //!   snapshots stable.

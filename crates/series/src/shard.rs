@@ -5,25 +5,31 @@
 //! the scenarios of a corpus, the consumers of one scenario, the
 //! households of a simulated fleet, the consumers of a dataset export
 //! (each worker writes its own consumer's files; the merge lists them),
-//! the shards of a store. `n` items
-//! are claimed by worker threads through one atomic counter
-//! (work-stealing — a slow item never stalls the other workers), but
-//! the caller's `consume` closure observes the results in **strict
-//! index order**, one at a time, on the calling thread. Because
-//! reduction happens in index order with exactly the float operations
-//! of a serial loop, anything accumulated through this function is
-//! byte-identical at every thread count — determinism comes from
-//! seeding per item and merging per index, never from scheduling.
+//! the shards of a store. An `N`-way fan-out runs on `N` threads: `N − 1`
+//! spawned workers and the calling thread. `n` items are claimed through
+//! one atomic counter (work-stealing — a slow item never stalls the
+//! other threads), but the caller's `consume` closure observes the
+//! results in **strict index order**, one at a time, on the calling
+//! thread. Between merges the calling thread is a worker too: while the
+//! next item in index order is not ready it claims and produces one
+//! itself instead of parking. Because reduction happens in index order
+//! with exactly the float operations of a serial loop, anything
+//! accumulated through this function is byte-identical at every thread
+//! count — determinism comes from seeding per item and merging per
+//! index, never from scheduling.
 //!
 //! A bounded reorder window applies backpressure: a worker that raced
-//! ahead of the merge frontier parks until the frontier catches up, so a
-//! 10k-consumer stress scenario holds `O(threads + window)` in-flight
-//! results rather than the whole fleet. The window can never deadlock:
-//! the claimant of the lowest outstanding index always satisfies
-//! `index < frontier + window` (the window is at least 1), so the item
-//! the merger is waiting for is always allowed to complete.
+//! ahead of the merge frontier parks until the frontier catches up, and
+//! the calling thread only claims indices inside the window. So a
+//! 10k-consumer stress scenario holds at most `window` finished results
+//! plus one item in production per thread — `O(threads)` in-flight
+//! results, the caller's own included — rather than the whole fleet. The
+//! window can never deadlock: the claimant of the lowest outstanding
+//! index always satisfies `index < frontier + window` (the window is at
+//! least 1), so the item the merger is waiting for is always allowed to
+//! complete, and while it is unclaimed the calling thread claims it.
 //!
-//! The worker count is additionally clamped, silently, to the host's
+//! The thread count is additionally clamped, silently, to the host's
 //! [`std::thread::available_parallelism`]: oversubscribing a smaller
 //! machine is strictly slower (the recorded `BENCH_pipeline.json`
 //! baseline showed `consumer_threads: 8` regressing 20–25 % against
@@ -37,7 +43,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 /// merge frontier (`next index the consumer will take`).
 struct Reorder<T, E> {
     /// A ring of `window` slots; index `i` waits in slot `i % window`.
-    /// Workers only finish indices in `[frontier, frontier + window)`,
+    /// Threads only finish indices in `[frontier, frontier + window)`,
     /// so no two waiting items share a slot.
     ready: Vec<Option<Result<T, E>>>,
     frontier: usize,
@@ -59,11 +65,12 @@ fn lock<'a, T, E>(state: &'a Mutex<Reorder<T, E>>) -> MutexGuard<'a, Reorder<T, 
 
 /// Drop guard that cancels the whole run and wakes every parked thread
 /// unless explicitly disarmed. Armed around any code that can panic
-/// (`produce` on workers, `consume` on the merger): without it, a
-/// panicking worker would leave the merger waiting forever for an index
-/// that will never arrive, and a panicking merger would leave workers
-/// parked on a window that will never advance — either way
-/// `std::thread::scope` could not finish joining to re-raise the panic.
+/// (`produce` on workers; `produce` and `consume` on the calling
+/// thread, the merger): without it, a panicking worker would leave the
+/// merger waiting forever for an index that will never arrive, and a
+/// panicking merger would leave workers parked on a window that will
+/// never advance — either way `std::thread::scope` could not finish
+/// joining to re-raise the panic.
 struct CancelOnDrop<'a, T, E> {
     state: &'a Mutex<Reorder<T, E>>,
     room: &'a Condvar,
@@ -90,29 +97,34 @@ impl<T, E> Drop for CancelOnDrop<'_, T, E> {
     }
 }
 
-/// The worker count [`ordered_parallel_map`] uses for `requested`
+/// The thread count [`ordered_parallel_map`] uses for `requested`
 /// threads over `n` items: `min(requested, available_parallelism)`,
-/// further bounded by the item count and never zero. An unavailable
-/// core count (exotic platforms) leaves the request unclamped rather
-/// than guessing.
+/// further bounded by the item count and never zero. The count includes
+/// the calling thread, which produces items too: `t` threads means
+/// `t − 1` spawned workers. An unavailable core count (exotic
+/// platforms) leaves the request unclamped rather than guessing.
 fn effective_workers(requested: usize, n: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(usize::MAX, |c| c.get());
     requested.min(cores).clamp(1, n.max(1))
 }
 
-/// Run `produce` over `0..n` on scoped workers, feeding the results to
-/// `consume` in strict index order on the calling thread.
+/// Run `produce` over `0..n` on scoped workers and the calling thread,
+/// feeding the results to `consume` in strict index order on the
+/// calling thread.
 ///
-/// At most `threads` workers run, and never more than the host has CPU
-/// cores or than there are items: the workers are CPU-bound and merge
-/// order is already pinned by index, so extra threads cannot help and
-/// measurably hurt on small hosts.
+/// At most `threads` threads run `produce`, the calling thread among
+/// them, and never more than the host has CPU cores or than there are
+/// items: the threads are CPU-bound and merge order is already pinned
+/// by index, so extra threads cannot help and measurably hurt on small
+/// hosts. Memory is bounded per thread, not per run: at most `4 ×
+/// threads` finished results wait for their merge, plus one item in
+/// production on each thread.
 ///
 /// The first `Err` — from `produce` (in index order) or from `consume`
 /// — cancels the remaining work and is returned. A caller that wants
 /// every item's own result, failures included, returns `Ok(result)`
 /// from `produce`. With one worker (serial request, single item, or a
-/// 1-core host) no threads are spawned at all and the loop runs
+/// 1-core host) no thread is spawned at all and the loop runs
 /// inline, so the serial path is trivially identical.
 ///
 /// # Panics
@@ -140,7 +152,7 @@ where
         return Ok(());
     }
 
-    // Workers may run at most `window` indices past the merge frontier
+    // Threads may run at most `window` indices past the merge frontier
     // before parking; sized so the pool stays busy through ordinary
     // per-item cost skew without buffering a whole fleet.
     let window = threads * 4;
@@ -156,8 +168,9 @@ where
 
     let mut first_error: Option<E> = None;
     std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
+        // The calling thread is the last of the `threads` producers.
+        let mut workers = Vec::with_capacity(threads - 1);
+        for _ in 1..threads {
             workers.push(scope.spawn(|| loop {
                 let i = next_claim.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
@@ -198,9 +211,10 @@ where
 
         // The calling thread is the merger: take index `frontier` as
         // soon as it lands and fold it before looking at the next one.
-        // The guard covers a panicking `consume` (and any other early
-        // unwind through this closure): workers parked on the window
-        // must be woken and told to quit, or the scope join hangs.
+        // The guard covers a panicking `produce` or `consume` here (and
+        // any other early unwind through this closure): workers parked
+        // on the window must be woken and told to quit, or the scope
+        // join hangs.
         let merger_sentinel = CancelOnDrop {
             state: &state,
             room: &room,
@@ -208,27 +222,50 @@ where
             armed: true,
         };
         for i in 0..n {
-            let item = {
-                let mut guard = lock(&state);
-                loop {
-                    if let Some(item) = guard.ready.get_mut(i % window).and_then(Option::take) {
-                        guard.frontier = i + 1;
-                        room.notify_all();
-                        break Some(item);
-                    }
-                    // A worker died before delivering `i`: stop
-                    // merging; the scope join re-raises its panic.
-                    if guard.cancelled {
-                        break None;
-                    }
+            let mut guard = lock(&state);
+            let item = loop {
+                if let Some(item) = guard.ready.get_mut(i % window).and_then(Option::take) {
+                    break Some(item);
+                }
+                // A worker died before delivering `i`: stop merging;
+                // the scope join re-raises its panic.
+                if guard.cancelled {
+                    break None;
+                }
+                // Nothing to fold: produce the next unclaimed index
+                // rather than park. Only indices below `i + window` —
+                // the merger cannot park on its own window — so the
+                // slot it fills is free.
+                let claim = next_claim.load(Ordering::Relaxed);
+                if claim >= n.min(i + window) {
                     guard = arrived
                         .wait(guard)
                         .unwrap_or_else(|poisoned| poisoned.into_inner());
+                    continue;
                 }
+                // `Relaxed` as for the workers' `fetch_add`: the
+                // counter only hands out indices; results pass through
+                // the lock.
+                if next_claim
+                    .compare_exchange(claim, claim + 1, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_err()
+                {
+                    continue;
+                }
+                drop(guard);
+                let item = produce(claim);
+                guard = lock(&state);
+                if claim == i {
+                    break Some(item);
+                }
+                guard.ready[claim % window] = Some(item);
             };
             let Some(item) = item else {
                 break;
             };
+            guard.frontier = i + 1;
+            drop(guard);
+            room.notify_all();
             let stop = match item {
                 Err(e) => Some(e),
                 Ok(value) => consume(i, value).err(),
@@ -269,6 +306,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn merge_order_is_index_order_at_any_thread_count() {
@@ -439,30 +477,273 @@ mod tests {
 
     #[test]
     fn window_backpressure_bounds_in_flight_results() {
-        // With 2 threads the window is 8: no completed-but-unmerged
-        // index may ever exceed frontier + window. Track the high-water
-        // mark of (produced index − merge frontier) via the consume
-        // callback's view of arrival order.
+        // The window is 4 × threads: no completed-but-unmerged index may
+        // ever exceed frontier + window. Track the high-water mark of
+        // (produced index − merge frontier) via the consume callback's
+        // view of arrival order. At 3 threads the calling thread is one
+        // of the producers, and the same ceiling holds.
         let n = 200;
-        let produced = AtomicUsize::new(0);
-        let mut max_ahead = 0usize;
-        let mut merged = 0usize;
+        for threads in [2, 3] {
+            let t = effective_workers(threads, n);
+            let produced = AtomicUsize::new(0);
+            let mut max_ahead = 0usize;
+            let mut merged = 0usize;
+            ordered_parallel_map(
+                n,
+                threads,
+                |i| {
+                    produced.fetch_add(1, Ordering::Relaxed);
+                    Ok::<usize, ()>(i)
+                },
+                |_, _| {
+                    merged += 1;
+                    let ahead = produced.load(Ordering::Relaxed).saturating_sub(merged);
+                    max_ahead = max_ahead.max(ahead);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            // window + threads in flight is the hard ceiling.
+            assert!(
+                max_ahead <= 4 * t + t,
+                "threads = {threads}: max_ahead = {max_ahead}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_n_way_fan_out_produces_on_n_threads_the_caller_included() {
+        let caller = std::thread::current().id();
+        let n = 64;
+        for threads in [2, 3, 7] {
+            let t = effective_workers(threads, n);
+            let ids = Mutex::new(std::collections::HashSet::new());
+            ordered_parallel_map(
+                n,
+                threads,
+                |i| {
+                    lock_ids(&ids).insert(std::thread::current().id());
+                    std::thread::sleep(Duration::from_micros(100));
+                    Ok::<usize, ()>(i)
+                },
+                |_, _| Ok(()),
+            )
+            .unwrap();
+            let ids = lock_ids(&ids);
+            let spawned = ids.iter().filter(|&&id| id != caller).count();
+            assert!(
+                spawned < t,
+                "threads = {threads}: {spawned} spawned threads produced, {t} allowed in all"
+            );
+            assert!(
+                ids.len() <= t,
+                "threads = {threads}: {} producers",
+                ids.len()
+            );
+        }
+    }
+
+    /// State the closures of one run publish and wait on, so a test can
+    /// force the interleaving it checks. A wait that outlasts 10 s
+    /// panics instead of hanging the suite.
+    struct Watch<S> {
+        state: Mutex<S>,
+        changed: Condvar,
+    }
+
+    impl<S> Watch<S> {
+        fn new(state: S) -> Self {
+            Watch {
+                state: Mutex::new(state),
+                changed: Condvar::new(),
+            }
+        }
+
+        fn update(&self, change: impl FnOnce(&mut S)) {
+            change(&mut self.state.lock().unwrap_or_else(|p| p.into_inner()));
+            self.changed.notify_all();
+        }
+
+        fn wait_until(&self, what: &str, mut done: impl FnMut(&S) -> bool) {
+            let state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+            let (state, timeout) = self
+                .changed
+                .wait_timeout_while(state, Duration::from_secs(10), |s| !done(s))
+                .unwrap_or_else(|p| p.into_inner());
+            drop(state);
+            assert!(!timeout.timed_out(), "the schedule stalled before {what}");
+        }
+    }
+
+    #[test]
+    fn the_caller_claims_only_inside_the_window() {
+        let n = 64;
+        if effective_workers(2, n) < 2 {
+            return; // a 1-core host runs the loop inline: no worker role
+        }
+        let window = 4 * 2;
+        let caller = std::thread::current().id();
+        // The caller produces nothing until the worker holds an index.
+        // That index is the merge frontier (the caller produced and
+        // merged everything below it), and the worker waits until the
+        // caller has produced the rest of the window. A caller that
+        // claimed past the window would overwrite the frontier's slot.
+        let worker_first = Watch::new(None);
+        let caller_last = Watch::new(0);
+        let merged = AtomicUsize::new(0);
         ordered_parallel_map(
             n,
             2,
             |i| {
-                produced.fetch_add(1, Ordering::Relaxed);
+                if std::thread::current().id() == caller {
+                    worker_first.wait_until("a worker's first index", Option::is_some);
+                    let frontier = merged.load(Ordering::Relaxed);
+                    assert!(i < frontier + window, "claimed {i} at frontier {frontier}");
+                    caller_last.update(|last| *last = i);
+                } else {
+                    let mut first = None;
+                    worker_first.update(|f| first = Some(*f.get_or_insert(i)));
+                    if first == Some(i) {
+                        caller_last.wait_until("the rest of the window", |&last| {
+                            last == (i + window - 1).min(n - 1)
+                        });
+                    }
+                }
                 Ok::<usize, ()>(i)
             },
             |_, _| {
-                merged += 1;
-                let ahead = produced.load(Ordering::Relaxed).saturating_sub(merged);
-                max_ahead = max_ahead.max(ahead);
+                merged.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             },
         )
         .unwrap();
-        // window (8) + threads in flight (2) is the hard ceiling.
-        assert!(max_ahead <= 8 + 2, "max_ahead = {max_ahead}");
+    }
+
+    #[test]
+    fn first_error_in_index_order_wins_whichever_thread_produced_it() {
+        let n = 64;
+        if effective_workers(2, n) < 2 {
+            return; // a 1-core host runs the loop inline: no worker role
+        }
+        let caller = std::thread::current().id();
+        let on_caller = || std::thread::current().id() == caller;
+
+        // The caller fails on 9, a worker on 20. The worker's first
+        // index from 2 on waits until the caller has produced 9, and the
+        // caller does not produce 2..9 before a worker holds such an
+        // index, so the worker holds 2 or 3 and the caller claims 9.
+        // (a worker holds an index from 2 on, the caller has produced 9)
+        let progress = Watch::new((false, false));
+        let err = ordered_parallel_map(
+            n,
+            2,
+            |i| {
+                if on_caller() {
+                    if i == 9 {
+                        progress.update(|p| p.1 = true);
+                        return Err(i);
+                    }
+                    if (2..9).contains(&i) {
+                        progress.wait_until("a worker holds an index from 2 on", |p| p.0);
+                    }
+                } else {
+                    if i == 20 {
+                        return Err(i);
+                    }
+                    if i >= 2 {
+                        progress.update(|p| p.0 = true);
+                        progress.wait_until("the caller's 9", |p| p.1);
+                    }
+                }
+                Ok(i)
+            },
+            |_, _| Ok(()),
+        )
+        .unwrap_err();
+        assert_eq!(err, 9, "the caller's error");
+
+        // Roles swapped. While the caller merges index 1 the window
+        // reaches 9 and the caller claims nothing, so a worker claims 9.
+        // A caller failing on 12 can claim 12 while 9 is outstanding:
+        // the worker then returns its error only after the caller has
+        // produced its own, and the lower index still wins.
+        for caller_fails in [20, 12] {
+            // (a worker holds 9, the caller has produced its error)
+            let progress = Watch::new((false, false));
+            let err = ordered_parallel_map(
+                n,
+                2,
+                |i| {
+                    if on_caller() && i == caller_fails {
+                        progress.update(|p| p.1 = true);
+                        return Err(i);
+                    }
+                    if !on_caller() && i == 9 {
+                        progress.update(|p| p.0 = true);
+                        if caller_fails == 12 {
+                            progress.wait_until("the caller's error", |p| p.1);
+                        }
+                        return Err(i);
+                    }
+                    Ok(i)
+                },
+                |i, _| {
+                    if i == 1 {
+                        progress.wait_until("a worker holds 9", |p| p.0);
+                    }
+                    Ok(())
+                },
+            )
+            .unwrap_err();
+            assert_eq!(
+                err, 9,
+                "the worker's error, the caller failing on {caller_fails}"
+            );
+        }
+    }
+
+    #[test]
+    fn caller_panic_in_produce_propagates_while_workers_wait_on_the_window() {
+        let (n, threads) = (256, 4);
+        let t = effective_workers(threads, n);
+        if t < 2 {
+            return; // a 1-core host runs the loop inline: no worker role
+        }
+        let window = 4 * t;
+        let caller = std::thread::current().id();
+        let worker_items = Watch::new(std::collections::HashSet::new());
+        let merged = AtomicUsize::new(0);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ordered_parallel_map(
+                n,
+                threads,
+                |i| {
+                    if std::thread::current().id() != caller {
+                        worker_items.update(|items| {
+                            items.insert(i);
+                        });
+                        return Ok::<usize, ()>(i);
+                    }
+                    // The caller holds index `i`, so the merge frontier
+                    // stays put: once the workers have produced the rest
+                    // of the window, each has claimed an index past it
+                    // and waits for room. Then fail.
+                    let frontier = merged.load(Ordering::Relaxed);
+                    worker_items.wait_until("a full window", |items| {
+                        (frontier..n.min(frontier + window)).all(|k| k == i || items.contains(&k))
+                    });
+                    panic!("boom in the caller's produce");
+                },
+                |_, _| {
+                    merged.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                },
+            )
+        }));
+        let payload = run.expect_err("the caller's panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"boom in the caller's produce")
+        );
     }
 }
