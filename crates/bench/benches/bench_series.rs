@@ -22,9 +22,6 @@ fn bench_stats() {
             elements,
             || stats::quantile(black_box(&values), 0.75),
         );
-        bench(&format!("series/stats/znormalize/{days}"), elements, || {
-            stats::znormalize(black_box(&values))
-        });
     }
 }
 

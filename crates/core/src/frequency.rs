@@ -23,21 +23,13 @@ use rand::rngs::StdRng;
 #[derive(Debug, Clone)]
 pub struct FrequencyBasedExtractor {
     cfg: ExtractionConfig,
-    match_cfg: MatchConfig,
 }
 
 impl FrequencyBasedExtractor {
-    /// Build with default matching parameters.
+    /// Build with the given configuration; detection uses the default
+    /// matching parameters.
     pub fn new(cfg: ExtractionConfig) -> Self {
-        FrequencyBasedExtractor {
-            cfg,
-            match_cfg: MatchConfig::default(),
-        }
-    }
-
-    /// Build with custom matching parameters (ablation knob).
-    pub fn with_matching(cfg: ExtractionConfig, match_cfg: MatchConfig) -> Self {
-        FrequencyBasedExtractor { cfg, match_cfg }
+        FrequencyBasedExtractor { cfg }
     }
 
     /// The configuration in use.
@@ -67,7 +59,8 @@ impl FlexibilityExtractor for FrequencyBasedExtractor {
 
         // ---- Step 1: appliance detection + frequency table.
         let shiftable = catalog.shiftable();
-        let (detections, _fine_residual) = detect_activations(fine, &shiftable, &self.match_cfg);
+        let (detections, _fine_residual) =
+            detect_activations(fine, &shiftable, &MatchConfig::default());
         let observed_days = (fine.range().duration().as_minutes() as f64 / 1440.0).max(1.0 / 96.0);
         let table = FrequencyTable::mine(&detections, observed_days, catalog);
 

@@ -27,33 +27,22 @@ use flextract_time::Duration;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// Noise band width in standard deviations of the reference profile.
+const SIGMA_BAND: f64 = 1.0;
+/// Absolute noise floor in kWh per interval.
+const NOISE_FLOOR_KWH: f64 = 0.02;
+
 /// Reference-vs-observed comparison extraction.
 #[derive(Debug, Clone)]
 pub struct MultiTariffExtractor {
     cfg: ExtractionConfig,
-    /// Noise band width in standard deviations of the reference profile.
-    sigma_band: f64,
-    /// Absolute noise floor in kWh per interval.
-    noise_floor_kwh: f64,
 }
 
 impl MultiTariffExtractor {
-    /// Build with the default noise band (1 σ, 0.02 kWh floor).
+    /// Build with the given configuration and the noise band of 1 σ
+    /// with a 0.02 kWh floor.
     pub fn new(cfg: ExtractionConfig) -> Self {
-        MultiTariffExtractor {
-            cfg,
-            sigma_band: 1.0,
-            noise_floor_kwh: 0.02,
-        }
-    }
-
-    /// Override the noise band (ablation knob).
-    pub fn with_band(cfg: ExtractionConfig, sigma_band: f64, noise_floor_kwh: f64) -> Self {
-        MultiTariffExtractor {
-            cfg,
-            sigma_band,
-            noise_floor_kwh,
-        }
+        MultiTariffExtractor { cfg }
     }
 
     /// The configuration in use.
@@ -136,7 +125,7 @@ impl FlexibilityExtractor for MultiTariffExtractor {
             // Signed anomaly vs the noise band.
             let mut arrivals: Vec<(usize, usize)> = Vec::new(); // [start, end)
             let mut departures: Vec<(usize, usize)> = Vec::new();
-            let band = |i: usize| (self.sigma_band * sigma[i]).max(self.noise_floor_kwh);
+            let band = |i: usize| (SIGMA_BAND * sigma[i]).max(NOISE_FLOOR_KWH);
             let mut i = 0;
             while i < n {
                 let diff = day.values()[i] - typical[i];

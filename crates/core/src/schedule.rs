@@ -16,36 +16,22 @@ use flextract_time::Duration;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// Histogram bin width for schedule mining (minutes).
+const BIN_MINUTES: u32 = 60;
+/// Minimum per-day rate for a bin run to become a schedule slot.
+const MIN_SLOT_RATE: f64 = 0.25;
+
 /// Schedule-driven extraction: offers follow the mined usage schedule.
 #[derive(Debug, Clone)]
 pub struct ScheduleBasedExtractor {
     cfg: ExtractionConfig,
-    match_cfg: MatchConfig,
-    /// Histogram bin width for schedule mining (minutes).
-    bin_minutes: u32,
-    /// Minimum per-day rate for a bin run to become a schedule slot.
-    min_slot_rate: f64,
 }
 
 impl ScheduleBasedExtractor {
-    /// Build with default mining parameters (60-min bins, 0.25 rate).
+    /// Build with the given configuration; schedules are mined in
+    /// 60-min bins and a slot needs 0.25 activations per day.
     pub fn new(cfg: ExtractionConfig) -> Self {
-        ScheduleBasedExtractor {
-            cfg,
-            match_cfg: MatchConfig::default(),
-            bin_minutes: 60,
-            min_slot_rate: 0.25,
-        }
-    }
-
-    /// Override mining parameters (ablation knob).
-    pub fn with_mining(cfg: ExtractionConfig, bin_minutes: u32, min_slot_rate: f64) -> Self {
-        ScheduleBasedExtractor {
-            cfg,
-            match_cfg: MatchConfig::default(),
-            bin_minutes,
-            min_slot_rate,
-        }
+        ScheduleBasedExtractor { cfg }
     }
 
     /// The configuration in use.
@@ -74,19 +60,18 @@ impl FlexibilityExtractor for ScheduleBasedExtractor {
 
         // ---- Step 1: detections → per-day-kind schedules.
         let shiftable = catalog.shiftable();
-        let (detections, _) = detect_activations(fine, &shiftable, &self.match_cfg);
+        let (detections, _) = detect_activations(fine, &shiftable, &MatchConfig::default());
         let days = split_whole_days(fine);
         let workdays = days
             .iter()
             .filter(|d| !d.start().day_of_week().is_weekend())
             .count() as f64;
         let weekend_days = days.len() as f64 - workdays;
-        let schedules =
-            MinedSchedule::mine_all(&detections, workdays, weekend_days, self.bin_minutes);
+        let schedules = MinedSchedule::mine_all(&detections, workdays, weekend_days, BIN_MINUTES);
 
         let mut diagnostics = Diagnostics::default();
         for s in &schedules {
-            let slots = s.slots(self.min_slot_rate);
+            let slots = s.slots(MIN_SLOT_RATE);
             if !slots.is_empty() {
                 diagnostics.shortlist.push(format!(
                     "{}: {} slot(s), {:.2}/workday, {:.2}/weekend-day",
@@ -116,7 +101,7 @@ impl FlexibilityExtractor for ScheduleBasedExtractor {
                 if flexibility <= Duration::ZERO {
                     continue;
                 }
-                for slot in schedule.slots(self.min_slot_rate) {
+                for slot in schedule.slots(MIN_SLOT_RATE) {
                     let kind_matches = match slot.day_kind {
                         DayKind::Workday => !weekend,
                         DayKind::Weekend => weekend,

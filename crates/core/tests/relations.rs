@@ -1,21 +1,26 @@
-//! Metamorphic relations for the peak-based extractor (paper §3.2),
-//! over seeded simulated households at the 15-min market resolution.
+//! Metamorphic relations for the basic (paper §3.1) and peak-based
+//! (§3.2) extractors, over seeded simulated households at the 15-min
+//! market resolution.
 //!
 //! Each relation transforms the input in a way whose effect on the
 //! output is known exactly, and checks the output bit for bit:
 //!
 //! - **Time shift.** The same values starting `k` whole days later give
 //!   the same offers with every timestamp `k` days later, bit-identical
-//!   series values, and peak reports equal up to that shift.
+//!   series values, and (for the peak extractor) peak reports equal up
+//!   to that shift.
 //! - **Scaling.** Doubling every value doubles every slice bound, every
 //!   extracted value and every modified value. Multiplying by 2 is
 //!   exact in binary floating point, so the selection (which compares
-//!   and divides) is unchanged and every product and difference doubles
-//!   exactly.
+//!   and divides) is unchanged and every product, quotient of doubled
+//!   terms and difference doubles exactly.
+//!
+//! The basic extractor's diagnostics are not compared: its capping note
+//! tests `shortfall > 1e-9`, an absolute bound that doubling can cross.
 
 use flextract_core::{
-    ExtractionConfig, ExtractionInput, ExtractionOutput, FlexibilityExtractor, PeakDayReport,
-    PeakExtractor,
+    BasicExtractor, ExtractionConfig, ExtractionInput, ExtractionOutput, FlexibilityExtractor,
+    PeakDayReport, PeakExtractor,
 };
 use flextract_flexoffer::FlexOffer;
 use flextract_series::{PeakThreshold, TimeSeries};
@@ -54,7 +59,18 @@ fn extractors() -> Vec<PeakExtractor> {
     ]
 }
 
-fn run(ex: &PeakExtractor, series: &TimeSeries, seed: u64) -> ExtractionOutput {
+fn basic_extractors() -> Vec<BasicExtractor> {
+    vec![
+        BasicExtractor::new(ExtractionConfig::default()),
+        BasicExtractor::new(ExtractionConfig::with_share(0.02)),
+        BasicExtractor::new(ExtractionConfig {
+            period: Duration::hours(4),
+            ..ExtractionConfig::with_share(0.065)
+        }),
+    ]
+}
+
+fn run(ex: &impl FlexibilityExtractor, series: &TimeSeries, seed: u64) -> ExtractionOutput {
     ex.extract(
         &ExtractionInput::household(series),
         &mut StdRng::seed_from_u64(seed),
@@ -89,6 +105,54 @@ fn assert_offer_shifted(a: &FlexOffer, b: &FlexOffer, shift: Duration, what: &st
     );
 }
 
+/// `b`'s offers and series are `a`'s with every instant `shift` later
+/// and every value bit-identical.
+fn assert_outputs_shifted(a: &ExtractionOutput, b: &ExtractionOutput, shift: Duration, what: &str) {
+    assert!(!a.flex_offers.is_empty(), "{what}: no offer to compare");
+    assert_eq!(a.flex_offers.len(), b.flex_offers.len(), "{what}");
+    for (oa, ob) in a.flex_offers.iter().zip(&b.flex_offers) {
+        assert_offer_shifted(oa, ob, shift, what);
+    }
+    for (sa, sb) in [
+        (&a.modified_series, &b.modified_series),
+        (&a.extracted_series, &b.extracted_series),
+    ] {
+        assert_eq!(sa.start() + shift, sb.start(), "{what}");
+        assert_eq!(bits(sa.values()), bits(sb.values()), "{what}");
+    }
+}
+
+fn twice(xs: &[f64]) -> Vec<f64> {
+    xs.iter().map(|v| v * 2.0).collect()
+}
+
+/// `b`'s offers and series are `a`'s with every slice bound and every
+/// value doubled bit for bit, and the same slice counts and start
+/// windows.
+fn assert_outputs_doubled(a: &ExtractionOutput, b: &ExtractionOutput, what: &str) {
+    assert!(!a.flex_offers.is_empty(), "{what}: no offer to compare");
+    assert_eq!(a.flex_offers.len(), b.flex_offers.len(), "{what}");
+    for (oa, ob) in a.flex_offers.iter().zip(&b.flex_offers) {
+        assert_eq!(oa.id(), ob.id(), "{what}");
+        assert_eq!(oa.earliest_start(), ob.earliest_start(), "{what}");
+        assert_eq!(oa.latest_start(), ob.latest_start(), "{what}");
+        let (pa, pb) = (oa.profile(), ob.profile());
+        assert_eq!(pa.resolution(), pb.resolution(), "{what}");
+        assert_eq!(pa.len(), pb.len(), "{what}");
+        for (sa, sb) in pa.slices().iter().zip(pb.slices()) {
+            assert_eq!((sa.min * 2.0).to_bits(), sb.min.to_bits(), "{what}");
+            assert_eq!((sa.max * 2.0).to_bits(), sb.max.to_bits(), "{what}");
+        }
+    }
+    for (sa, sb) in [
+        (&a.modified_series, &b.modified_series),
+        (&a.extracted_series, &b.extracted_series),
+    ] {
+        assert_eq!(sa.start(), sb.start(), "{what}");
+        assert_eq!(bits(&twice(sa.values())), bits(sb.values()), "{what}");
+    }
+}
+
 /// `report` with its day and every peak start moved by `shift`.
 fn shifted_report(report: &PeakDayReport, shift: Duration) -> PeakDayReport {
     let mut out = report.clone();
@@ -110,18 +174,7 @@ fn shifting_the_input_by_whole_days_shifts_the_offers() {
                 let a = run(&ex, series, 40 + h as u64);
                 let b = run(&ex, &moved, 40 + h as u64);
 
-                assert!(!a.flex_offers.is_empty(), "{what}: no offer to compare");
-                assert_eq!(a.flex_offers.len(), b.flex_offers.len(), "{what}");
-                for (oa, ob) in a.flex_offers.iter().zip(&b.flex_offers) {
-                    assert_offer_shifted(oa, ob, shift, &what);
-                }
-                for (sa, sb) in [
-                    (&a.modified_series, &b.modified_series),
-                    (&a.extracted_series, &b.extracted_series),
-                ] {
-                    assert_eq!(sa.start() + shift, sb.start(), "{what}");
-                    assert_eq!(bits(sa.values()), bits(sb.values()), "{what}");
-                }
+                assert_outputs_shifted(&a, &b, shift, &what);
                 let expected: Vec<PeakDayReport> = a
                     .diagnostics
                     .peak_reports
@@ -141,7 +194,6 @@ fn shifting_the_input_by_whole_days_shifts_the_offers() {
 
 #[test]
 fn doubling_the_input_doubles_every_energy_bit_for_bit() {
-    let twice = |xs: &[f64]| xs.iter().map(|v| v * 2.0).collect::<Vec<f64>>();
     for (h, series) in households().iter().enumerate() {
         for ex in extractors() {
             let what = format!("household {h}, {:?}", ex.config());
@@ -149,26 +201,7 @@ fn doubling_the_input_doubles_every_energy_bit_for_bit() {
             let a = run(&ex, series, 70 + h as u64);
             let b = run(&ex, &doubled, 70 + h as u64);
 
-            assert!(!a.flex_offers.is_empty(), "{what}: no offer to compare");
-            assert_eq!(a.flex_offers.len(), b.flex_offers.len(), "{what}");
-            for (oa, ob) in a.flex_offers.iter().zip(&b.flex_offers) {
-                assert_eq!(oa.id(), ob.id(), "{what}");
-                assert_eq!(oa.earliest_start(), ob.earliest_start(), "{what}");
-                assert_eq!(oa.latest_start(), ob.latest_start(), "{what}");
-                let (pa, pb) = (oa.profile(), ob.profile());
-                assert_eq!(pa.resolution(), pb.resolution(), "{what}");
-                assert_eq!(pa.len(), pb.len(), "{what}");
-                for (sa, sb) in pa.slices().iter().zip(pb.slices()) {
-                    assert_eq!((sa.min * 2.0).to_bits(), sb.min.to_bits(), "{what}");
-                    assert_eq!((sa.max * 2.0).to_bits(), sb.max.to_bits(), "{what}");
-                }
-            }
-            for (sa, sb) in [
-                (&a.modified_series, &b.modified_series),
-                (&a.extracted_series, &b.extracted_series),
-            ] {
-                assert_eq!(bits(&twice(sa.values())), bits(sb.values()), "{what}");
-            }
+            assert_outputs_doubled(&a, &b, &what);
             assert_eq!(
                 a.diagnostics.peak_reports.len(),
                 b.diagnostics.peak_reports.len(),
@@ -189,6 +222,35 @@ fn doubling_the_input_doubles_every_energy_bit_for_bit() {
                 }
                 assert_eq!(&expected, rb, "{what}");
             }
+        }
+    }
+}
+
+#[test]
+fn basic_shifting_the_input_by_whole_days_shifts_the_offers() {
+    for (h, series) in households().iter().enumerate() {
+        for ex in basic_extractors() {
+            for k in [1_i64, 5, 28] {
+                let shift = Duration::days(k);
+                let what = format!("basic, household {h}, {k} day(s), {:?}", ex.config());
+                let moved = with_values(series, series.start() + shift, series.values().to_vec());
+                let a = run(&ex, series, 40 + h as u64);
+                let b = run(&ex, &moved, 40 + h as u64);
+                assert_outputs_shifted(&a, &b, shift, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn basic_doubling_the_input_doubles_every_energy_bit_for_bit() {
+    for (h, series) in households().iter().enumerate() {
+        for ex in basic_extractors() {
+            let what = format!("basic, household {h}, {:?}", ex.config());
+            let doubled = with_values(series, series.start(), twice(series.values()));
+            let a = run(&ex, series, 70 + h as u64);
+            let b = run(&ex, &doubled, 70 + h as u64);
+            assert_outputs_doubled(&a, &b, &what);
         }
     }
 }

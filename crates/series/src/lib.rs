@@ -22,8 +22,6 @@
 //!   thresholds, the engine of the peak-based approach (§3.2, Fig. 5).
 //! * [`segment`] — day segmentation and typical-day profiles, the
 //!   engine of the multi-tariff approach's baseline estimation (§3.3).
-//! * [`sax`] — SAX discretisation and motif discovery ("finding motifs
-//!   in time series", §5 ref \[13\]); no pipeline stage calls it.
 //! * [`resample`] — exact down-sampling and uniform up-sampling between
 //!   resolutions (ref \[14\] motivates reasoning across granularities).
 //! * [`missing`] — gap handling: detection and fill strategies.
@@ -59,7 +57,6 @@ pub mod peaks;
 pub mod recycle;
 pub mod resample;
 pub mod rolling;
-pub mod sax;
 pub mod segment;
 mod series;
 pub mod shard;

@@ -160,16 +160,6 @@ pub fn mae(xs: &[f64], ys: &[f64]) -> Option<f64> {
     Some(xs.iter().zip(ys).map(|(x, y)| (x - y).abs()).sum::<f64>() / xs.len() as f64)
 }
 
-/// Z-score normalisation: `(x - mean) / std`. Returns the input copied
-/// unchanged when the standard deviation is (numerically) zero, which is
-/// the convention SAX uses for flat windows.
-pub fn znormalize(xs: &[f64]) -> Vec<f64> {
-    match (mean(xs), std_dev(xs)) {
-        (Some(m), Some(s)) if s > 1e-12 => xs.iter().map(|x| (x - m) / s).collect(),
-        _ => xs.to_vec(),
-    }
-}
-
 /// Shannon entropy (nats) of a discrete distribution given by
 /// non-negative weights; zero-weight bins are skipped. `None` if the
 /// total weight is not positive.
@@ -286,17 +276,6 @@ mod tests {
         assert!((mae(&xs, &ys).unwrap() - 2.0 / 3.0).abs() < EPS);
         assert_eq!(rmse(&xs, &ys[..2]), None);
         assert_eq!(mae(&[], &[]), None);
-    }
-
-    #[test]
-    fn znormalize_properties() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let z = znormalize(&xs);
-        assert!(mean(&z).unwrap().abs() < EPS);
-        assert!((std_dev(&z).unwrap() - 1.0).abs() < EPS);
-        // Flat input passes through unchanged.
-        let flat = [2.0, 2.0, 2.0];
-        assert_eq!(znormalize(&flat), flat.to_vec());
     }
 
     #[test]
