@@ -31,8 +31,8 @@ use flextract_scenario::{
 };
 use flextract_series::{FillStrategy, TimeSeries};
 use flextract_sim::{
-    simulate_household_with_catalog, simulate_wind_production, FleetConfig, HouseholdArchetype,
-    WindFarmConfig,
+    simulate_household_series, simulate_household_with_catalog, simulate_wind_production,
+    FleetConfig, HouseholdArchetype, WindFarmConfig,
 };
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
 use rand::rngs::StdRng;
@@ -274,9 +274,14 @@ fn query_benches(records: &mut Vec<Record>) {
 
 /// The simulator stage of the `fleet_extract` workload: 300 households
 /// of the default archetype mix over one week, simulated serially
-/// against one shared catalog, as the scenario runner's consumer loop
-/// does on one thread. Nothing is resampled or extracted, so the row is
-/// the simulator's per-minute loops and cycle placement alone.
+/// against one shared catalog. Nothing is resampled or extracted, so the
+/// rows are the simulator's per-minute loops and cycle placement alone.
+///
+/// - `sim/fleet_week/300hh` also builds each household's activation log
+///   (`simulate_household_with_catalog`).
+/// - `sim/fleet_week_series/300hh` builds none
+///   (`simulate_household_series`): the call the scenario runner's
+///   consumer loop makes.
 fn sim_benches(records: &mut Vec<Record>) {
     let configs = FleetConfig {
         households: 300,
@@ -297,13 +302,24 @@ fn sim_benches(records: &mut Vec<Record>) {
             black_box(simulate_household_with_catalog(cfg, week, &catalog));
         }
     });
+    let minutes = configs.len() * 7 * 1440;
     records.push(Record {
         name: "sim/fleet_week/300hh".into(),
         consumer_threads: 1,
         sample: timed,
+        note: Some(format!("{minutes} simulated minutes per iteration")),
+    });
+    let timed = sample(|| {
+        for cfg in &configs {
+            black_box(simulate_household_series(cfg, week, &catalog));
+        }
+    });
+    records.push(Record {
+        name: "sim/fleet_week_series/300hh".into(),
+        consumer_threads: 1,
+        sample: timed,
         note: Some(format!(
-            "{} simulated minutes per iteration",
-            configs.len() * 7 * 1440
+            "{minutes} simulated minutes per iteration, no activation log"
         )),
     });
 }

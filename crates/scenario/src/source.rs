@@ -24,8 +24,8 @@ use flextract_dataset::{
 use flextract_disagg::{disaggregate, DisaggConfig};
 use flextract_series::{recycle, resample, TimeSeries};
 use flextract_sim::{
-    simulate_household_with_catalog, simulate_industrial, simulate_tariff_pair, FleetConfig,
-    HouseholdArchetype, IndustrialConfig, SimulatedHousehold, TariffResponse,
+    simulate_household_series, simulate_industrial, FleetConfig, HouseholdArchetype,
+    HouseholdConfig, IndustrialConfig, TariffResponse,
 };
 use flextract_time::{Duration, Resolution, TimeRange};
 
@@ -158,7 +158,7 @@ pub(crate) struct SimulatedSource<'a> {
     horizon: TimeRange,
     res: Resolution,
     catalog: &'a Catalog,
-    households: Vec<flextract_sim::HouseholdConfig>,
+    households: Vec<HouseholdConfig>,
     tariff_sensitivity: f64,
     sites: usize,
     site_pattern: flextract_sim::ShiftPattern,
@@ -243,12 +243,12 @@ impl<'a> SimulatedSource<'a> {
     /// plain single-simulation path.
     pub fn raw(&self, idx: usize) -> RawConsumer {
         if idx < self.households.len() {
-            let sim =
-                simulate_household_with_catalog(&self.households[idx], self.horizon, self.catalog);
+            let (total, flexible) =
+                simulate_household_series(&self.households[idx], self.horizon, self.catalog);
             RawConsumer {
                 kind: ConsumerKind::Household,
-                total: sim.series,
-                flexible: sim.flexible_series,
+                total,
+                flexible,
             }
         } else {
             self.raw_site(idx - self.households.len())
@@ -269,10 +269,7 @@ impl<'a> SimulatedSource<'a> {
         }
     }
 
-    fn household(
-        &self,
-        cfg: &flextract_sim::HouseholdConfig,
-    ) -> Result<ConsumerInput, ScenarioError> {
+    fn household(&self, cfg: &HouseholdConfig) -> Result<ConsumerInput, ScenarioError> {
         if self.scenario.extractor == ExtractorChoice::MultiTariff {
             // §3.3 needs the same consumer's one-tariff typical period
             // as reference: simulate the preceding horizon flat.
@@ -281,25 +278,25 @@ impl<'a> SimulatedSource<'a> {
                 Duration::days(self.scenario.days),
             )
             .expect("days >= 1 by validation");
-            let (flat, multi) = simulate_tariff_pair(
-                cfg,
-                ref_horizon,
-                self.horizon,
-                TariffResponse::overnight(self.tariff_sensitivity),
-            );
-            let SimulatedHousehold {
-                series,
-                flexible_series,
-                ..
-            } = multi;
+            // The pair `simulate_tariff_pair` builds: the same household
+            // flat over the reference horizon, then responding.
+            let flat = HouseholdConfig {
+                tariff_response: None,
+                ..cfg.clone()
+            };
+            let multi = cfg
+                .clone()
+                .with_tariff_response(TariffResponse::overnight(self.tariff_sensitivity));
+            let (reference, _) = simulate_household_series(&flat, ref_horizon, self.catalog);
+            let (series, flexible) = simulate_household_series(&multi, self.horizon, self.catalog);
             let mut input = ConsumerInput::plain(
                 resample::to_resolution_owned(series, self.res)?,
-                resample::to_resolution_owned(flexible_series, self.res)?,
+                resample::to_resolution_owned(flexible, self.res)?,
             );
-            input.reference = Some(resample::to_resolution_owned(flat.series, self.res)?);
+            input.reference = Some(resample::to_resolution_owned(reference, self.res)?);
             return Ok(input);
         }
-        let sim = simulate_household_with_catalog(cfg, self.horizon, self.catalog);
+        let (series, flexible) = simulate_household_series(cfg, self.horizon, self.catalog);
         let needs_fine = matches!(
             self.scenario.extractor,
             ExtractorChoice::Frequency | ExtractorChoice::Schedule
@@ -307,15 +304,10 @@ impl<'a> SimulatedSource<'a> {
         // Clone the 1-min series only when an appliance-level extractor
         // needs it; the market/truth conversions consume the simulated
         // series, so a 1-min market resolution moves instead of cloning.
-        let fine = needs_fine.then(|| sim.series.clone());
-        let SimulatedHousehold {
-            series,
-            flexible_series,
-            ..
-        } = sim;
+        let fine = needs_fine.then(|| series.clone());
         let mut input = ConsumerInput::plain(
             resample::to_resolution_owned(series, self.res)?,
-            resample::to_resolution_owned(flexible_series, self.res)?,
+            resample::to_resolution_owned(flexible, self.res)?,
         );
         input.fine = fine;
         Ok(input)
@@ -517,7 +509,7 @@ fn fleet_configs(
     households: usize,
     archetype_mix: Vec<(HouseholdArchetype, f64)>,
     tariff_sensitivity: f64,
-) -> Vec<flextract_sim::HouseholdConfig> {
+) -> Vec<HouseholdConfig> {
     let fleet = FleetConfig {
         households,
         base_seed: scenario.seed,

@@ -180,12 +180,20 @@ impl Scenario {
             scenario: self.name.clone(),
             what: format!("start `{}`: {e}", self.start),
         })?;
-        TimeRange::starting_at(start, Duration::days(self.days)).map_err(|e| {
-            ScenarioError::Invalid {
-                scenario: self.name.clone(),
-                what: format!("days {}: {e}", self.days),
-            }
-        })
+        // Checked: `Duration::days` and `Timestamp + Duration` wrap (or
+        // panic in debug builds) past the i64 minute axis.
+        let end = self
+            .days
+            .checked_mul(Duration::DAY.as_minutes())
+            .and_then(|minutes| start.as_minutes().checked_add(minutes))
+            .ok_or_else(|| {
+                self.invalid(format!(
+                    "days {}: the horizon ends past the last representable minute",
+                    self.days
+                ))
+            })?;
+        TimeRange::new(start, Timestamp::from_minutes(end))
+            .map_err(|e| self.invalid(format!("days {}: {e}", self.days)))
     }
 
     /// The market resolution.
@@ -434,6 +442,17 @@ pub(crate) mod tests {
         let mut s = tiny("bad");
         s.start = "not-a-date".into();
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn a_horizon_past_the_minute_axis_is_invalid_not_a_panic() {
+        for days in [i64::MAX, 7_000_000_000_000_000] {
+            let mut s = tiny("huge");
+            s.days = days;
+            let err = s.validate().unwrap_err();
+            assert!(matches!(err, ScenarioError::Invalid { .. }), "{err:?}");
+            assert!(err.to_string().contains(&format!("days {days}")), "{err}");
+        }
     }
 
     #[test]

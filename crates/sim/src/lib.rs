@@ -12,11 +12,12 @@
 //! (frequency, preferred start windows, weekend multiplier), realises
 //! the cycle's 1-minute load profile at a random intensity, and sums
 //! everything with a smooth stochastic base load. Because the generator
-//! knows which cycles it placed, every simulation carries a
+//! knows which cycles it placed, every [`SimulatedHousehold`] carries a
 //! **ground-truth [`Activation`] log** — so extraction quality can be
 //! *measured*, where the paper could only argue ("there exist no real
 //! flex-offers in the world, thus the statistics … cannot be
-//! evaluated", §3.1).
+//! evaluated", §3.1). Callers that read only the series skip the log
+//! with [`simulate_household_series`].
 //!
 //! Tariff response (§3.3's behavioural assumption) is first-class: under
 //! a time-of-use [`TariffScheme`], shiftable activations are delayed
@@ -55,6 +56,7 @@ pub use industrial::{
 };
 pub use res::{simulate_wind_production, WindFarmConfig};
 pub use simulate::{
-    simulate_household, simulate_household_with_catalog, simulate_tariff_pair, SimulatedHousehold,
+    simulate_household, simulate_household_series, simulate_household_with_catalog,
+    simulate_tariff_pair, SimulatedHousehold,
 };
 pub use tariff::{TariffResponse, TariffScheme};

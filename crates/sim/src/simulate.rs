@@ -72,7 +72,9 @@ pub fn simulate_household(config: &HouseholdConfig, range: TimeRange) -> Simulat
 /// ([`LoadProfile::energy_runs`]), so placing a cycle allocates
 /// nothing. A call allocates its two minute series, the list of owned
 /// appliances, the activation log with one appliance name per
-/// activation, and the copy of `config` it returns.
+/// activation, and the copy of `config` it returns. Callers that read
+/// only the series use [`simulate_household_series`], which allocates
+/// just the two series and the appliance list.
 ///
 /// [`LoadProfile::energy_runs`]: flextract_appliance::LoadProfile::energy_runs
 pub fn simulate_household_with_catalog(
@@ -80,11 +82,48 @@ pub fn simulate_household_with_catalog(
     range: TimeRange,
     catalog: &Catalog,
 ) -> SimulatedHousehold {
+    let mut log = Vec::new();
+    let (series, flexible_series) = simulate::<true>(config, range, catalog, &mut log);
+    log.sort_by_key(|a| a.start);
+    SimulatedHousehold {
+        config: config.clone(),
+        series,
+        activations: log,
+        flexible_series,
+    }
+}
+
+/// The `(series, flexible_series)` pair of
+/// [`simulate_household_with_catalog`], bit for bit, without its
+/// ground-truth log.
+///
+/// The draws and float operations are the same, in the same order; what
+/// is skipped is only the log's own work: no [`Activation`] is built, no
+/// cycle's placed energy is summed, no appliance name is cloned, and no
+/// log is sorted or `config` copied. A call allocates its two minute
+/// series and the list of owned appliances.
+pub fn simulate_household_series(
+    config: &HouseholdConfig,
+    range: TimeRange,
+    catalog: &Catalog,
+) -> (TimeSeries, TimeSeries) {
+    simulate::<false>(config, range, catalog, &mut Vec::new())
+}
+
+/// The one simulator body: the consumption and flexible minute series
+/// over `range` widened to whole days. With `LOG`, every placed cycle of
+/// a cycle appliance is pushed onto `log` (unsorted) with its placed
+/// energy; without it, `log` is left untouched and no energy is summed.
+fn simulate<const LOG: bool>(
+    config: &HouseholdConfig,
+    range: TimeRange,
+    catalog: &Catalog,
+    log: &mut Vec<Activation>,
+) -> (TimeSeries, TimeSeries) {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let days = range.align_outward(Resolution::DAY);
     let mut series = TimeSeries::zeros_over(days, Resolution::MIN_1).expect("aligned day range");
     let mut flexible = TimeSeries::zeros_over(days, Resolution::MIN_1).expect("aligned day range");
-    let mut log: Vec<Activation> = Vec::new();
 
     // --- Base load: a slow mean-reverting wander around the archetype
     // level, refreshed every simulated minute.
@@ -99,14 +138,14 @@ pub fn simulate_household_with_catalog(
             UsageFrequency::Continuous => {
                 simulate_continuous(&mut rng, spec, days, &mut series);
             }
-            _ => simulate_cycles(
+            _ => simulate_cycles::<LOG>(
                 &mut rng,
                 config,
                 spec,
                 days,
                 &mut series,
                 &mut flexible,
-                &mut log,
+                log,
             ),
         }
     }
@@ -120,14 +159,7 @@ pub fn simulate_household_with_catalog(
     } else {
         series.clip_negative();
     }
-
-    log.sort_by_key(|a| a.start);
-    SimulatedHousehold {
-        config: config.clone(),
-        series,
-        activations: log,
-        flexible_series: flexible,
-    }
+    (series, flexible)
 }
 
 /// The base-load pass: an OU wander (rate `theta`, step noise `sigma`)
@@ -170,7 +202,7 @@ fn add_noise(rng: &mut StdRng, values: &mut [f64], noise_kwh: f64) {
 /// value over its in-range stretch of `target`.
 ///
 /// Returns the placed energy (the in-range values summed in minute
-/// order) and how many minutes landed in range.
+/// order; 0 unless `FOLD`) and how many minutes landed in range.
 ///
 /// Panics unless `target` is a 1-minute series: the minute offset is
 /// used directly as a value index, which is only sound on the MIN_1
@@ -178,7 +210,7 @@ fn add_noise(rng: &mut StdRng, values: &mut [f64], noise_kwh: f64) {
 /// arithmetic would silently misplace energy in release builds).
 ///
 /// [`LoadProfile::energy_runs`]: flextract_appliance::LoadProfile::energy_runs
-fn add_cycle_values(
+fn add_cycle_values<const FOLD: bool>(
     target: &mut TimeSeries,
     start: Timestamp,
     runs: impl IntoIterator<Item = (usize, f64)>,
@@ -199,7 +231,9 @@ fn add_cycle_values(
         // lo ≤ hi, both in [0, len]; an empty stretch adds nothing.
         for t in &mut values[lo as usize..hi as usize] {
             *t += v;
-            energy += v;
+            if FOLD {
+                energy += v;
+            }
         }
         placed += (hi - lo) as usize;
     }
@@ -218,7 +252,7 @@ fn simulate_continuous(
     let mut cursor = days.start();
     while cursor < days.end() {
         let intensity = clamped_normal(rng, 0.5, 0.2, 0.0, 1.0);
-        add_cycle_values(
+        add_cycle_values::<false>(
             series,
             cursor.floor_to(Resolution::MIN_1),
             spec.profile.energy_runs(intensity),
@@ -230,9 +264,10 @@ fn simulate_continuous(
     }
 }
 
-/// Place the day's stochastic activations of a cycle appliance.
+/// Place the day's stochastic activations of a cycle appliance, logging
+/// each placed one when `LOG`.
 #[allow(clippy::too_many_arguments)]
-fn simulate_cycles(
+fn simulate_cycles<const LOG: bool>(
     rng: &mut StdRng,
     config: &HouseholdConfig,
     spec: &ApplianceSpec,
@@ -257,23 +292,25 @@ fn simulate_cycles(
             // that amount so ground truth and series stay in balance.
             let anchored = start.floor_to(Resolution::MIN_1);
             let cycle = spec.profile.energy_runs(intensity);
-            let (energy_kwh, placed_minutes) = add_cycle_values(series, anchored, cycle);
+            let (energy_kwh, placed_minutes) = add_cycle_values::<LOG>(series, anchored, cycle);
             if placed_minutes == 0 {
                 continue;
             }
             let shiftable = spec.shiftability.is_shiftable();
             if shiftable {
-                add_cycle_values(flexible, anchored, spec.profile.energy_runs(intensity));
+                add_cycle_values::<false>(flexible, anchored, spec.profile.energy_runs(intensity));
             }
-            log.push(Activation {
-                appliance: spec.name.clone(),
-                start,
-                duration: spec.profile.duration(),
-                intensity,
-                energy_kwh,
-                shiftable,
-                shifted_from,
-            });
+            if LOG {
+                log.push(Activation {
+                    appliance: spec.name.clone(),
+                    start,
+                    duration: spec.profile.duration(),
+                    intensity,
+                    energy_kwh,
+                    shiftable,
+                    shifted_from,
+                });
+            }
         }
         day += Duration::DAY;
     }
@@ -588,13 +625,20 @@ mod tests {
                 let start = day + Duration::minutes(off);
                 let mut got = TimeSeries::new(day, Resolution::MIN_1, base.clone()).unwrap();
                 let mut want = got.clone();
-                let (e_got, n_got) = add_cycle_values(&mut got, start, runs.iter().copied());
+                let mut unfolded = got.clone();
+                let (e_got, n_got) =
+                    add_cycle_values::<true>(&mut got, start, runs.iter().copied());
                 let (e_want, n_want) = add_cycle_values_indexed(&mut want, start, &cycle);
                 assert_eq!(n_got, n_want, "off {off}");
                 assert_eq!(e_got.to_bits(), e_want.to_bits(), "off {off}");
                 let bits =
                     |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "off {off}");
+                // Without the fold the same values land; no energy is summed.
+                let (e_none, n_none) =
+                    add_cycle_values::<false>(&mut unfolded, start, runs.iter().copied());
+                assert_eq!((e_none, n_none), (0.0, n_want), "off {off}");
+                assert_eq!(bits(&unfolded), bits(&want), "off {off}");
             }
         }
         // The edges place what they should.
@@ -604,7 +648,7 @@ mod tests {
         )
         .unwrap();
         let mut place = |off: i64| {
-            add_cycle_values(
+            add_cycle_values::<true>(
                 &mut s,
                 day + Duration::minutes(off),
                 phase_runs.iter().copied(),
@@ -621,7 +665,7 @@ mod tests {
     fn add_cycle_values_refuses_a_coarser_grid() {
         let day: Timestamp = "2013-03-18".parse().unwrap();
         let mut s = TimeSeries::constant(day, Resolution::MIN_15, 0.0, 8);
-        add_cycle_values(&mut s, day, [(1, 1.0)]);
+        add_cycle_values::<true>(&mut s, day, [(1, 1.0)]);
     }
 
     #[test]

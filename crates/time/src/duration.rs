@@ -53,11 +53,6 @@ impl Duration {
         self.0 as f64 / 60.0
     }
 
-    /// Total span expressed in fractional days.
-    pub fn as_days_f64(self) -> f64 {
-        self.0 as f64 / (24.0 * 60.0)
-    }
-
     /// `true` if the span is negative.
     pub const fn is_negative(self) -> bool {
         self.0 < 0
@@ -204,7 +199,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert!((Duration::minutes(90).as_hours_f64() - 1.5).abs() < 1e-12);
-        assert!((Duration::hours(36).as_days_f64() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -41,15 +41,6 @@ impl TimeRange {
         TimeRange { start, end: start }
     }
 
-    /// The full civil day containing `t` (midnight to midnight).
-    pub fn day_of(t: Timestamp) -> Self {
-        let start = t.start_of_day();
-        TimeRange {
-            start,
-            end: start + Duration::DAY,
-        }
-    }
-
     /// Inclusive start.
     pub fn start(self) -> Timestamp {
         self.start
@@ -128,16 +119,6 @@ impl TimeRange {
         (self.duration().as_minutes() / res.minutes()).max(0) as usize
     }
 
-    /// Iterate over the starts of consecutive `res`-wide intervals
-    /// covering the range, beginning at `start` (which should be
-    /// aligned for meaningful grids).
-    pub fn iter_intervals(self, res: Resolution) -> impl Iterator<Item = Timestamp> {
-        let step = res.minutes();
-        let start = self.start.as_minutes();
-        let n = ((self.end.as_minutes() - start).max(0) + step - 1) / step;
-        (0..n).map(move |i| Timestamp::from_minutes(start + i * step))
-    }
-
     /// Split into consecutive civil days; the first and last pieces may
     /// be partial days.
     pub fn split_days(self) -> Vec<TimeRange> {
@@ -201,14 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn day_of_covers_midnight_to_midnight() {
-        let d = TimeRange::day_of(ts("2013-03-18 14:45"));
-        assert_eq!(d.start(), ts("2013-03-18"));
-        assert_eq!(d.end(), ts("2013-03-19"));
-        assert_eq!(d.interval_count(Resolution::MIN_15), 96);
-    }
-
-    #[test]
     fn containment_is_half_open() {
         let range = r("2013-03-18 10:00", "2013-03-18 12:00");
         assert!(range.contains(ts("2013-03-18 10:00")));
@@ -257,20 +230,6 @@ mod tests {
         let aligned = raw.align_outward(Resolution::MIN_15);
         assert_eq!(aligned, r("2013-03-18 10:00", "2013-03-18 12:00"));
         assert_eq!(aligned.interval_count(Resolution::MIN_15), 8);
-    }
-
-    #[test]
-    fn interval_iteration() {
-        let range = r("2013-03-18 10:00", "2013-03-18 11:00");
-        let starts: Vec<_> = range.iter_intervals(Resolution::MIN_15).collect();
-        assert_eq!(starts.len(), 4);
-        assert_eq!(starts[0], ts("2013-03-18 10:00"));
-        assert_eq!(starts[3], ts("2013-03-18 10:45"));
-        // Partial trailing interval still yields a start.
-        let ragged = r("2013-03-18 10:00", "2013-03-18 10:20");
-        assert_eq!(ragged.iter_intervals(Resolution::MIN_15).count(), 2);
-        let empty = r("2013-03-18 10:00", "2013-03-18 10:00");
-        assert_eq!(empty.iter_intervals(Resolution::MIN_15).count(), 0);
     }
 
     #[test]
