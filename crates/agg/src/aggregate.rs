@@ -222,17 +222,6 @@ fn aggregate_group(
     Ok(AggregatedFlexOffer { offer, members })
 }
 
-/// Baseline-schedule every aggregate and return the total scheduled
-/// energy series — a convenience for before/after comparisons.
-pub fn baseline_total(
-    aggregates: &[AggregatedFlexOffer],
-) -> Result<Vec<ScheduledFlexOffer>, AggError> {
-    Ok(aggregates
-        .iter()
-        .map(|a| ScheduledFlexOffer::baseline(a.offer.clone()))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,15 +359,6 @@ mod tests {
             .unwrap();
         let aggs = aggregate_offers(&[quarter, hourly], &AggregationConfig::default()).unwrap();
         assert_eq!(aggs.len(), 2);
-    }
-
-    #[test]
-    fn baseline_total_is_min_energy() {
-        let offers = vec![offer(1, "2013-03-18 18:00", 4, 4, 0.5)];
-        let aggs = aggregate_offers(&offers, &AggregationConfig::default()).unwrap();
-        let scheds = baseline_total(&aggs).unwrap();
-        assert_eq!(scheds.len(), 1);
-        assert!((scheds[0].total_energy() - 4.0 * 0.4).abs() < 1e-9);
     }
 
     #[test]

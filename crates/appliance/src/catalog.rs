@@ -64,14 +64,6 @@ impl Catalog {
         self.specs.iter().find(|s| s.name == name)
     }
 
-    /// All rows of one category.
-    pub fn by_category(&self, category: ApplianceCategory) -> Vec<&ApplianceSpec> {
-        self.specs
-            .iter()
-            .filter(|s| s.category == category)
-            .collect()
-    }
-
     /// The rows whose usage can be shifted — the flexibility candidates.
     pub fn shiftable(&self) -> Vec<&ApplianceSpec> {
         self.specs
@@ -418,14 +410,6 @@ mod tests {
         for s in cat.iter() {
             assert!(s.profile_consistent(1e-9), "{}", s.name);
         }
-    }
-
-    #[test]
-    fn category_queries() {
-        let cat = Catalog::extended();
-        assert_eq!(cat.by_category(ApplianceCategory::ElectricVehicle).len(), 3);
-        assert_eq!(cat.by_category(ApplianceCategory::WashingMachine).len(), 1);
-        assert!(cat.by_category(ApplianceCategory::Refrigerator).len() == 1);
     }
 
     #[test]

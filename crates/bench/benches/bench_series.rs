@@ -1,10 +1,10 @@
 //! Microbenchmarks of the series-engine primitives every extraction
-//! approach leans on: statistics, decomposition, peak detection,
-//! resampling, rolling windows, forecasting and anomaly screening.
+//! approach leans on: statistics, peak detection, resampling, rolling
+//! windows, forecasting and anomaly screening.
 
 use flextract_bench::family_market_series;
 use flextract_bench::sample::bench;
-use flextract_series::{decompose, peaks, resample, stats, PeakThreshold, TimeSeries};
+use flextract_series::{peaks, resample, stats, PeakThreshold, TimeSeries};
 use flextract_time::Resolution;
 use std::hint::black_box;
 
@@ -21,17 +21,6 @@ fn bench_stats() {
             &format!("series/stats/quantile_p75/{days}"),
             elements,
             || stats::quantile(black_box(&values), 0.75),
-        );
-    }
-}
-
-fn bench_decompose() {
-    for days in [7_i64, 28] {
-        let series = family_market_series(days, 2);
-        bench(
-            &format!("series/decompose/daily_period/{days}"),
-            Some(series.len() as u64),
-            || decompose::decompose(black_box(&series), 96).unwrap(),
         );
     }
 }
@@ -154,7 +143,6 @@ fn family_week_1min() -> TimeSeries {
 
 fn main() {
     bench_stats();
-    bench_decompose();
     bench_peaks();
     bench_resample();
     bench_rolling();

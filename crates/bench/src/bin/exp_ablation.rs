@@ -1,4 +1,5 @@
-//! E10: peak-threshold ablation (the DESIGN.md design-choice study).
+//! E10: peak-threshold ablation, the design-choice study (README's
+//! "Figure and experiment binaries").
 
 use flextract_eval::experiments::{threshold_ablation, ExperimentParams};
 

@@ -31,8 +31,9 @@ impl PeakExtractor {
         }
     }
 
-    /// Build with an alternative detection threshold (the DESIGN.md
-    /// ablation: median / quantile / absolute).
+    /// Build with an alternative detection threshold (E10, the
+    /// threshold ablation in README's "Figure and experiment binaries":
+    /// median / quantile / absolute).
     pub fn with_threshold(cfg: ExtractionConfig, threshold: PeakThreshold) -> Self {
         PeakExtractor { cfg, threshold }
     }

@@ -83,12 +83,6 @@ impl RealTimeGenerator {
         Self::new(catalog, schedules, cfg)
     }
 
-    /// Adjust the schedule gate (0 = emit on any matching edge).
-    pub fn with_min_slot_rate(mut self, rate: f64) -> Self {
-        self.min_slot_rate = rate.max(0.0);
-        self
-    }
-
     /// The mined schedules backing the generator.
     pub fn schedules(&self) -> &[MinedSchedule] {
         &self.schedules
@@ -253,6 +247,14 @@ mod tests {
             .unwrap()
     }
 
+    /// A generator with the schedule gate off: it emits on any
+    /// matching edge.
+    fn ungated_generator() -> RealTimeGenerator {
+        let mut gen = generator();
+        gen.min_slot_rate = 0.0;
+        gen
+    }
+
     /// Feed a live day containing one washer start at `cycle_at` and
     /// collect emissions.
     fn feed_day(gen: &mut RealTimeGenerator, cycle_at: Timestamp) -> Vec<FlexOffer> {
@@ -325,7 +327,7 @@ mod tests {
             "gated cycle should not emit: {offers:?}"
         );
         // Disabling the gate lets it through.
-        let mut open = generator().with_min_slot_rate(0.0);
+        let mut open = ungated_generator();
         let offers = feed_day(&mut open, at);
         assert!(offers
             .iter()
@@ -334,7 +336,7 @@ mod tests {
 
     #[test]
     fn cooldown_prevents_duplicate_emissions() {
-        let mut gen = generator().with_min_slot_rate(0.0);
+        let mut gen = ungated_generator();
         let cat = Catalog::extended();
         let washer = cat
             .find_by_name("Washing Machine from Manufacturer Y")
@@ -366,7 +368,7 @@ mod tests {
 
     #[test]
     fn gap_in_readings_resets_the_window() {
-        let mut gen = generator().with_min_slot_rate(0.0);
+        let mut gen = ungated_generator();
         let t0: Timestamp = "2013-03-18 10:00".parse().unwrap();
         gen.push(t0, 0.1 / 60.0);
         // A 10-minute gap, then a huge step: no emission because the

@@ -1,6 +1,7 @@
-//! Metamorphic relations for the basic (paper §3.1) and peak-based
-//! (§3.2) extractors, over seeded simulated households at the 15-min
-//! market resolution.
+//! Metamorphic relations for the basic (paper §3.1), peak-based (§3.2)
+//! and random baseline (§1) extractors, over seeded simulated households
+//! at the 15-min market resolution. Both sides of a relation draw from
+//! the same per-household seed.
 //!
 //! Each relation transforms the input in a way whose effect on the
 //! output is known exactly, and checks the output bit for bit:
@@ -15,12 +16,13 @@
 //!   and divides) is unchanged and every product, quotient of doubled
 //!   terms and difference doubles exactly.
 //!
-//! The basic extractor's diagnostics are not compared: its capping note
-//! tests `shortfall > 1e-9`, an absolute bound that doubling can cross.
+//! The basic and random extractors' diagnostics are not compared: the
+//! basic extractor's capping note tests `shortfall > 1e-9`, an absolute
+//! bound that doubling can cross.
 
 use flextract_core::{
     BasicExtractor, ExtractionConfig, ExtractionInput, ExtractionOutput, FlexibilityExtractor,
-    PeakDayReport, PeakExtractor,
+    PeakDayReport, PeakExtractor, RandomExtractor,
 };
 use flextract_flexoffer::FlexOffer;
 use flextract_series::{PeakThreshold, TimeSeries};
@@ -59,14 +61,15 @@ fn extractors() -> Vec<PeakExtractor> {
     ]
 }
 
-fn basic_extractors() -> Vec<BasicExtractor> {
+/// The three configurations the basic and random extractors run at.
+fn period_configs() -> Vec<ExtractionConfig> {
     vec![
-        BasicExtractor::new(ExtractionConfig::default()),
-        BasicExtractor::new(ExtractionConfig::with_share(0.02)),
-        BasicExtractor::new(ExtractionConfig {
+        ExtractionConfig::default(),
+        ExtractionConfig::with_share(0.02),
+        ExtractionConfig {
             period: Duration::hours(4),
             ..ExtractionConfig::with_share(0.065)
-        }),
+        },
     ]
 }
 
@@ -226,31 +229,56 @@ fn doubling_the_input_doubles_every_energy_bit_for_bit() {
     }
 }
 
-#[test]
-fn basic_shifting_the_input_by_whole_days_shifts_the_offers() {
+/// The time-shift relation for an extractor built from each of
+/// [`period_configs`].
+fn check_shift<E: FlexibilityExtractor>(make: fn(ExtractionConfig) -> E) {
     for (h, series) in households().iter().enumerate() {
-        for ex in basic_extractors() {
+        for cfg in period_configs() {
+            let what = format!("household {h}, {cfg:?}");
+            let ex = make(cfg);
             for k in [1_i64, 5, 28] {
                 let shift = Duration::days(k);
-                let what = format!("basic, household {h}, {k} day(s), {:?}", ex.config());
                 let moved = with_values(series, series.start() + shift, series.values().to_vec());
                 let a = run(&ex, series, 40 + h as u64);
                 let b = run(&ex, &moved, 40 + h as u64);
+                let what = format!("{}, {what}, {k} day(s)", ex.name());
                 assert_outputs_shifted(&a, &b, shift, &what);
             }
         }
     }
 }
 
-#[test]
-fn basic_doubling_the_input_doubles_every_energy_bit_for_bit() {
+/// The ×2 scaling relation for an extractor built from each of
+/// [`period_configs`].
+fn check_doubling<E: FlexibilityExtractor>(make: fn(ExtractionConfig) -> E) {
     for (h, series) in households().iter().enumerate() {
-        for ex in basic_extractors() {
-            let what = format!("basic, household {h}, {:?}", ex.config());
+        for cfg in period_configs() {
+            let what = format!("household {h}, {cfg:?}");
+            let ex = make(cfg);
             let doubled = with_values(series, series.start(), twice(series.values()));
             let a = run(&ex, series, 70 + h as u64);
             let b = run(&ex, &doubled, 70 + h as u64);
-            assert_outputs_doubled(&a, &b, &what);
+            assert_outputs_doubled(&a, &b, &format!("{}, {what}", ex.name()));
         }
     }
+}
+
+#[test]
+fn basic_shifting_the_input_by_whole_days_shifts_the_offers() {
+    check_shift(BasicExtractor::new);
+}
+
+#[test]
+fn basic_doubling_the_input_doubles_every_energy_bit_for_bit() {
+    check_doubling(BasicExtractor::new);
+}
+
+#[test]
+fn random_shifting_the_input_by_whole_days_shifts_the_offers() {
+    check_shift(RandomExtractor::new);
+}
+
+#[test]
+fn random_doubling_the_input_doubles_every_energy_bit_for_bit() {
+    check_doubling(RandomExtractor::new);
 }

@@ -83,16 +83,6 @@ impl Default for Degradation {
 }
 
 impl Degradation {
-    /// `true` when applying this degradation reproduces the input
-    /// exactly (no resampling, noise, anomalies, or gaps).
-    pub fn is_identity(&self) -> bool {
-        self.resolution_min.is_none()
-            && self.noise_std == 0.0
-            && self.anomaly_rate == 0.0
-            && self.gap_rate == 0.0
-            && self.quantize_kwh == 0.0
-    }
-
     /// Check every field's domain.
     pub fn validate(&self) -> Result<(), String> {
         if let Some(res) = self.resolution_min {
@@ -264,7 +254,6 @@ mod tests {
     #[test]
     fn identity_degradation_is_exact() {
         let d = Degradation::default();
-        assert!(d.is_identity());
         let s = day();
         let m = d.apply(&s, &mut StdRng::seed_from_u64(1)).unwrap();
         assert_eq!(m.gap_count(), 0);
@@ -328,7 +317,6 @@ mod tests {
             quantize_kwh: 0.001,
             ..Degradation::default()
         };
-        assert!(!d.is_identity());
         let m = d.apply(&day(), &mut StdRng::seed_from_u64(7)).unwrap();
         assert!(m.gap_count() > 0, "expected gaps at 5 % rate");
         for &v in m.values().iter().filter(|v| !v.is_nan()) {

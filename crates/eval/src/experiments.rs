@@ -1,4 +1,5 @@
-//! Experiment runners E5–E9 (see `DESIGN.md` for the index).
+//! Experiment runners E5–E10 (README's "Figure and experiment binaries"
+//! lists the binary that runs each).
 //!
 //! Each runner takes an [`ExperimentParams`] so integration tests can
 //! run it small and the `flextract-bench` binaries can run it at paper
@@ -750,7 +751,7 @@ impl TariffStudy {
 
 // ---------------------------------------------------------------- E10
 
-/// One peak-threshold variant's outcome (the DESIGN.md ablation).
+/// One peak-threshold variant's outcome (E10, the threshold ablation).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThresholdAblationRow {
     /// Threshold variant name.

@@ -21,8 +21,9 @@
 //! 0.48/1.85/2.22/5.47/0.48 kWh, 1.951 kWh filter, 29 %/71 %
 //! probabilities).
 //!
-//! [`experiments`] wires everything into the E5–E9 experiment runners
-//! indexed in `DESIGN.md`, each returning a rendered table.
+//! [`experiments`] wires everything into the E5–E10 experiment runners
+//! listed in README's "Figure and experiment binaries", each returning
+//! a rendered table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -118,12 +118,6 @@ impl ScheduledFlexOffer {
         )
         .expect("schedule start is validated as aligned")
     }
-
-    /// Re-start the same schedule at a different instant, keeping the
-    /// energies (used by the scheduler's local search moves).
-    pub fn with_start(&self, start: Timestamp) -> Result<Self, FlexOfferError> {
-        Self::new(self.offer.clone(), start, self.energies.clone())
-    }
 }
 
 impl std::fmt::Display for ScheduledFlexOffer {
@@ -225,15 +219,6 @@ mod tests {
                 got: 7
             }
         );
-    }
-
-    #[test]
-    fn with_start_moves_inside_window_only() {
-        let s = ScheduledFlexOffer::baseline(offer());
-        let moved = s.with_start(ts("2013-03-19 02:00")).unwrap();
-        assert_eq!(moved.start(), ts("2013-03-19 02:00"));
-        assert_eq!(moved.energies(), s.energies());
-        assert!(s.with_start(ts("2013-03-19 06:00")).is_err());
     }
 
     #[test]

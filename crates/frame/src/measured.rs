@@ -104,15 +104,6 @@ impl MeasuredSeries {
         missing::gap_count(&self.values)
     }
 
-    /// Fraction of intervals that are missing (0 for an empty series).
-    pub fn gap_fraction(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.gap_count() as f64 / self.values.len() as f64
-        }
-    }
-
     /// Total energy over the observed (non-gap) intervals (kWh).
     pub fn observed_energy(&self) -> f64 {
         self.values.iter().filter(|v| !v.is_nan()).sum()
@@ -156,7 +147,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.gap_count(), 1);
-        assert!((m.gap_fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert!((m.observed_energy() - 3.0).abs() < 1e-12);
 
         assert_eq!(

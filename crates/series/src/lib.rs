@@ -15,9 +15,6 @@
 //!   autocorrelation, sparseness: exactly the measures the paper names
 //!   when discussing how extracted flex-offers could be evaluated
 //!   ("correlation, sparseness, autocorrelation", §3.1).
-//! * [`decompose`] — classical trend/seasonal/remainder decomposition
-//!   ("the time series is composed of the trend, seasonal, and error
-//!   components", §5 ref \[12\]); no pipeline stage calls it.
 //! * [`peaks`] — contiguous-run peak detection with pluggable
 //!   thresholds, the engine of the peak-based approach (§3.2, Fig. 5).
 //! * [`segment`] — day segmentation and typical-day profiles, the
@@ -50,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod anomaly;
-pub mod decompose;
 pub mod forecast;
 pub mod missing;
 pub mod peaks;

@@ -2,13 +2,12 @@
 //!
 //! Real metering data has holes (meter outages, transmission loss).
 //! Gaps are represented as `NaN` inside a raw value vector and must be
-//! filled before the vector becomes a [`TimeSeries`], whose invariant is
+//! filled before the vector becomes a [`TimeSeries`](crate::TimeSeries), whose invariant is
 //! all-finite values. The fill strategies mirror the disaggregation
 //! literature the paper cites for "filling the missing values"
 //! (§5 ref \[14\]).
 
-use crate::{SeriesError, TimeSeries};
-use flextract_time::{Resolution, Timestamp};
+use crate::SeriesError;
 use serde::{Deserialize, Serialize};
 
 /// Strategy for replacing `NaN` gaps in a raw value vector.
@@ -166,19 +165,6 @@ fn fill_linear(values: &mut [f64]) -> Result<(), SeriesError> {
     Ok(())
 }
 
-/// Build a gap-free [`TimeSeries`] from raw metered values, filling with
-/// `strategy`. Convenience wrapper combining [`fill_gaps`] and
-/// [`TimeSeries::new`].
-pub fn series_from_metered(
-    start: Timestamp,
-    resolution: Resolution,
-    mut values: Vec<f64>,
-    strategy: FillStrategy,
-) -> Result<(TimeSeries, usize), SeriesError> {
-    let filled = fill_gaps(&mut values, strategy, resolution.intervals_per_day())?;
-    Ok((TimeSeries::new(start, resolution, values)?, filled))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,20 +317,5 @@ mod tests {
         let mut v = vec![NAN, 2.0, NAN, 8.0];
         fill_gaps(&mut v, FillStrategy::Zero, 4).unwrap();
         assert_eq!(v.iter().sum::<f64>(), 10.0);
-    }
-
-    #[test]
-    fn metered_constructor_round_trip() {
-        let start: Timestamp = "2013-03-18".parse().unwrap();
-        let (s, filled) = series_from_metered(
-            start,
-            Resolution::MIN_15,
-            vec![1.0, NAN, 3.0, 4.0],
-            FillStrategy::Linear,
-        )
-        .unwrap();
-        assert_eq!(filled, 1);
-        assert!((s.values()[1] - 2.0).abs() < 1e-12);
-        assert_eq!(s.len(), 4);
     }
 }

@@ -78,14 +78,6 @@ pub fn split_into_periods(series: &TimeSeries, period: Duration) -> Vec<TimeSeri
         .collect()
 }
 
-/// Total energy of each whole day in the series.
-pub fn daily_totals(series: &TimeSeries) -> Vec<(Timestamp, f64)> {
-    split_whole_days(series)
-        .into_iter()
-        .map(|d| (d.start(), d.total_energy()))
-        .collect()
-}
-
 /// The mean interval-of-day profile over whole days of the given kind.
 ///
 /// Returns a vector of `intervals_per_day` mean energies (index 0 =
@@ -205,21 +197,6 @@ mod tests {
         let ps = split_into_periods(&ragged, Duration::hours(6));
         assert_eq!(ps.len(), 2);
         assert_eq!(ps[1].len(), 6);
-    }
-
-    #[test]
-    fn daily_totals_match_construction() {
-        let s = two_weeks();
-        let totals = daily_totals(&s);
-        assert_eq!(totals.len(), 14);
-        // Day 0 is Monday (workday): 24 * 1.0
-        assert!((totals[0].1 - 24.0).abs() < 1e-9);
-        // Day 5 is Saturday: 24 * 10 * 6
-        assert!((totals[5].1 - 24.0 * 60.0).abs() < 1e-9);
-        assert_eq!(
-            totals[5].0.day_of_week(),
-            flextract_time::DayOfWeek::Saturday
-        );
     }
 
     #[test]

@@ -241,13 +241,6 @@ impl TimeSeries {
         Ok(())
     }
 
-    /// `true` if `other` shares resolution and exact grid span.
-    pub fn same_grid(&self, other: &TimeSeries) -> bool {
-        self.resolution == other.resolution
-            && self.start == other.start
-            && self.values.len() == other.values.len()
-    }
-
     fn check_same_grid(&self, other: &TimeSeries) -> Result<(), SeriesError> {
         if self.resolution != other.resolution {
             return Err(SeriesError::ResolutionMismatch {
@@ -448,7 +441,9 @@ mod tests {
     fn zeros_like_copies_the_grid() {
         let s = day_series(vec![0.7; 96]);
         let z = TimeSeries::zeros_like(&s);
-        assert!(z.same_grid(&s));
+        assert_eq!(z.start(), s.start());
+        assert_eq!(z.resolution(), s.resolution());
+        assert_eq!(z.len(), s.len());
         assert_eq!(z.total_energy(), 0.0);
     }
 

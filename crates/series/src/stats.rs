@@ -6,8 +6,8 @@
 //! the workspace has no external analytics dependency (§5 ref \[11\]).
 //!
 //! All functions operate on plain `&[f64]` so they work on whole series
-//! ([`crate::TimeSeries::values`]), slices of days, decomposition
-//! components, or flex-offer profiles alike.
+//! ([`crate::TimeSeries::values`]), slices of days, or flex-offer
+//! profiles alike.
 
 /// Arithmetic mean; `None` on empty input.
 pub fn mean(xs: &[f64]) -> Option<f64> {
@@ -22,15 +22,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
 pub fn variance(xs: &[f64]) -> Option<f64> {
     let m = mean(xs)?;
     Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
-}
-
-/// Sample variance (divide by `n-1`); `None` when fewer than 2 values.
-pub fn sample_variance(xs: &[f64]) -> Option<f64> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
 }
 
 /// Population standard deviation.
@@ -116,20 +107,6 @@ pub fn autocorrelation(xs: &[f64], lag: usize) -> Option<f64> {
     Some(num / denom)
 }
 
-/// Cross-correlation of `xs` against `ys` shifted by `lag`
-/// (`ys[i + lag]` paired with `xs[i]`), normalised like Pearson over the
-/// overlapping window.
-pub fn cross_correlation(xs: &[f64], ys: &[f64], lag: usize) -> Option<f64> {
-    if lag >= ys.len() {
-        return None;
-    }
-    let n = xs.len().min(ys.len() - lag);
-    if n < 2 {
-        return None;
-    }
-    pearson(&xs[..n], &ys[lag..lag + n])
-}
-
 /// Sparseness: the fraction of values with magnitude at most `eps`.
 ///
 /// Consumption series are dense; *extracted flexibility* series are
@@ -141,23 +118,6 @@ pub fn sparseness(xs: &[f64], eps: f64) -> f64 {
         return 1.0;
     }
     xs.iter().filter(|v| v.abs() <= eps).count() as f64 / xs.len() as f64
-}
-
-/// Root-mean-square error between two equal-length slices.
-pub fn rmse(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.is_empty() {
-        return None;
-    }
-    let se: f64 = xs.iter().zip(ys).map(|(x, y)| (x - y) * (x - y)).sum();
-    Some((se / xs.len() as f64).sqrt())
-}
-
-/// Mean absolute error between two equal-length slices.
-pub fn mae(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.is_empty() {
-        return None;
-    }
-    Some(xs.iter().zip(ys).map(|(x, y)| (x - y).abs()).sum::<f64>() / xs.len() as f64)
 }
 
 /// Shannon entropy (nats) of a discrete distribution given by
@@ -203,11 +163,9 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert!((mean(&xs).unwrap() - 2.5).abs() < EPS);
         assert!((variance(&xs).unwrap() - 1.25).abs() < EPS);
-        assert!((sample_variance(&xs).unwrap() - 5.0 / 3.0).abs() < EPS);
         assert!((std_dev(&xs).unwrap() - 1.25_f64.sqrt()).abs() < EPS);
         assert_eq!(mean(&[]), None);
         assert_eq!(variance(&[]), None);
-        assert_eq!(sample_variance(&[1.0]), None);
     }
 
     #[test]
@@ -251,31 +209,11 @@ mod tests {
     }
 
     #[test]
-    fn cross_correlation_detects_shift() {
-        let base: Vec<f64> = (0..32).map(|i| ((i % 8) as f64 - 3.5).abs()).collect();
-        let shifted: Vec<f64> = base.iter().cycle().skip(3).take(32).copied().collect();
-        // Correlation at the matching lag is (near) perfect.
-        let at3 = cross_correlation(&base, &shifted, 5).unwrap(); // 3+5=8 ≡ period
-        assert!(at3 > 0.99, "{at3}");
-        assert_eq!(cross_correlation(&base, &shifted, 32), None);
-    }
-
-    #[test]
     fn sparseness_counts_zeros() {
         let xs = [0.0, 0.0, 1.0, 0.0];
         assert!((sparseness(&xs, 0.0) - 0.75).abs() < EPS);
         assert!((sparseness(&xs, 2.0) - 1.0).abs() < EPS);
         assert_eq!(sparseness(&[], 0.0), 1.0);
-    }
-
-    #[test]
-    fn error_metrics() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [1.0, 2.0, 5.0];
-        assert!((rmse(&xs, &ys).unwrap() - (4.0_f64 / 3.0).sqrt()).abs() < EPS);
-        assert!((mae(&xs, &ys).unwrap() - 2.0 / 3.0).abs() < EPS);
-        assert_eq!(rmse(&xs, &ys[..2]), None);
-        assert_eq!(mae(&[], &[]), None);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Property tests for the series engine.
 
 use flextract_series::anomaly::{self, Anomaly, AnomalyDirection};
-use flextract_series::{
-    decompose, missing, peaks, resample, rolling, stats, PeakThreshold, TimeSeries,
-};
+use flextract_series::{missing, peaks, resample, rolling, stats, PeakThreshold, TimeSeries};
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -94,17 +92,6 @@ proptest! {
             prop_assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             prop_assert!(probs.iter().all(|&p| (0.0..=1.0 + 1e-12).contains(&p)));
         }
-    }
-
-    #[test]
-    fn decomposition_reconstructs(values in prop::collection::vec(0.0_f64..3.0, 48..200)) {
-        let d = decompose::decompose_values(&values, 24).unwrap();
-        let back = d.reconstruct();
-        for (a, b) in values.iter().zip(&back) {
-            prop_assert!((a - b).abs() < 1e-9);
-        }
-        let profile_sum: f64 = d.seasonal_profile().iter().sum();
-        prop_assert!(profile_sum.abs() < 1e-9);
     }
 
     #[test]

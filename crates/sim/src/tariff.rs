@@ -69,24 +69,6 @@ impl TariffScheme {
         }
     }
 
-    /// Price per kWh at instant `t`.
-    pub fn price_at(&self, t: Timestamp) -> f64 {
-        match self {
-            TariffScheme::Flat { price } => *price,
-            TariffScheme::TimeOfUse {
-                high_price,
-                low_price,
-                ..
-            } => {
-                if self.is_low_tariff(t) {
-                    *low_price
-                } else {
-                    *high_price
-                }
-            }
-        }
-    }
-
     /// The next instant at or after `t` with low tariff, searched on a
     /// minute grid up to `horizon` ahead. `None` for flat schemes or
     /// when no window opens within the horizon.
@@ -139,7 +121,6 @@ mod tests {
         let flat = TariffScheme::Flat { price: 0.25 };
         assert!(!flat.is_multi_tariff());
         assert!(!flat.is_low_tariff(ts("2013-03-18 23:00")));
-        assert_eq!(flat.price_at(ts("2013-03-18 23:00")), 0.25);
         assert_eq!(
             flat.next_low_tariff_start(ts("2013-03-18 12:00"), Duration::days(1)),
             None
@@ -155,13 +136,6 @@ mod tests {
         assert!(s.is_low_tariff(ts("2013-03-18 22:00"))); // inclusive start
         assert!(!s.is_low_tariff(ts("2013-03-19 06:00"))); // exclusive end
         assert!(!s.is_low_tariff(ts("2013-03-18 12:00")));
-    }
-
-    #[test]
-    fn prices_follow_windows() {
-        let s = TariffScheme::overnight();
-        assert_eq!(s.price_at(ts("2013-03-18 23:30")), 0.15);
-        assert_eq!(s.price_at(ts("2013-03-18 12:00")), 0.30);
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl DayOfWeek {
         DayOfWeek::Sunday,
     ];
 
-    /// ISO-8601 weekday number: Monday = 1 … Sunday = 7.
-    pub fn iso_number(self) -> u8 {
-        self as u8 + 1
-    }
-
     /// Index into [`DayOfWeek::ALL`] (Monday = 0 … Sunday = 6).
     pub fn index(self) -> usize {
         self as usize
@@ -141,11 +136,6 @@ impl CivilDate {
     /// Weekday of this date.
     pub fn day_of_week(self) -> DayOfWeek {
         DayOfWeek::from_days_since_unix_epoch(self.days_since_unix_epoch())
-    }
-
-    /// The next calendar day.
-    pub fn succ(self) -> Self {
-        Self::from_days_since_unix_epoch(self.days_since_unix_epoch() + 1)
     }
 }
 
@@ -370,20 +360,10 @@ mod tests {
     }
 
     #[test]
-    fn succ_handles_month_and_year_ends() {
-        let d = CivilDate::new(2012, 2, 28).unwrap();
-        assert_eq!(d.succ(), CivilDate::new(2012, 2, 29).unwrap());
-        let d = CivilDate::new(2013, 12, 31).unwrap();
-        assert_eq!(d.succ(), CivilDate::new(2014, 1, 1).unwrap());
-    }
-
-    #[test]
     fn weekday_helpers() {
         assert!(DayOfWeek::Saturday.is_weekend());
         assert!(DayOfWeek::Sunday.is_weekend());
         assert!(!DayOfWeek::Wednesday.is_weekend());
-        assert_eq!(DayOfWeek::Monday.iso_number(), 1);
-        assert_eq!(DayOfWeek::Sunday.iso_number(), 7);
         assert_eq!(DayOfWeek::Sunday.next(), DayOfWeek::Monday);
         assert_eq!(DayOfWeek::Thursday.next(), DayOfWeek::Friday);
     }
@@ -400,12 +380,11 @@ mod tests {
 
     #[test]
     fn consecutive_days_advance_weekday() {
-        let mut date = CivilDate::new(2013, 1, 1).unwrap();
-        let mut dow = date.day_of_week();
-        for _ in 0..500 {
-            let next = date.succ();
+        let first = CivilDate::new(2013, 1, 1).unwrap().days_since_unix_epoch();
+        let mut dow = CivilDate::from_days_since_unix_epoch(first).day_of_week();
+        for days in first + 1..first + 501 {
+            let next = CivilDate::from_days_since_unix_epoch(days);
             assert_eq!(next.day_of_week(), dow.next());
-            date = next;
             dow = dow.next();
         }
     }

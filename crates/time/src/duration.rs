@@ -58,11 +58,6 @@ impl Duration {
         self.0 < 0
     }
 
-    /// `true` if the span is exactly zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Absolute value of the span.
     pub const fn abs(self) -> Self {
         Duration(self.0.abs())
@@ -182,7 +177,7 @@ mod tests {
         c += b;
         assert_eq!(c, Duration::hours(2));
         c -= Duration::hours(2);
-        assert!(c.is_zero());
+        assert_eq!(c, Duration::ZERO);
     }
 
     #[test]

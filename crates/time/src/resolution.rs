@@ -57,11 +57,6 @@ impl Resolution {
         (24 * 60 / self.minutes) as usize
     }
 
-    /// Number of intervals in one hour (zero if coarser than hourly).
-    pub const fn intervals_per_hour(self) -> usize {
-        (60 / self.minutes) as usize
-    }
-
     /// Interval width in fractional hours (e.g. 0.25 for 15 min) —
     /// the factor converting average kW power to kWh-per-interval.
     pub fn hours_f64(self) -> f64 {
@@ -121,8 +116,6 @@ mod tests {
         }
         assert_eq!(Resolution::MIN_15.intervals_per_day(), 96);
         assert_eq!(Resolution::MIN_1.intervals_per_day(), 1440);
-        assert_eq!(Resolution::HOUR_1.intervals_per_hour(), 1);
-        assert_eq!(Resolution::MIN_15.intervals_per_hour(), 4);
     }
 
     #[test]

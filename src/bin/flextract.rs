@@ -218,6 +218,12 @@ fn run_simple(command: &str, args: &[String]) -> Result<(), String> {
     }
 }
 
+/// The first simulated day of `simulate` and `experiment`: Monday
+/// 2013-03-18, the EDBT'13 week.
+fn fleet_start() -> Timestamp {
+    Timestamp::from_ymd_hm(2013, 3, 18, 0, 0).expect("static date")
+}
+
 /// Parse and validate the fleet-shaped flags shared by `simulate` and
 /// `experiment`.
 fn fleet_flags(
@@ -233,6 +239,14 @@ fn fleet_flags(
     if days < 1 {
         return Err("--days must be at least 1".into());
     }
+    // Checked as `Scenario::horizon` is: `Duration::days` and
+    // `Timestamp + Duration` wrap (or panic in debug builds) past the
+    // i64 minute axis.
+    days.checked_mul(Duration::DAY.as_minutes())
+        .and_then(|minutes| fleet_start().as_minutes().checked_add(minutes))
+        .ok_or_else(|| {
+            format!("--days {days}: the horizon ends past the last representable minute")
+        })?;
     let seed: u64 = flags.get_parsed("seed", 2013)?;
     Ok((households, days, seed))
 }
@@ -242,8 +256,8 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let out = flags.get("out").ok_or("simulate needs --out DIR")?;
     std::fs::create_dir_all(out).map_err(|e| format!("cannot create {out}: {e}"))?;
 
-    let start: Timestamp = "2013-03-18".parse().expect("static date");
-    let horizon = TimeRange::starting_at(start, Duration::days(days)).expect("days >= 0");
+    let horizon =
+        TimeRange::starting_at(fleet_start(), Duration::days(days)).expect("days checked");
     let fleet = simulate_fleet(
         &FleetConfig {
             households,
@@ -1565,6 +1579,25 @@ mod tests {
         assert!(run(&["experiment".into()]).is_err());
         assert!(run(&["experiment".into(), "e99".into()]).is_err());
         assert!(run(&["help".into()]).is_ok());
+    }
+
+    #[test]
+    fn days_past_the_minute_axis_error_instead_of_panicking() {
+        for days in ["7000000000000000", &i64::MAX.to_string()] {
+            let args = |cmd: &[&str]| -> Vec<String> {
+                cmd.iter()
+                    .map(|s| s.to_string())
+                    .chain(["--days".into(), days.into()])
+                    .collect()
+            };
+            let out = std::env::temp_dir().join(format!("flextract_days_{}", std::process::id()));
+            let simulate = run(&args(&["simulate", "--out", out.to_str().unwrap()]));
+            std::fs::remove_dir_all(&out).ok();
+            for result in [simulate, run(&args(&["experiment", "e5"]))] {
+                let msg = result.expect_err("an error, not a run").msg;
+                assert!(msg.contains("--days"), "{msg}");
+            }
+        }
     }
 
     #[test]
