@@ -9,7 +9,7 @@ fn main() {
         days: 28,
         seed: 2013,
     };
-    let ablation = threshold_ablation(params);
+    let ablation = threshold_ablation(params).expect("fixed experiment parameters");
     print!("{}", ablation.render());
     println!("\n(30 households x 28 days; 'empty-days' = household-days where no peak survived the filter)");
 }

@@ -10,7 +10,7 @@ fn main() {
         days: 14,
         seed: 2013,
     };
-    let study = aggregation_study(params);
+    let study = aggregation_study(params).expect("fixed experiment parameters");
     print!("{}", study.render());
     println!("\n(50 households x 14 days, wind farm sized to the fleet's mean load)");
 }

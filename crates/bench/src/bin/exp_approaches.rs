@@ -8,7 +8,7 @@ fn main() {
         days: 28,
         seed: 2013,
     };
-    let cmp = approach_comparison(params);
+    let cmp = approach_comparison(params).expect("fixed experiment parameters");
     print!("{}", cmp.render());
     println!("\n(30 households x 28 days; dispersion 1.0 = uniformly spread starts — the random baseline's flaw)");
 }

@@ -10,7 +10,7 @@ fn main() {
         days: 28,
         seed: 2013,
     };
-    let study = granularity(params);
+    let study = granularity(params).expect("fixed experiment parameters");
     print!("{}", study.render());
     println!("\n(20 households x 28 days; matched = truth activations with a same-appliance detection within ±15 min)");
 }

@@ -8,7 +8,8 @@ fn main() {
         days: 28,
         seed: 2013,
     };
-    let sweep = share_sweep(&[0.001, 0.005, 0.01, 0.02, 0.05, 0.065], params);
+    let sweep = share_sweep(&[0.001, 0.005, 0.01, 0.02, 0.05, 0.065], params)
+        .expect("fixed experiment parameters");
     print!("{}", sweep.render());
     println!("\n(30 households x 28 days; 'achieved' is extracted energy / total consumption)");
 }

@@ -19,37 +19,56 @@
 //! The basic and random extractors' diagnostics are not compared: the
 //! basic extractor's capping note tests `shortfall > 1e-9`, an absolute
 //! bound that doubling can cross.
+//!
+//! The frequency- and schedule-based (§4.1, §4.2) and multi-tariff
+//! (§3.3) extractors are held to the time shift only, by whole weeks,
+//! so every weekday and every tariff window lines up on both sides.
+//! Scaling does not hold for them by design:
+//!
+//! - the frequency and schedule extractors match the series against
+//!   the catalog's absolute power profiles, so a doubled series
+//!   matches other cycles, or none;
+//! - the schedule extractor also drops a slot whose support is under
+//!   30 % of the appliance's nominal cycle energy, an absolute kWh
+//!   bound;
+//! - the multi-tariff extractor's noise band has an absolute floor of
+//!   0.02 kWh per interval, which doubling can cross.
 
+use flextract_appliance::Catalog;
 use flextract_core::{
     BasicExtractor, ExtractionConfig, ExtractionInput, ExtractionOutput, FlexibilityExtractor,
-    PeakDayReport, PeakExtractor, RandomExtractor,
+    FrequencyBasedExtractor, MultiTariffExtractor, PeakDayReport, PeakExtractor, RandomExtractor,
+    ScheduleBasedExtractor,
 };
 use flextract_flexoffer::FlexOffer;
 use flextract_series::{PeakThreshold, TimeSeries};
-use flextract_sim::{simulate_household, HouseholdArchetype, HouseholdConfig};
+use flextract_sim::{
+    simulate_household, simulate_tariff_pair, HouseholdArchetype, HouseholdConfig, TariffResponse,
+};
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One simulated week per seed, archetypes in turn, at 15 min.
-fn households() -> Vec<TimeSeries> {
-    let week = TimeRange::starting_at(
+fn week() -> TimeRange {
+    TimeRange::starting_at(
         Timestamp::from_ymd_hm(2013, 3, 18, 0, 0).unwrap(),
         Duration::weeks(1),
     )
-    .unwrap();
-    let archetypes = [
-        HouseholdArchetype::SingleResident,
-        HouseholdArchetype::Couple,
-        HouseholdArchetype::FamilyWithChildren,
-        HouseholdArchetype::SuburbanWithEv,
-    ];
-    (0..8_u64)
-        .map(|seed| {
-            let cfg = HouseholdConfig::new(seed, archetypes[seed as usize % archetypes.len()])
-                .with_seed(1_000 + seed);
-            simulate_household(&cfg, week).series_at(Resolution::MIN_15)
-        })
+    .unwrap()
+}
+
+/// The eight households: one per seed, archetypes in turn.
+fn configs() -> impl Iterator<Item = HouseholdConfig> {
+    (0..8_u64).map(|seed| {
+        HouseholdConfig::new(seed, HouseholdArchetype::ALL[seed as usize % 4])
+            .with_seed(1_000 + seed)
+    })
+}
+
+/// One simulated week per household at 15 min.
+fn households() -> Vec<TimeSeries> {
+    configs()
+        .map(|cfg| simulate_household(&cfg, week()).series_at(Resolution::MIN_15))
         .collect()
 }
 
@@ -281,4 +300,83 @@ fn random_shifting_the_input_by_whole_days_shifts_the_offers() {
 #[test]
 fn random_doubling_the_input_doubles_every_energy_bit_for_bit() {
     check_doubling(RandomExtractor::new);
+}
+
+/// Whole-week shifts: weekdays (and so the day kinds and tariff
+/// windows) line up on both sides.
+const WEEK_SHIFTS: [i64; 3] = [1, 4, 53];
+
+fn shifted(series: &TimeSeries, shift: Duration) -> TimeSeries {
+    with_values(series, series.start() + shift, series.values().to_vec())
+}
+
+/// The time-shift relation for an appliance-level extractor (which
+/// reads the 1-min series and the catalog next to the 15-min one) built
+/// from each of [`period_configs`].
+fn check_appliance_shift<E: FlexibilityExtractor>(make: fn(ExtractionConfig) -> E) {
+    let catalog = Catalog::extended();
+    for (h, cfg) in configs().enumerate() {
+        let sim = simulate_household(&cfg, week());
+        let market = sim.series_at(Resolution::MIN_15);
+        for ex in period_configs().into_iter().map(make) {
+            for k in WEEK_SHIFTS {
+                let shift = Duration::weeks(k);
+                let (fine_b, market_b) = (shifted(&sim.series, shift), shifted(&market, shift));
+                let run_on = |fine: &TimeSeries, market: &TimeSeries| {
+                    let input = ExtractionInput::household(market)
+                        .with_fine_series(fine)
+                        .with_catalog(&catalog);
+                    ex.extract(&input, &mut StdRng::seed_from_u64(40 + h as u64))
+                        .unwrap()
+                };
+                let a = run_on(&sim.series, &market);
+                let b = run_on(&fine_b, &market_b);
+                let what = format!("{}, household {h}, {k} week(s)", ex.name());
+                assert_outputs_shifted(&a, &b, shift, &what);
+                assert_eq!(a.diagnostics.shortlist, b.diagnostics.shortlist, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn frequency_shifting_the_input_by_whole_weeks_shifts_the_offers() {
+    check_appliance_shift(FrequencyBasedExtractor::new);
+}
+
+#[test]
+fn schedule_shifting_the_input_by_whole_weeks_shifts_the_offers() {
+    check_appliance_shift(ScheduleBasedExtractor::new);
+}
+
+#[test]
+fn multi_tariff_shifting_both_inputs_by_whole_weeks_shifts_the_offers() {
+    let observed = week();
+    let reference =
+        TimeRange::starting_at(observed.start() - Duration::weeks(2), Duration::weeks(2)).unwrap();
+    for (h, cfg) in configs().enumerate() {
+        let (flat, multi) =
+            simulate_tariff_pair(&cfg, reference, observed, TariffResponse::overnight(0.85));
+        let (reference_a, observed_a) = (
+            flat.series_at(Resolution::MIN_15),
+            multi.series_at(Resolution::MIN_15),
+        );
+        for ex in period_configs().into_iter().map(MultiTariffExtractor::new) {
+            for k in WEEK_SHIFTS {
+                let shift = Duration::weeks(k);
+                let (reference_b, observed_b) =
+                    (shifted(&reference_a, shift), shifted(&observed_a, shift));
+                let run_on = |reference: &TimeSeries, observed: &TimeSeries| {
+                    let input = ExtractionInput::household(observed).with_reference(reference);
+                    ex.extract(&input, &mut StdRng::seed_from_u64(40 + h as u64))
+                        .unwrap()
+                };
+                let a = run_on(&reference_a, &observed_a);
+                let b = run_on(&reference_b, &observed_b);
+                let what = format!("multi-tariff, household {h}, {k} week(s)");
+                assert_outputs_shifted(&a, &b, shift, &what);
+                assert_eq!(a.diagnostics.notes, b.diagnostics.notes, "{what}");
+            }
+        }
+    }
 }

@@ -50,9 +50,26 @@ impl Default for ExperimentParams {
 impl ExperimentParams {
     /// The simulated horizon, starting Monday 2013-03-18 (the EDBT'13
     /// week).
-    pub fn horizon(&self) -> TimeRange {
+    ///
+    /// # Errors
+    /// A negative `days`, or one whose horizon ends past the last
+    /// representable minute, is refused with a message naming it.
+    pub fn horizon(&self) -> Result<TimeRange, String> {
         let start: Timestamp = Timestamp::from_ymd_hm(2013, 3, 18, 0, 0).expect("static date");
-        TimeRange::starting_at(start, Duration::days(self.days)).expect("days >= 0")
+        // Checked: `Duration::days` and `Timestamp + Duration` wrap (or
+        // panic in debug builds) past the i64 minute axis.
+        let end = self
+            .days
+            .checked_mul(Duration::DAY.as_minutes())
+            .and_then(|minutes| start.as_minutes().checked_add(minutes))
+            .ok_or_else(|| {
+                format!(
+                    "days {}: the horizon ends past the last representable minute",
+                    self.days
+                )
+            })?;
+        TimeRange::new(start, Timestamp::from_minutes(end))
+            .map_err(|e| format!("days {}: {e}", self.days))
     }
 
     fn fleet(&self) -> FleetConfig {
@@ -89,9 +106,10 @@ pub struct ShareSweep {
     pub rows: Vec<ShareSweepRow>,
 }
 
-/// Run E5.
-pub fn share_sweep(shares: &[f64], params: ExperimentParams) -> ShareSweep {
-    let fleet = simulate_fleet(&params.fleet(), params.horizon());
+/// Run E5; fails only where [`ExperimentParams::horizon`] does.
+pub fn share_sweep(shares: &[f64], params: ExperimentParams) -> Result<ShareSweep, String> {
+    let horizon = params.horizon()?;
+    let fleet = simulate_fleet(&params.fleet(), horizon);
     let mut rows = Vec::with_capacity(shares.len());
     for &share in shares {
         let cfg = ExtractionConfig::with_share(share);
@@ -128,7 +146,7 @@ pub fn share_sweep(shares: &[f64], params: ExperimentParams) -> ShareSweep {
             offers_per_day: (offers[0] / hd, offers[1] / hd, offers[2] / hd),
         });
     }
-    ShareSweep { params, rows }
+    Ok(ShareSweep { params, rows })
 }
 
 impl ShareSweep {
@@ -252,9 +270,10 @@ fn run_approach(
     }
 }
 
-/// Run E6.
-pub fn approach_comparison(params: ExperimentParams) -> ApproachComparison {
-    let fleet = simulate_fleet(&params.fleet(), params.horizon());
+/// Run E6; fails only where [`ExperimentParams::horizon`] does.
+pub fn approach_comparison(params: ExperimentParams) -> Result<ApproachComparison, String> {
+    let horizon = params.horizon()?;
+    let fleet = simulate_fleet(&params.fleet(), horizon);
     let catalog = Catalog::extended();
     let cfg = ExtractionConfig::default();
     let mut evaluations = Vec::with_capacity(6);
@@ -308,7 +327,7 @@ pub fn approach_comparison(params: ExperimentParams) -> ApproachComparison {
     // month. Truth comes from the tariff-shifted run itself.
     let mt = MultiTariffExtractor::new(cfg.clone());
     let ref_horizon = TimeRange::starting_at(
-        params.horizon().start() - Duration::days(params.days),
+        horizon.start() - Duration::days(params.days),
         Duration::days(params.days),
     )
     .expect("positive horizon");
@@ -320,7 +339,7 @@ pub fn approach_comparison(params: ExperimentParams) -> ApproachComparison {
             let (flat, multi) = simulate_tariff_pair(
                 &h.config,
                 ref_horizon,
-                params.horizon(),
+                horizon,
                 TariffResponse::overnight(0.85),
             );
             let reference = flat.series_at(Resolution::MIN_15);
@@ -376,10 +395,10 @@ pub fn approach_comparison(params: ExperimentParams) -> ApproachComparison {
         },
     ));
 
-    ApproachComparison {
+    Ok(ApproachComparison {
         params,
         evaluations,
-    }
+    })
 }
 
 impl ApproachComparison {
@@ -428,9 +447,10 @@ pub struct GranularityStudy {
     pub rows: Vec<GranularityRow>,
 }
 
-/// Run E7.
-pub fn granularity(params: ExperimentParams) -> GranularityStudy {
-    let fleet = simulate_fleet(&params.fleet(), params.horizon());
+/// Run E7; fails only where [`ExperimentParams::horizon`] does.
+pub fn granularity(params: ExperimentParams) -> Result<GranularityStudy, String> {
+    let horizon = params.horizon()?;
+    let fleet = simulate_fleet(&params.fleet(), horizon);
     let catalog = Catalog::extended();
     let specs = catalog.shiftable();
     let resolutions = [Resolution::MIN_1, Resolution::MIN_5, Resolution::MIN_15];
@@ -481,7 +501,7 @@ pub fn granularity(params: ExperimentParams) -> GranularityStudy {
             },
         });
     }
-    GranularityStudy { params, rows }
+    Ok(GranularityStudy { params, rows })
 }
 
 impl GranularityStudy {
@@ -533,9 +553,10 @@ pub struct AggregationStudy {
     pub rows: Vec<AggregationRow>,
 }
 
-/// Run E8.
-pub fn aggregation_study(params: ExperimentParams) -> AggregationStudy {
-    let fleet = simulate_fleet(&params.fleet(), params.horizon());
+/// Run E8; fails only where [`ExperimentParams::horizon`] does.
+pub fn aggregation_study(params: ExperimentParams) -> Result<AggregationStudy, String> {
+    let horizon = params.horizon()?;
+    let fleet = simulate_fleet(&params.fleet(), horizon);
     // Wind farm sized at roughly a third of the fleet's mean load.
     let mean_kw = fleet.total.total_energy() / (params.days as f64 * 24.0);
     let farm = WindFarmConfig {
@@ -543,7 +564,7 @@ pub fn aggregation_study(params: ExperimentParams) -> AggregationStudy {
         seed: params.seed ^ 0xCAFE,
         ..WindFarmConfig::default()
     };
-    let production = simulate_wind_production(&farm, params.horizon(), Resolution::MIN_15);
+    let production = simulate_wind_production(&farm, horizon, Resolution::MIN_15);
     let cfg = ExtractionConfig::default();
     let approaches: Vec<(&'static str, Box<dyn FlexibilityExtractor>)> = vec![
         ("random", Box::new(RandomExtractor::new(cfg.clone()))),
@@ -593,7 +614,7 @@ pub fn aggregation_study(params: ExperimentParams) -> AggregationStudy {
             res_utilisation: schedule.after.res_utilisation,
         });
     }
-    AggregationStudy { params, rows }
+    Ok(AggregationStudy { params, rows })
 }
 
 impl AggregationStudy {
@@ -655,13 +676,17 @@ pub struct TariffStudy {
     pub rows: Vec<TariffRow>,
 }
 
-/// Run E9.
-pub fn tariff_study(sensitivities: &[f64], params: ExperimentParams) -> TariffStudy {
+/// Run E9; fails only where [`ExperimentParams::horizon`] does.
+pub fn tariff_study(
+    sensitivities: &[f64],
+    params: ExperimentParams,
+) -> Result<TariffStudy, String> {
+    let horizon = params.horizon()?;
     let catalog = Catalog::extended();
     let cfg = ExtractionConfig::default();
     let mt = MultiTariffExtractor::new(cfg);
     let ref_horizon = TimeRange::starting_at(
-        params.horizon().start() - Duration::days(params.days),
+        horizon.start() - Duration::days(params.days),
         Duration::days(params.days),
     )
     .expect("positive horizon");
@@ -676,7 +701,7 @@ pub fn tariff_study(sensitivities: &[f64], params: ExperimentParams) -> TariffSt
             let (flat, multi) = simulate_tariff_pair(
                 &cfg_h,
                 ref_horizon,
-                params.horizon(),
+                horizon,
                 TariffResponse::overnight(sensitivity),
             );
             // Truth: the energy of the *shifted* activations only,
@@ -723,7 +748,7 @@ pub fn tariff_study(sensitivities: &[f64], params: ExperimentParams) -> TariffSt
             offers,
         });
     }
-    TariffStudy { params, rows }
+    Ok(TariffStudy { params, rows })
 }
 
 impl TariffStudy {
@@ -778,10 +803,11 @@ pub struct ThresholdAblation {
     pub rows: Vec<ThresholdAblationRow>,
 }
 
-/// Run E10.
-pub fn threshold_ablation(params: ExperimentParams) -> ThresholdAblation {
+/// Run E10; fails only where [`ExperimentParams::horizon`] does.
+pub fn threshold_ablation(params: ExperimentParams) -> Result<ThresholdAblation, String> {
     use flextract_series::PeakThreshold;
-    let fleet = simulate_fleet(&params.fleet(), params.horizon());
+    let horizon = params.horizon()?;
+    let fleet = simulate_fleet(&params.fleet(), horizon);
     let cfg = ExtractionConfig::default();
     let variants: Vec<(String, PeakThreshold)> = vec![
         ("mean (paper)".into(), PeakThreshold::Mean),
@@ -821,7 +847,7 @@ pub fn threshold_ablation(params: ExperimentParams) -> ThresholdAblation {
             f1: eval.ground_truth.f1(),
         });
     }
-    ThresholdAblation { params, rows }
+    Ok(ThresholdAblation { params, rows })
 }
 
 impl ThresholdAblation {
@@ -860,8 +886,27 @@ mod tests {
     }
 
     #[test]
+    fn horizon_refuses_days_past_the_minute_axis() {
+        for days in [7_000_000_000_000_000, i64::MAX] {
+            let params = ExperimentParams { days, ..small() };
+            let err = params.horizon().unwrap_err();
+            assert!(err.contains("past the last representable minute"), "{err}");
+            assert!(share_sweep(&[0.01], params).is_err());
+        }
+        let err = ExperimentParams {
+            days: -1,
+            ..small()
+        }
+        .horizon()
+        .unwrap_err();
+        assert!(err.starts_with("days -1:"), "{err}");
+        let week = ExperimentParams { days: 7, ..small() }.horizon().unwrap();
+        assert_eq!(week.duration(), Duration::weeks(1));
+    }
+
+    #[test]
     fn share_sweep_is_monotone_in_share() {
-        let sweep = share_sweep(&[0.01, 0.05], small());
+        let sweep = share_sweep(&[0.01, 0.05], small()).unwrap();
         assert_eq!(sweep.rows.len(), 2);
         // Basic achieves its configured share closely and monotonically.
         assert!(sweep.rows[1].achieved.1 > sweep.rows[0].achieved.1);
@@ -874,7 +919,7 @@ mod tests {
 
     #[test]
     fn approach_comparison_produces_all_six() {
-        let cmp = approach_comparison(small());
+        let cmp = approach_comparison(small()).unwrap();
         assert_eq!(cmp.evaluations.len(), 6);
         let names: Vec<&str> = cmp
             .evaluations
@@ -918,7 +963,8 @@ mod tests {
             households: 6,
             days: 14,
             seed: 2013,
-        });
+        })
+        .unwrap();
         assert_eq!(study.rows.len(), 3);
         assert_eq!(study.rows[0].resolution_min, 1);
         assert_eq!(study.rows[2].resolution_min, 15);
@@ -933,7 +979,7 @@ mod tests {
 
     #[test]
     fn aggregation_study_compresses_and_improves() {
-        let study = aggregation_study(small());
+        let study = aggregation_study(small()).unwrap();
         assert_eq!(study.rows.len(), 2);
         for row in &study.rows {
             assert!(row.aggregates <= row.offers);
@@ -949,7 +995,7 @@ mod tests {
 
     #[test]
     fn threshold_ablation_produces_all_variants() {
-        let ab = threshold_ablation(small());
+        let ab = threshold_ablation(small()).unwrap();
         assert_eq!(ab.rows.len(), 4);
         assert_eq!(ab.rows[0].threshold, "mean (paper)");
         for r in &ab.rows {
@@ -973,7 +1019,7 @@ mod tests {
 
     #[test]
     fn tariff_study_recall_grows_with_sensitivity() {
-        let study = tariff_study(&[0.0, 0.9], small());
+        let study = tariff_study(&[0.0, 0.9], small()).unwrap();
         assert_eq!(study.rows.len(), 2);
         // Zero sensitivity → no shifted truth.
         assert!(study.rows[0].shifted_truth_kwh < 1e-9);

@@ -364,12 +364,12 @@ fn cmd_experiment(which: &str, flags: &Flags) -> Result<(), String> {
         seed,
     };
     let rendered = match which {
-        "e5" => share_sweep(&[0.001, 0.005, 0.01, 0.02, 0.05, 0.065], params).render(),
-        "e6" => approach_comparison(params).render(),
-        "e7" => granularity(params).render(),
-        "e8" => aggregation_study(params).render(),
-        "e9" => tariff_study(&[0.0, 0.25, 0.5, 0.75, 1.0], params).render(),
-        "e10" => threshold_ablation(params).render(),
+        "e5" => share_sweep(&[0.001, 0.005, 0.01, 0.02, 0.05, 0.065], params)?.render(),
+        "e6" => approach_comparison(params)?.render(),
+        "e7" => granularity(params)?.render(),
+        "e8" => aggregation_study(params)?.render(),
+        "e9" => tariff_study(&[0.0, 0.25, 0.5, 0.75, 1.0], params)?.render(),
+        "e10" => threshold_ablation(params)?.render(),
         other => return Err(format!("unknown experiment '{other}' (e5..e10)")),
     };
     print!("{rendered}");
