@@ -30,11 +30,13 @@
 //! KS uses the Dvoretzky–Kiefer–Wolfowitz inequality with Massart's
 //! constant; counts use Bernstein's inequality.
 
+use bounds::{bernstein_half_width, phi, two_sided_tail};
 use flextract_sim::randomness::{clamped_normal, normal, ou_step, standard_normal};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
+mod bounds;
 #[path = "../src/randomness/oracle.rs"]
 mod oracle;
 #[path = "../src/randomness/tables.rs"]
@@ -52,49 +54,6 @@ const ROTATING_CASES: f64 = 1024.0;
 const ROTATING_STATISTICS: f64 = 5.0;
 /// Tolerated probability that any of CI's rotating cases flakes.
 const ROTATING_FLAKE_RATE: f64 = 1e-6;
-
-/// `erfc(x)`, Chebyshev fit with fractional error < 1.2e-7 everywhere
-/// (Press et al., *Numerical Recipes*, §6.2) — far below the 1e-3 scale
-/// of the KS distances compared here.
-fn erfc(x: f64) -> f64 {
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    let poly = -z * z - 1.265_512_23
-        + t * (1.000_023_68
-            + t * (0.374_091_96
-                + t * (0.096_784_18
-                    + t * (-0.186_288_06
-                        + t * (0.278_868_07
-                            + t * (-1.135_203_98
-                                + t * (1.488_515_87 + t * (-0.822_152_23 + t * 0.170_872_77))))))));
-    let tail = t * poly.exp();
-    if x >= 0.0 {
-        tail
-    } else {
-        2.0 - tail
-    }
-}
-
-/// The standard normal CDF Φ.
-fn phi(x: f64) -> f64 {
-    0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
-/// P(|Z| > t) for a standard normal Z.
-fn two_sided_tail(t: f64) -> f64 {
-    erfc(t / std::f64::consts::SQRT_2)
-}
-
-/// Half-width `d` with P(|count − np| ≥ d) ≤ α for a Binomial(n, p)
-/// count, from Bernstein's inequality
-/// `P(|S − np| ≥ d) ≤ 2·exp(−d² / (2(np(1−p) + d/3)))`.
-fn bernstein_half_width(n: f64, p: f64, alpha: f64) -> f64 {
-    let l = (2.0 / alpha).ln();
-    let var = n * p * (1.0 - p);
-    // Positive root of d² − (2l/3)·d − 2l·var = 0.
-    let b = 2.0 * l / 3.0;
-    0.5 * (b + (b * b + 8.0 * l * var).sqrt())
-}
 
 /// What one screen measured.
 struct Screen {
