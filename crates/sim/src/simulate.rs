@@ -3,7 +3,7 @@
 use crate::activation::{Activation, ActivationStats};
 use crate::household::HouseholdConfig;
 use crate::randomness::{
-    bernoulli, clamp_to_zero, clamped_normal, normal, ou_step, poisson, weighted_index,
+    bernoulli, clamp_to_zero, clamped_normal, normal, poisson, standard_normal, weighted_index,
 };
 use crate::tariff::TariffResponse;
 use flextract_appliance::{ApplianceSpec, Catalog, UsageFrequency};
@@ -126,7 +126,7 @@ fn simulate<const LOG: bool>(
     let mut flexible = TimeSeries::zeros_over(days, Resolution::MIN_1).expect("aligned day range");
 
     // --- Base load: a slow mean-reverting wander around the archetype
-    // level, refreshed every simulated minute.
+    // level, drawn once per 5 simulated minutes.
     let base_kw = config.archetype.base_load_kw();
     add_base_load(&mut rng, series.values_mut(), base_kw, 0.02, base_kw * 0.05);
 
@@ -162,24 +162,57 @@ fn simulate<const LOG: bool>(
     (series, flexible)
 }
 
-/// The base-load pass: an OU wander (rate `theta`, step noise `sigma`)
-/// around `base_kw` that starts at `base_kw`, clamped at zero and added
-/// to `values` as kWh per minute.
+/// Minutes the base load holds one level. The chain is advanced by its
+/// exact law over this many one-minute steps, so a week takes 2 016
+/// draws instead of 10 080.
+const BASE_LOAD_STEP: usize = 5;
+
+/// The base-load pass: an OU wander around `base_kw` that starts at
+/// `base_kw`, clamped at zero and added to `values` as kWh per minute.
+///
+/// The wander is the one-minute chain `L ← μ + φ(L − μ) + σ·z` with
+/// φ = 1 − `theta` and σ = `sigma`, advanced [`BASE_LOAD_STEP`] minutes
+/// per draw by its exact law over that many steps (see [`step_law`]):
+/// `L ← μ + φ⁵(L − μ) + σ₅·z`. Every minute of a step adds `L / 60`.
+/// The level therefore keeps the one-minute chain's stationary mean μ,
+/// its standard deviation σ/√(1 − φ²) and its autocorrelation φᵏ at
+/// every lag `k` that is a multiple of 5 minutes; it is flat within a
+/// step, and the zero clamp applies once per step.
 ///
 /// A kernel of its own, on a local copy of the generator, so that the
 /// level and the generator stay in registers for the whole loop (see
-/// the `randomness` module doc). The draws and float operations are
-/// those of the inline loop it replaced; the tests hold it to that loop
-/// bit for bit.
+/// the `randomness` module doc); the tests hold it to a plain indexed
+/// loop bit for bit.
 #[inline(never)]
 fn add_base_load(rng: &mut StdRng, values: &mut [f64], base_kw: f64, theta: f64, sigma: f64) {
+    let (decay, sigma_step) = step_law(theta, sigma);
     let mut local = rng.clone();
     let mut level = base_kw;
-    for v in values {
-        level = clamp_to_zero(ou_step(&mut local, level, base_kw, theta, sigma));
-        *v += level / 60.0;
+    for step in values.chunks_mut(BASE_LOAD_STEP) {
+        level = clamp_to_zero(
+            base_kw + decay * (level - base_kw) + sigma_step * standard_normal(&mut local),
+        );
+        let kwh = level / 60.0;
+        for v in step {
+            *v += kwh;
+        }
     }
     *rng = local;
+}
+
+/// The exact law of [`BASE_LOAD_STEP`] = 5 steps of the one-minute
+/// chain with φ = 1 − `theta` and step noise `sigma`: the decay φ⁵ of
+/// the deviation from the mean, and the standard deviation
+/// σ₅ = σ·√((1 − φ¹⁰)/(1 − φ²)) of the noise five steps add up
+/// (σ²·Σⱼ φ²ʲ over j < 5). Products and one correctly rounded square
+/// root only, no `powi` or `exp`, so the bits are the same on every
+/// platform.
+fn step_law(theta: f64, sigma: f64) -> (f64, f64) {
+    let phi = 1.0 - theta;
+    let phi2 = phi * phi;
+    let phi5 = phi2 * phi2 * phi;
+    let phi10 = phi5 * phi5;
+    (phi5, sigma * ((1.0 - phi10) / (1.0 - phi2)).sqrt())
 }
 
 /// The measurement-noise pass: add `N(0, noise_kwh)` to every value and
@@ -201,8 +234,10 @@ fn add_noise(rng: &mut StdRng, values: &mut [f64], noise_kwh: f64) {
 /// series span. Nothing is expanded into a buffer: each run adds its
 /// value over its in-range stretch of `target`.
 ///
-/// Returns the placed energy (the in-range values summed in minute
-/// order; 0 unless `FOLD`) and how many minutes landed in range.
+/// Returns the placed energy (each run's value times its in-range
+/// minutes, summed in run order; 0 unless `FOLD`) and how many minutes
+/// landed in range. A product per run, not a sum per minute, keeps the
+/// fold off the minute loop, which then has no dependency chain.
 ///
 /// Panics unless `target` is a 1-minute series: the minute offset is
 /// used directly as a value index, which is only sound on the MIN_1
@@ -231,9 +266,9 @@ fn add_cycle_values<const FOLD: bool>(
         // lo ≤ hi, both in [0, len]; an empty stretch adds nothing.
         for t in &mut values[lo as usize..hi as usize] {
             *t += v;
-            if FOLD {
-                energy += v;
-            }
+        }
+        if FOLD {
+            energy += v * (hi - lo) as f64;
         }
         placed += (hi - lo) as usize;
     }
@@ -568,22 +603,33 @@ mod tests {
 
     /// The expanded cycle (`values`, one per minute) added as an index
     /// loop over its clamped range: the reference for the run walk.
+    /// Returns the in-range cycle minutes `j0..j1`.
     fn add_cycle_values_indexed(
         target: &mut TimeSeries,
         start: Timestamp,
         values: &[f64],
-    ) -> (f64, usize) {
+    ) -> std::ops::Range<usize> {
         let off = (start - target.start()).as_minutes();
         let n = values.len() as i64;
         let j0 = (-off).clamp(0, n) as usize;
         let j1 = (target.len() as i64 - off).clamp(0, n) as usize;
-        let mut energy = 0.0;
         let target_values = target.values_mut();
         for (j, v) in values[j0..j1].iter().enumerate() {
             target_values[(off + (j0 + j) as i64) as usize] += v;
-            energy += v;
         }
-        (energy, j1 - j0)
+        j0..j1
+    }
+
+    /// Each run's value times how many of its minutes fall in `placed`
+    /// (cycle minutes), summed in run order.
+    fn placed_energy(runs: &[(usize, f64)], placed: &std::ops::Range<usize>) -> f64 {
+        let (mut energy, mut at) = (0.0, 0);
+        for &(minutes, v) in runs {
+            let (lo, hi) = (at.max(placed.start), (at + minutes).min(placed.end));
+            energy += v * hi.saturating_sub(lo) as f64;
+            at += minutes;
+        }
+        energy
     }
 
     #[test]
@@ -628,8 +674,10 @@ mod tests {
                 let mut unfolded = got.clone();
                 let (e_got, n_got) =
                     add_cycle_values::<true>(&mut got, start, runs.iter().copied());
-                let (e_want, n_want) = add_cycle_values_indexed(&mut want, start, &cycle);
+                let placed = add_cycle_values_indexed(&mut want, start, &cycle);
+                let n_want = placed.len();
                 assert_eq!(n_got, n_want, "off {off}");
+                let e_want = placed_energy(runs, &placed);
                 assert_eq!(e_got.to_bits(), e_want.to_bits(), "off {off}");
                 let bits =
                     |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -681,10 +729,10 @@ mod tests {
         assert!(sim.series.total_energy() > logged);
     }
 
-    /// The base-load loop as it stood inline in
-    /// `simulate_household_with_catalog`, over the loop-form sampler:
-    /// the reference for [`add_base_load`]. Returns how many steps the
-    /// clamp cut to zero.
+    /// The base-load pass as a plain indexed loop over the loop-form
+    /// sampler, a new level every `BASE_LOAD_STEP`-th minute: the
+    /// reference for [`add_base_load`]. Returns how many steps the clamp
+    /// cut to zero.
     fn base_load_inline(
         rng: &mut StdRng,
         values: &mut [f64],
@@ -692,12 +740,16 @@ mod tests {
         sigma: f64,
         branches: &mut oracle::Branches,
     ) -> usize {
+        let (decay, sigma_step) = step_law(0.02, sigma);
         let mut level = base_kw;
         let mut clamped = 0;
-        for v in values.iter_mut() {
-            let next = oracle::ou_step(rng, level, base_kw, 0.02, sigma, branches);
-            clamped += usize::from(next <= 0.0 || next.is_nan());
-            level = next.max(0.0);
+        for (minute, v) in values.iter_mut().enumerate() {
+            if minute % BASE_LOAD_STEP == 0 {
+                let z = oracle::standard_normal(rng, branches);
+                let next = base_kw + decay * (level - base_kw) + sigma_step * z;
+                clamped += usize::from(next <= 0.0 || next.is_nan());
+                level = next.max(0.0);
+            }
             *v += level / 60.0;
         }
         clamped
@@ -731,15 +783,15 @@ mod tests {
 
     #[test]
     fn base_load_kernel_matches_the_inline_loop_bit_for_bit() {
-        // The production step noise (5 % of the level) reaches zero
-        // about once in 28 pinned households, so the step noise here is
-        // 20 %: the level's spread is then its mean, and the clamp cuts
-        // a sixth of the steps. 200 000 minutes per seed reach the
-        // sampler's tail (~2.6e-4 of draws) about 50 times.
+        // The production step noise (5 % of the level) rarely reaches
+        // zero, so the step noise here is 20 %: the level's spread is
+        // then its mean, and the clamp cuts a sixth of the steps. 500 003
+        // minutes per seed (a last step of 3 minutes) take 100 001 draws
+        // and reach the sampler's tail (~2.6e-4 of draws) about 26 times.
         let mut branches = oracle::Branches::default();
         let mut clamped = 0;
         for (seed, base_kw) in [(3, 0.3), (11, 0.12)] {
-            let mut got = ramp(200_000);
+            let mut got = ramp(500_003);
             let mut want = got.clone();
             let mut a = StdRng::seed_from_u64(seed);
             let mut b = a.clone();
@@ -750,6 +802,23 @@ mod tests {
         }
         assert!(clamped > 1000, "{clamped} clamped steps");
         assert!(branches.wedge > 0 && branches.tail > 0, "{branches:?}");
+    }
+
+    #[test]
+    fn step_law_is_five_one_minute_steps() {
+        // Five one-minute steps from a deviation d: mean φ⁵·d, noise
+        // variance σ²·(1 + φ² + φ⁴ + φ⁶ + φ⁸).
+        for (theta, sigma) in [(0.02, 0.0065), (0.05, 1.0), (0.3, 0.2)] {
+            let phi: f64 = 1.0 - theta;
+            let (mut decay, mut var) = (1.0, 0.0);
+            for _ in 0..BASE_LOAD_STEP {
+                decay *= phi;
+                var = phi * phi * var + sigma * sigma;
+            }
+            let (got_decay, got_sigma) = step_law(theta, sigma);
+            assert!((got_decay / decay - 1.0).abs() < 1e-14, "{theta}");
+            assert!((got_sigma * got_sigma / var - 1.0).abs() < 1e-13, "{theta}");
+        }
     }
 
     #[test]
