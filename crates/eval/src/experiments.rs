@@ -56,20 +56,13 @@ impl ExperimentParams {
     /// representable minute, is refused with a message naming it.
     pub fn horizon(&self) -> Result<TimeRange, String> {
         let start: Timestamp = Timestamp::from_ymd_hm(2013, 3, 18, 0, 0).expect("static date");
-        // Checked: `Duration::days` and `Timestamp + Duration` wrap (or
-        // panic in debug builds) past the i64 minute axis.
-        let end = self
-            .days
-            .checked_mul(Duration::DAY.as_minutes())
-            .and_then(|minutes| start.as_minutes().checked_add(minutes))
-            .ok_or_else(|| {
-                format!(
-                    "days {}: the horizon ends past the last representable minute",
-                    self.days
-                )
-            })?;
-        TimeRange::new(start, Timestamp::from_minutes(end))
-            .map_err(|e| format!("days {}: {e}", self.days))
+        let end = start.checked_add_days(self.days).ok_or_else(|| {
+            format!(
+                "days {}: the horizon ends past the last representable minute",
+                self.days
+            )
+        })?;
+        TimeRange::new(start, end).map_err(|e| format!("days {}: {e}", self.days))
     }
 
     fn fleet(&self) -> FleetConfig {

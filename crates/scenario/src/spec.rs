@@ -10,7 +10,7 @@
 use crate::ScenarioError;
 use flextract_series::FillStrategy;
 use flextract_sim::{FleetConfig, HouseholdArchetype, ShiftPattern};
-use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
+use flextract_time::{Resolution, TimeRange, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -180,20 +180,13 @@ impl Scenario {
             scenario: self.name.clone(),
             what: format!("start `{}`: {e}", self.start),
         })?;
-        // Checked: `Duration::days` and `Timestamp + Duration` wrap (or
-        // panic in debug builds) past the i64 minute axis.
-        let end = self
-            .days
-            .checked_mul(Duration::DAY.as_minutes())
-            .and_then(|minutes| start.as_minutes().checked_add(minutes))
-            .ok_or_else(|| {
-                self.invalid(format!(
-                    "days {}: the horizon ends past the last representable minute",
-                    self.days
-                ))
-            })?;
-        TimeRange::new(start, Timestamp::from_minutes(end))
-            .map_err(|e| self.invalid(format!("days {}: {e}", self.days)))
+        let end = start.checked_add_days(self.days).ok_or_else(|| {
+            self.invalid(format!(
+                "days {}: the horizon ends past the last representable minute",
+                self.days
+            ))
+        })?;
+        TimeRange::new(start, end).map_err(|e| self.invalid(format!("days {}: {e}", self.days)))
     }
 
     /// The market resolution.

@@ -254,13 +254,14 @@ fn cycle_laws<'c>(
         .collect()
 }
 
-/// A continuous appliance's duty cycles over `minutes`: cycles of length
-/// `c` chained from minute 0 with idle gaps of `round(c·U)` minutes,
-/// `U` uniform on [0.5, 1.5), at intensity `clamped_normal(0.5, 0.2)`.
-/// Returns the expected energy (a renewal sum: the chance that a cycle
-/// starts at minute t, times what it places) and the smallest and
-/// largest energy any gap sequence places.
+/// A continuous appliance's duty cycles over `minutes`: one-phase cycles
+/// of length `c` chained from minute 0 with idle gaps of `round(c·U)`
+/// minutes, `U` uniform on [0.5, 1.5), at intensity
+/// `clamped_normal(0.5, 0.2)`. Returns the expected energy (a renewal
+/// sum: the chance that a cycle starts at minute t, times what it
+/// places) and the smallest and largest energy any gap sequence places.
 fn continuous_law(spec: &ApplianceSpec, minutes: usize) -> (f64, f64, f64) {
+    assert_eq!(spec.profile.phases().len(), 1, "{}", spec.name);
     let c = spec.profile.duration().as_minutes() as usize;
     let (lo_kwh, hi_kwh) = spec.profile.energy_range_kwh();
     let mean_kw = (lo_kwh + hi_kwh) / 2.0 / (c as f64 / 60.0);

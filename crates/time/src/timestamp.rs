@@ -121,6 +121,15 @@ impl Timestamp {
     pub fn is_aligned(self, res: Resolution) -> bool {
         self.0.rem_euclid(res.minutes()) == 0
     }
+
+    /// This instant `days` whole days later, or `None` past either end
+    /// of the i64 minute axis (where `+ Duration::days(days)` would
+    /// wrap, or panic in debug builds).
+    pub fn checked_add_days(self, days: i64) -> Option<Timestamp> {
+        days.checked_mul(Duration::DAY.as_minutes())
+            .and_then(|minutes| self.0.checked_add(minutes))
+            .map(Timestamp)
+    }
 }
 
 impl Add<Duration> for Timestamp {
@@ -318,5 +327,15 @@ mod tests {
         let b = Timestamp::from_ymd_hm(2013, 3, 18, 0, 1).unwrap();
         assert!(a < b);
         assert_eq!(b - a, Duration::minutes(1));
+    }
+
+    #[test]
+    fn checked_add_days_stops_at_the_minute_axis() {
+        let t = Timestamp::from_ymd_hm(2013, 3, 18, 0, 0).unwrap();
+        assert_eq!(t.checked_add_days(7), Some(t + Duration::weeks(1)));
+        assert_eq!(t.checked_add_days(-1), Some(t - Duration::DAY));
+        for days in [7_000_000_000_000_000, i64::MAX, i64::MIN] {
+            assert_eq!(t.checked_add_days(days), None, "{days}");
+        }
     }
 }

@@ -239,14 +239,9 @@ fn fleet_flags(
     if days < 1 {
         return Err("--days must be at least 1".into());
     }
-    // Checked as `Scenario::horizon` is: `Duration::days` and
-    // `Timestamp + Duration` wrap (or panic in debug builds) past the
-    // i64 minute axis.
-    days.checked_mul(Duration::DAY.as_minutes())
-        .and_then(|minutes| fleet_start().as_minutes().checked_add(minutes))
-        .ok_or_else(|| {
-            format!("--days {days}: the horizon ends past the last representable minute")
-        })?;
+    fleet_start().checked_add_days(days).ok_or_else(|| {
+        format!("--days {days}: the horizon ends past the last representable minute")
+    })?;
     let seed: u64 = flags.get_parsed("seed", 2013)?;
     Ok((households, days, seed))
 }
