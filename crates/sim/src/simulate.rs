@@ -208,6 +208,7 @@ fn add_base_load(rng: &mut StdRng, values: &mut [f64], base_kw: f64, theta: f64,
 /// root only, no `powi` or `exp`, so the bits are the same on every
 /// platform.
 fn step_law(theta: f64, sigma: f64) -> (f64, f64) {
+    const _: () = assert!(BASE_LOAD_STEP == 5, "step_law spells out φ⁵ and φ¹⁰");
     let phi = 1.0 - theta;
     let phi2 = phi * phi;
     let phi5 = phi2 * phi2 * phi;
