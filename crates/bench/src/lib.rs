@@ -1,14 +1,15 @@
 //! # flextract-bench
 //!
-//! Benchmark harness and per-figure/table experiment binaries.
+//! Benchmark harness and the per-figure/table binaries.
 //!
 //! [`sample`] is the one timing loop: every row of the micro benches
 //! and of `bench_pipeline` (which writes `BENCH_pipeline.json`) is a
 //! [`sample::Sample`] — min, median, interquartile spread and a tail
 //! percentile over batches sized to a fixed time budget.
 //!
-//! Binaries (each regenerates one artefact of the paper; see
-//! `EXPERIMENTS.md` for the paper-vs-measured record):
+//! Binaries (each regenerates one artefact of the paper; the
+//! evaluation's studies run as scenarios, see README's "Figure
+//! binaries"):
 //!
 //! | binary | artefact |
 //! |--------|----------|
@@ -16,11 +17,6 @@
 //! | `fig4_basic` | Figure 4 — basic extraction over one day |
 //! | `fig5_peak` | Figure 5 — the peak-based walk-through (exact numbers) |
 //! | `table1_appliances` | Table 1 — the appliance catalog |
-//! | `exp_share_sweep` | E5 — the 0.1–6.5 % flexible-share sweep |
-//! | `exp_approaches` | E6 — all six approaches compared |
-//! | `exp_granularity` | E7 — disaggregation vs granularity |
-//! | `exp_aggregation` | E8 — aggregation + RES scheduling |
-//! | `exp_tariff` | E9 — multi-tariff sensitivity sweep |
 //!
 //! Micro benches (`cargo bench -p flextract-bench`), one row per
 //! `group/function/parameter` label: `bench_series`,
@@ -35,8 +31,8 @@ use flextract_series::TimeSeries;
 use flextract_sim::{simulate_household, HouseholdArchetype, HouseholdConfig};
 use flextract_time::{Duration, Resolution, TimeRange, Timestamp};
 
-/// The canonical experiment start date: Monday of the EDBT/ICDT 2013
-/// workshop week.
+/// The canonical start date: Monday of the EDBT/ICDT 2013 workshop
+/// week.
 pub fn epoch() -> Timestamp {
     Timestamp::from_ymd_hm(2013, 3, 18, 0, 0).expect("static date")
 }

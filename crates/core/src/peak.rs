@@ -15,27 +15,20 @@ use flextract_series::{PeakThreshold, TimeSeries};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// The peak-detection line: the day's mean interval energy, the
+/// paper's "average daily consumption" (§3.2).
+const THRESHOLD: PeakThreshold = PeakThreshold::Mean;
+
 /// Peak-positioned extraction: one flex-offer per consumer per day.
 #[derive(Debug, Clone)]
 pub struct PeakExtractor {
     cfg: ExtractionConfig,
-    threshold: PeakThreshold,
 }
 
 impl PeakExtractor {
-    /// Build with the paper's threshold (the daily mean).
+    /// Build with the given configuration.
     pub fn new(cfg: ExtractionConfig) -> Self {
-        PeakExtractor {
-            cfg,
-            threshold: PeakThreshold::Mean,
-        }
-    }
-
-    /// Build with an alternative detection threshold (E10, the
-    /// threshold ablation in README's "Figure and experiment binaries":
-    /// median / quantile / absolute).
-    pub fn with_threshold(cfg: ExtractionConfig, threshold: PeakThreshold) -> Self {
-        PeakExtractor { cfg, threshold }
+        PeakExtractor { cfg }
     }
 
     /// The configuration in use.
@@ -107,7 +100,7 @@ impl FlexibilityExtractor for PeakExtractor {
                 continue;
             }
             // Phase 1: detection above the daily average line.
-            let threshold = self.threshold.resolve(day)?;
+            let threshold = THRESHOLD.resolve(day)?;
             detect_peaks_into(day, day_start, series.resolution(), threshold, &mut peaks);
             // Phase 2: filtering by the flexible part of the day.
             let min_peak_energy = self.cfg.flexible_share * day_total;
@@ -327,26 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn median_threshold_ablation_detects_more_peaks() {
-        let series = two_peak_day();
-        let mean_ex = PeakExtractor::new(ExtractionConfig::default());
-        let med_ex =
-            PeakExtractor::with_threshold(ExtractionConfig::default(), PeakThreshold::Median);
-        let mut rng = StdRng::seed_from_u64(5);
-        let a = mean_ex
-            .extract(&ExtractionInput::household(&series), &mut rng)
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let b = med_ex
-            .extract(&ExtractionInput::household(&series), &mut rng)
-            .unwrap();
-        // Median (0.2) sits below the mean here → at least as many raw peaks.
-        assert!(
-            b.diagnostics.peak_reports[0].peaks.len() >= a.diagnostics.peak_reports[0].peaks.len()
-        );
-    }
-
-    #[test]
     fn multi_day_input_yields_one_offer_per_day() {
         let mut series = two_peak_day();
         let day2 = TimeSeries::new(
@@ -411,15 +384,6 @@ mod tests {
                 slices_per_offer: (1, 2),
                 ..ExtractionConfig::with_share(0.01)
             }),
-            PeakExtractor::with_threshold(ExtractionConfig::default(), PeakThreshold::Median),
-            PeakExtractor::with_threshold(
-                ExtractionConfig::default(),
-                PeakThreshold::Quantile(0.9),
-            ),
-            PeakExtractor::with_threshold(
-                ExtractionConfig::default(),
-                PeakThreshold::Absolute(0.3),
-            ),
         ];
         for fleet_seed in [1, 7, 29] {
             let configs = FleetConfig {

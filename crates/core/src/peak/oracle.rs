@@ -4,7 +4,7 @@
 //! lookup per extracted slice. Kept for the differential tests, which
 //! hold [`PeakExtractor`]'s `extract` to it output for output.
 
-use super::{weighted_pick, PeakExtractor};
+use super::{weighted_pick, PeakExtractor, THRESHOLD};
 use crate::extractor::build_offer;
 use crate::io::{PeakDayReport, PeakInfo};
 use crate::{Diagnostics, ExtractionError, ExtractionInput, ExtractionOutput};
@@ -39,7 +39,7 @@ pub(crate) fn extract(
             ));
             continue;
         }
-        let (threshold, all_peaks) = detect_peaks(&day, ex.threshold)?;
+        let (threshold, all_peaks) = detect_peaks(&day, THRESHOLD)?;
         let min_peak_energy = ex.cfg.flexible_share * day_total;
         let survivors = filter_peaks(all_peaks.clone(), min_peak_energy);
         let probs = selection_probabilities(&survivors);

@@ -41,7 +41,7 @@ use flextract_core::{
     ScheduleBasedExtractor,
 };
 use flextract_flexoffer::FlexOffer;
-use flextract_series::{PeakThreshold, TimeSeries};
+use flextract_series::TimeSeries;
 use flextract_sim::{
     simulate_household, simulate_tariff_pair, HouseholdArchetype, HouseholdConfig, TariffResponse,
 };
@@ -76,7 +76,6 @@ fn extractors() -> Vec<PeakExtractor> {
     vec![
         PeakExtractor::new(ExtractionConfig::default()),
         PeakExtractor::new(ExtractionConfig::with_share(0.02)),
-        PeakExtractor::with_threshold(ExtractionConfig::default(), PeakThreshold::Median),
     ]
 }
 

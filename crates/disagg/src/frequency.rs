@@ -92,7 +92,7 @@ impl FrequencyTable {
         self.rows.iter().find(|r| r.appliance == appliance)
     }
 
-    /// Render as an aligned text table (experiment output).
+    /// Render as an aligned text table.
     pub fn render(&self) -> String {
         let mut out = format!(
             "{:<45} {:>6} {:>10} {:>14} {:>10}\n",

@@ -22,9 +22,10 @@
 //!    (§4.2 step 1's "shortlist … and their usage schedule").
 //!
 //! Because it runs at any resolution, the same pipeline also
-//! *quantifies* the paper's 15-minute caveat: experiment E7 feeds it
-//! 1/5/15-minute versions of the same ground-truth simulation and
-//! measures the accuracy collapse.
+//! *quantifies* the paper's 15-minute caveat: the
+//! `disaggregation_quality_collapses_at_15min` integration test feeds
+//! it 1- and 15-minute versions of the same ground-truth simulations
+//! and asserts the accuracy collapse.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -59,7 +59,9 @@ pub struct DisaggResult {
 ///
 /// `series` should be at the finest resolution available — template
 /// matching degrades with granularity (the paper's "only 15 min"
-/// caveat is precisely this effect, measured by experiment E7).
+/// caveat is precisely this effect; the
+/// `disaggregation_quality_collapses_at_15min` integration test
+/// measures it).
 pub fn disaggregate(
     series: &TimeSeries,
     catalog: &Catalog,

@@ -1,7 +1,7 @@
 //! Extrinsic accuracy against simulated ground truth.
 //!
 //! The simulator records every shiftable appliance cycle it placed
-//! ([`flextract_sim::Activation`]), so the *true flexible load* is a
+//! (`flextract_sim::Activation`), so the *true flexible load* is a
 //! known series. An extraction is scored by interval-level energy
 //! overlap: of the energy the extractor called flexible, how much
 //! really was (precision); of the truly flexible energy, how much was

@@ -4,7 +4,6 @@
 //! flextract simulate  --households 5 --days 7 --seed 1 --out data/
 //! flextract extract   --approach peak --input data/household_0.csv --share 0.05
 //! flextract fig5
-//! flextract experiment e6 --households 10 --days 14
 //! ```
 //!
 //! `extract --input` reads any series file a dataset store reads: the
@@ -20,10 +19,6 @@ use flextract::core::{
 use flextract::dataset::{
     codec, Aggregates, CleaningConfig, Dataset, Degradation, MeasuredSeries, Predicate,
     ResidentStore, Scan, ScanReport, SeriesCodec,
-};
-use flextract::eval::experiments::{
-    aggregation_study, approach_comparison, granularity, share_sweep, tariff_study,
-    threshold_ablation, ExperimentParams,
 };
 use flextract::eval::fig5_day;
 use flextract::flexoffer::FlexOffer;
@@ -45,7 +40,6 @@ USAGE:
   flextract extract    --input FILE [--approach peak|basic|random]
                        [--share F] [--seed S] [--out FILE.json]
   flextract fig5
-  flextract experiment e5|e6|e7|e8|e9|e10 [--households N] [--days D] [--seed S]
   flextract scenario list [--dir DIR]
   flextract scenario run (--all | --name NAME) [--dir DIR] [--threads N]
                        [--consumer-threads N] [--json]
@@ -185,12 +179,6 @@ fn run_simple(command: &str, args: &[String]) -> Result<(), String> {
         "simulate" => cmd_simulate(&Flags::parse(&args[1..])?),
         "extract" => cmd_extract(&Flags::parse(&args[1..])?),
         "fig5" => cmd_fig5(),
-        "experiment" => {
-            let Some(which) = args.get(1) else {
-                return Err("experiment needs a name (e5..e10)".into());
-            };
-            cmd_experiment(which, &Flags::parse(&args[2..])?)
-        }
         "scenario" => {
             let Some(action) = args.get(1) else {
                 return Err("scenario needs an action (list|run)".into());
@@ -218,24 +206,20 @@ fn run_simple(command: &str, args: &[String]) -> Result<(), String> {
     }
 }
 
-/// The first simulated day of `simulate` and `experiment`: Monday
-/// 2013-03-18, the EDBT'13 week.
+/// The first simulated day of `simulate`: Monday 2013-03-18, the
+/// EDBT'13 week.
 fn fleet_start() -> Timestamp {
     Timestamp::from_ymd_hm(2013, 3, 18, 0, 0).expect("static date")
 }
 
-/// Parse and validate the fleet-shaped flags shared by `simulate` and
-/// `experiment`.
-fn fleet_flags(
-    flags: &Flags,
-    default_households: usize,
-    default_days: i64,
-) -> Result<(usize, i64, u64), String> {
-    let households: usize = flags.get_parsed("households", default_households)?;
+/// Parse and validate `simulate`'s fleet flags: households, days and
+/// seed.
+fn fleet_flags(flags: &Flags) -> Result<(usize, i64, u64), String> {
+    let households: usize = flags.get_parsed("households", 5)?;
     if households == 0 {
         return Err("--households must be at least 1".into());
     }
-    let days: i64 = flags.get_parsed("days", default_days)?;
+    let days: i64 = flags.get_parsed("days", 7)?;
     if days < 1 {
         return Err("--days must be at least 1".into());
     }
@@ -247,7 +231,7 @@ fn fleet_flags(
 }
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
-    let (households, days, seed) = fleet_flags(flags, 5, 7)?;
+    let (households, days, seed) = fleet_flags(flags)?;
     let out = flags.get("out").ok_or("simulate needs --out DIR")?;
     std::fs::create_dir_all(out).map_err(|e| format!("cannot create {out}: {e}"))?;
 
@@ -348,26 +332,6 @@ fn cmd_fig5() -> Result<(), String> {
             }
         );
     }
-    Ok(())
-}
-
-fn cmd_experiment(which: &str, flags: &Flags) -> Result<(), String> {
-    let (households, days, seed) = fleet_flags(flags, 10, 14)?;
-    let params = ExperimentParams {
-        households,
-        days,
-        seed,
-    };
-    let rendered = match which {
-        "e5" => share_sweep(&[0.001, 0.005, 0.01, 0.02, 0.05, 0.065], params)?.render(),
-        "e6" => approach_comparison(params)?.render(),
-        "e7" => granularity(params)?.render(),
-        "e8" => aggregation_study(params)?.render(),
-        "e9" => tariff_study(&[0.0, 0.25, 0.5, 0.75, 1.0], params)?.render(),
-        "e10" => threshold_ablation(params)?.render(),
-        other => return Err(format!("unknown experiment '{other}' (e5..e10)")),
-    };
-    print!("{rendered}");
     Ok(())
 }
 
@@ -1571,27 +1535,18 @@ mod tests {
     fn unknown_commands_error() {
         assert!(run(&["frobnicate".into()]).is_err());
         assert!(run(&[]).is_err());
-        assert!(run(&["experiment".into()]).is_err());
-        assert!(run(&["experiment".into(), "e99".into()]).is_err());
         assert!(run(&["help".into()]).is_ok());
     }
 
     #[test]
     fn days_past_the_minute_axis_error_instead_of_panicking() {
         for days in ["7000000000000000", &i64::MAX.to_string()] {
-            let args = |cmd: &[&str]| -> Vec<String> {
-                cmd.iter()
-                    .map(|s| s.to_string())
-                    .chain(["--days".into(), days.into()])
-                    .collect()
-            };
             let out = std::env::temp_dir().join(format!("flextract_days_{}", std::process::id()));
-            let simulate = run(&args(&["simulate", "--out", out.to_str().unwrap()]));
+            let args = ["simulate", "--out", out.to_str().unwrap(), "--days", days];
+            let simulate = run(&args.map(String::from));
             std::fs::remove_dir_all(&out).ok();
-            for result in [simulate, run(&args(&["experiment", "e5"]))] {
-                let msg = result.expect_err("an error, not a run").msg;
-                assert!(msg.contains("--days"), "{msg}");
-            }
+            let msg = simulate.expect_err("an error, not a run").msg;
+            assert!(msg.contains("--days"), "{msg}");
         }
     }
 

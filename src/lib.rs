@@ -22,7 +22,7 @@
 //! | [`disagg`] | `flextract-disagg` | NILM-style appliance detection |
 //! | [`core`] | `flextract-core` | **the five extraction approaches** |
 //! | [`agg`] | `flextract-agg` | flex-offer aggregation & RES scheduling |
-//! | [`eval`] | `flextract-eval` | realism metrics, ground truth, experiments |
+//! | [`eval`] | `flextract-eval` | ground-truth scoring, fidelity, the Figure-5 day |
 //! | [`frame`] | `flextract-frame` | columnar chunk-stat frames (FXM2) + lazy scans |
 //! | [`dataset`] | `flextract-dataset` | metered-series store, degradation, cleaning |
 //! | [`scenario`] | `flextract-scenario` | declarative scenario corpus + parallel runner |
@@ -86,7 +86,7 @@ pub mod disagg {
     pub use flextract_disagg::*;
 }
 
-/// Realism metrics, ground-truth scoring and the E5–E9 experiments.
+/// Ground-truth scoring, measured-vs-truth fidelity and the Figure-5 day.
 pub mod eval {
     pub use flextract_eval::*;
 }

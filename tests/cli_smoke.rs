@@ -146,27 +146,10 @@ fn extract_rejects_gappy_series_naming_file_and_gap_count() {
 }
 
 #[test]
-fn fig5_and_experiment_commands_run() {
+fn fig5_command_runs() {
     let fig5 = flextract(&["fig5"]);
     assert!(fig5.status.success());
     assert!(String::from_utf8_lossy(&fig5.stdout).contains("Figure-5 day"));
-
-    let exp = flextract(&[
-        "experiment",
-        "e6",
-        "--households",
-        "2",
-        "--days",
-        "2",
-        "--seed",
-        "3",
-    ]);
-    assert!(
-        exp.status.success(),
-        "experiment e6 failed: {}",
-        String::from_utf8_lossy(&exp.stderr)
-    );
-    assert!(!exp.stdout.is_empty(), "experiment e6 printed nothing");
 }
 
 #[test]
@@ -179,8 +162,6 @@ fn bad_invocations_exit_nonzero_with_usage() {
         &["simulate"], // missing --out
         &["simulate", "--households", "0", "--out", "/tmp/unused"],
         &["simulate", "--days", "0", "--out", "/tmp/unused"],
-        &["experiment", "e99"],
-        &["experiment", "e6", "--households", "0"],
     ] {
         let out = flextract(args);
         assert!(!out.status.success(), "expected failure for args {args:?}");

@@ -13,7 +13,7 @@
 //! reports are byte-identical at any value — CI regenerates the
 //! snapshots at 1 and 8 and diffs to prove it.
 
-use flextract::scenario::{load_dir, ScenarioRunner};
+use flextract::scenario::{load_dir, load_file, ScenarioReport, ScenarioRunner};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -156,5 +156,73 @@ fn reports_are_byte_identical_across_repeat_runs() {
         serde_json::to_string_pretty(&a.report).unwrap(),
         serde_json::to_string_pretty(&b.report).unwrap(),
         "identical spec + seed must reproduce the identical report"
+    );
+}
+
+/// The committed report of scenario `name`. The golden gate above ties
+/// each snapshot to a run of the corpus, so a claim read off it holds
+/// for the code as committed.
+fn committed_report(name: &str) -> ScenarioReport {
+    let path = repo_root()
+        .join("tests")
+        .join("golden")
+        .join(format!("{name}.json"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    serde_json::from_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The paper's evaluation claims (§5–6), read off the committed
+/// reports of the scenarios that run them.
+#[test]
+fn committed_reports_carry_the_papers_evaluation_claims() {
+    // The share range (MIRACLE's 0.1–6.5 %, §1 ref [7]): the peak
+    // extractor delivers each end of it to within 10 %, low below high.
+    let mut achieved = Vec::new();
+    for name in ["share_low_0p1pct", "share_high_6p5pct"] {
+        let spec = load_file(&repo_root().join("scenarios").join(format!("{name}.json")))
+            .expect("committed scenario loads");
+        let share = committed_report(name).achieved_share;
+        assert!(
+            (share - spec.flexible_share).abs() <= 0.1 * spec.flexible_share,
+            "{name}: achieved share {share} vs configured {}",
+            spec.flexible_share
+        );
+        achieved.push(share);
+    }
+    assert!(achieved[0] < achieved[1], "share range: {achieved:?}");
+
+    // Multi-tariff extraction (§3.3): the same households, responding
+    // more strongly to the tariff, give up more of their true flexible
+    // load.
+    let sensitive = committed_report("multi_tariff_sensitive").recall;
+    let weak = committed_report("multi_tariff_weak").recall;
+    assert!(
+        sensitive > weak,
+        "multi-tariff recall: sensitive {sensitive} vs weak {weak}"
+    );
+
+    // Aggregation (§6): macro offers never outnumber their members.
+    for name in ["agg_compression_fleet", "res_scheduling_high_wind"] {
+        let report = committed_report(name);
+        let agg = report
+            .aggregation
+            .unwrap_or_else(|| panic!("{name}: no aggregation stage"));
+        assert!(
+            agg.aggregates <= report.offers,
+            "{name}: {} aggregates of {} offers",
+            agg.aggregates,
+            report.offers
+        );
+        assert!(agg.compression >= 1.0, "{name}: {}", agg.compression);
+    }
+    // Scheduling against RES (§6): scheduling does not worsen the
+    // imbalance beyond a 5 % tolerance.
+    let schedule = committed_report("res_scheduling_high_wind")
+        .schedule
+        .expect("res_scheduling_high_wind schedules");
+    assert!(
+        schedule.imbalance_improvement >= -0.05,
+        "imbalance improvement {}",
+        schedule.imbalance_improvement
     );
 }
